@@ -24,7 +24,6 @@ from .planner import (
     SweepAxis,
     SweepCell,
     SweepSpec,
-    jitter_sensitivity,
     min_pulses,
     sweep,
 )
@@ -39,7 +38,6 @@ from .readout import (
     infer_x2,
     integrate_langevin,
     ripple_report,
-    zeroth_order_field,
 )
 from .state import (
     GaussianState,
@@ -47,7 +45,6 @@ from .state import (
     free_x2_expectation,
     is_squeezed,
     propagate,
-    quadrature_variances,
     thermal_occupancy,
     thermal_state,
 )

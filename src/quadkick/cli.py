@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import KEY_TO_FIELD, load_config
+from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
 from .errors import ConfigError, InvariantViolation, ParameterError
 from .kicks import (
     Dissipate,
@@ -25,7 +25,7 @@ from .kicks import (
     optimal_kick_duration,
     quarter_period,
 )
-from .planner import SweepAxis, SweepSpec, sweep
+from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
 from .readout import analyze_trace, default_readout_config, integrate_langevin
 from .state import GaussianState, free_x2_expectation, is_squeezed, thermal_state
 
@@ -224,10 +224,6 @@ def _parse_axis(text: str) -> SweepAxis:
 
 def _cmd_sweep(args) -> str:
     params = load_config(args.config)
-    if not args.axis:
-        raise ConfigError("sweep needs at least one --axis NAME=V1,V2,...")
-    if len(args.axis) > 2:
-        raise ConfigError("sweep supports at most two axes")
     axes = tuple(_parse_axis(a) for a in args.axis)
     try:
         spec = SweepSpec(
@@ -240,12 +236,11 @@ def _cmd_sweep(args) -> str:
         raise ConfigError(str(exc))
     cells = sweep(spec)
 
-    display = {field: key for key, field in KEY_TO_FIELD.items()}
-    names = [display.get(a.name, a.name) for a in axes]
+    names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
     if args.format == "json":
         payload = [
             {
-                "coords": {display.get(k, k): v for k, v in cell.coords},
+                "coords": {FIELD_TO_KEY.get(k, k): v for k, v in cell.coords},
                 "value": cell.value,
                 "error": cell.error,
             }
@@ -321,11 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME=V1,V2,...",
         help="swept parameter and values; repeat for a second axis",
     )
-    p_sweep.add_argument(
-        "--observable",
-        choices=("var_x", "var_p", "pulses_needed", "decoherence_term"),
-        default="var_x",
-    )
+    p_sweep.add_argument("--observable", choices=OBSERVABLES, default="var_x")
     p_sweep.add_argument("--dissipation", choices=("on", "off"), default="off")
     return parser
 

@@ -26,8 +26,10 @@ def dissipate(state: GaussianState, gamma: float, tau: float, n_env: float) -> G
     _check(gamma, tau, n_env)
     decay = math.exp(-gamma * tau)
     add = -math.expm1(-gamma * tau) * (n_env + 0.5)
+    shrink = math.exp(-0.5 * gamma * tau)
+    p, x = state.mean
     return GaussianState(
-        mean=math.exp(-0.5 * gamma * tau) * state.mean,
+        mean=(shrink * p, shrink * x),
         var_p=decay * state.var_p + add,
         var_x=decay * state.var_x + add,
         cross=decay * state.cross,

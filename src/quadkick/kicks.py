@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .dissipation import dissipate
 from .errors import InvariantViolation, ParameterError, QuadkickError
@@ -87,8 +86,6 @@ def coupling_from_physical(params: PhysicalParams) -> float:
 
     g = 2ħω²/(m·omega_m·L·c) · sqrt(R/(1-R)) with ω = 2πc/wavelength.
     """
-    if params.R >= 1.0:
-        raise ParameterError(f"field R: reflectivity {params.R!r} must be < 1")
     omega_opt = 2.0 * math.pi * SPEED_OF_LIGHT / params.wavelength
     prefactor = 2.0 * HBAR * omega_opt**2 / (params.mass * params.omega_m * params.L * SPEED_OF_LIGHT)
     return prefactor * math.sqrt(params.R / (1.0 - params.R))
@@ -104,10 +101,10 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
         raise ParameterError("kick matrix needs g_tilde > 0 and omega_m > 0")
     if t < 0.0:
         raise ParameterError(f"kick duration must be non-negative, got {t!r}")
-    theta = math.sqrt(g_tilde * omega_m) * t
+    theta = _finite_angle("kick", math.sqrt(g_tilde * omega_m) * t)
     c, s = math.cos(theta), math.sin(theta)
     up = math.sqrt(g_tilde / omega_m)
-    return SymplecticMap(np.array([[c, -up * s], [s / up, c]]))
+    return SymplecticMap(((c, -up * s), (s / up, c)))
 
 
 def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
@@ -116,8 +113,15 @@ def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     if tau < 0.0:
         raise ParameterError(f"duration must be non-negative, got {tau!r}")
-    c, s = math.cos(omega_m * tau), math.sin(omega_m * tau)
-    return SymplecticMap(np.array([[c, -s], [s, c]]))
+    theta = _finite_angle("free", omega_m * tau)
+    c, s = math.cos(theta), math.sin(theta)
+    return SymplecticMap(((c, -s), (s, c)))
+
+
+def _finite_angle(kind: str, theta: float) -> float:
+    if not math.isfinite(theta):
+        raise ParameterError(f"{kind} rotation angle must be finite, got {theta!r}")
+    return theta
 
 
 def optimal_kick_duration(g_tilde: float, omega_m: float) -> float:
@@ -191,6 +195,38 @@ class PulseSchedule:
                 raise ParameterError(f"unknown segment type {type(seg).__name__}")
 
 
+def fold(
+    state: GaussianState, segments: Iterable[Segment], params: PhysicalParams, n_env: float
+) -> Iterator[GaussianState]:
+    """Yield the state after each segment, folding ``state`` through ``segments``.
+
+    Dissipate segments couple to a bath at occupancy ``n_env``.  The fold is
+    lazy: a consumer may stop early and later segments are never evaluated.
+
+    Raises
+    ------
+    InvariantViolation
+        if a segment produces an invalid state; ``segment_index`` is the
+        zero-based index of the failing segment.
+    """
+    for i, seg in enumerate(segments):
+        try:
+            if isinstance(seg, Kick):
+                n_p = params.n_p if seg.n_p is None else seg.n_p
+                g_tilde = effective_stiffness(params.g, n_p, params.omega_m)
+                state = propagate(state, kick_matrix(g_tilde, params.omega_m, seg.duration))
+            elif isinstance(seg, Free):
+                state = propagate(state, free_matrix(params.omega_m, seg.duration))
+            else:
+                state = dissipate(state, params.gamma, seg.duration, n_env)
+        except QuadkickError as exc:
+            raise InvariantViolation(
+                f"segment {i} ({seg.kind}) produced an invalid state: {exc}",
+                segment_index=i,
+            ) from exc
+        yield state
+
+
 def apply_schedule(
     state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
 ) -> list[tuple[int, GaussianState]]:
@@ -199,38 +235,9 @@ def apply_schedule(
     The result always starts with (0, input state); entry (i, s) for i >= 1
     is the state after ``schedule.segments[i - 1]``.  An empty schedule
     returns the input state alone.  Dissipate segments couple to the bath
-    at the params' temperature.
-
-    Raises
-    ------
-    InvariantViolation
-        if a segment produces an invalid state; ``segment_index`` is the
-        zero-based index of the failing segment.
+    at the params' temperature.  Raises ``InvariantViolation`` as ``fold``.
     """
-    out = [(0, state)]
-    n_env = None
-    # overflow here is an anticipated failure mode: the resulting non-finite
-    # moments are caught by state validation and reported per segment
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, seg in enumerate(schedule.segments):
-            try:
-                if isinstance(seg, Kick):
-                    n_p = params.n_p if seg.n_p is None else seg.n_p
-                    g_tilde = effective_stiffness(params.g, n_p, params.omega_m)
-                    state = propagate(state, kick_matrix(g_tilde, params.omega_m, seg.duration))
-                elif isinstance(seg, Free):
-                    state = propagate(state, free_matrix(params.omega_m, seg.duration))
-                else:
-                    if n_env is None:
-                        n_env = params.occupancy()
-                    state = dissipate(state, params.gamma, seg.duration, n_env)
-            except QuadkickError as exc:
-                raise InvariantViolation(
-                    f"segment {i} ({seg.kind}) produced an invalid state: {exc}",
-                    segment_index=i,
-                ) from exc
-            out.append((i + 1, state))
-    return out
+    return list(enumerate([state, *fold(state, schedule.segments, params, params.occupancy())]))
 
 
 def two_pulse_variance(
@@ -249,9 +256,13 @@ def two_pulse_variance(
     if n_bar < 0.0:
         raise ParameterError(f"occupancy must be non-negative, got {n_bar!r}")
     v0 = n_bar + 0.5
-    c2 = math.cos(omega_m * tau) ** 2
-    s2 = math.sin(omega_m * tau) ** 2
+    theta = _finite_angle("free", omega_m * tau)
+    c, s = math.cos(theta), math.sin(theta)
     ratio = g_tilde / omega_m
-    var_p = (c2 + ratio**2 * s2) * v0
-    var_x = (c2 + s2 / ratio**2) * v0
+    var_p = (c * c + ratio * ratio * (s * s)) * v0
+    var_x = (c * c + s * s / (ratio * ratio)) * v0
+    if not (math.isfinite(var_p) and math.isfinite(var_x)):
+        raise ParameterError(
+            f"two-pulse variances are not finite: var_p = {var_p!r} and var_x = {var_x!r}"
+        )
     return var_p, var_x

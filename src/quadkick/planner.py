@@ -1,5 +1,5 @@
-"""Operational planning on top of the dynamics: minimal pulse counts,
-timing-jitter sensitivity, and parameter-grid sweeps."""
+"""Operational planning on top of the dynamics: minimal pulse counts and
+parameter-grid sweeps (timing jitter is the sweep's ``delta_tau`` axis)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from .dissipation import decoherence_term, dissipate
-from .errors import ParameterError
+from .dissipation import decoherence_term
+from .errors import ParameterError, QuadkickError
 from .kicks import (
     Dissipate,
     Free,
@@ -16,13 +16,12 @@ from .kicks import (
     PhysicalParams,
     PulseSchedule,
     effective_stiffness,
-    free_matrix,
-    kick_matrix,
+    fold,
     optimal_kick_duration,
     quarter_period,
     two_pulse_variance,
 )
-from .state import GaussianState, propagate, quadrature_variances, thermal_state
+from .state import GaussianState, thermal_state
 
 _PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
@@ -54,9 +53,10 @@ def min_pulses(
 ) -> PlanResult:
     """Smallest number of pulses driving var_x strictly below ``threshold``.
 
-    Builds the canonical protocol: optimal-duration kicks separated by
-    quarter-period free evolutions (each followed by a same-length thermal
-    contact when ``include_dissipation``).  ``occupancy`` overrides the
+    Folds the canonical protocol with ``kicks.fold``: optimal-duration kicks
+    separated by quarter-period free evolutions (each followed by a
+    same-length thermal contact when ``include_dissipation``), stopping at
+    the first kick that meets the target.  ``occupancy`` overrides the
     initial/bath occupancy otherwise derived from the params' temperature.
     Exhausting ``max_pulses`` is reported through ``target_met``, not an
     error.
@@ -67,55 +67,29 @@ def min_pulses(
         raise ParameterError(f"max_pulses must be non-negative, got {max_pulses!r}")
     n_bar = params.occupancy() if occupancy is None else occupancy
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
-    t_kick = optimal_kick_duration(g_tilde, params.omega_m)
+    kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
     tau = quarter_period(params.omega_m)
-    kick = kick_matrix(g_tilde, params.omega_m, t_kick)
-    rotate = free_matrix(params.omega_m, tau)
+    step = (Free(tau), Dissipate(tau), kick) if include_dissipation else (Free(tau), kick)
+    canonical = ((kick,) + step * (max_pulses - 1)) if max_pulses else ()
 
     state = thermal_state(n_bar)
-    segments: list = []
-    history = [quadrature_variances(state)]
-
-    def push(segment, new_state):
-        segments.append(segment)
-        history.append(quadrature_variances(new_state))
-        return new_state
-
+    history = [(state.var_p, state.var_x, state.cross)]
     pulses = 0
-    met = state.var_x < threshold
-    while not met and pulses < max_pulses:
-        if pulses > 0:
-            state = push(Free(tau), propagate(state, rotate))
-            if include_dissipation:
-                state = push(Dissipate(tau), dissipate(state, params.gamma, tau, n_bar))
-        state = push(Kick(t_kick), propagate(state, kick))
-        pulses += 1
-        met = state.var_x < threshold
+    if state.var_x >= threshold:
+        # the loop rebinds ``state``: afterwards it is the last folded state
+        for segment, state in zip(canonical, fold(state, canonical, params, n_bar)):
+            history.append((state.var_p, state.var_x, state.cross))
+            if segment is kick:
+                pulses += 1
+                if state.var_x < threshold:
+                    break
     return PlanResult(
         pulses=pulses,
-        schedule=PulseSchedule(tuple(segments), label=f"canonical-{pulses}-pulse"),
+        schedule=PulseSchedule(canonical[: len(history) - 1], label=f"canonical-{pulses}-pulse"),
         final_state=state,
         history=tuple(history),
-        target_met=met,
+        target_met=state.var_x < threshold,
     )
-
-
-def jitter_sensitivity(
-    params: PhysicalParams, n_bar: float, delta_tau_values
-) -> list[tuple[float, float, float]]:
-    """Two-pulse variances at free times offset from the quarter period.
-
-    Returns rows (delta_tau, var_x, var_p) in the input order.
-    """
-    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
-    tau0 = quarter_period(params.omega_m)
-    rows = []
-    for dtau in delta_tau_values:
-        if not math.isfinite(dtau):
-            raise ParameterError(f"delta_tau values must be finite, got {dtau!r}")
-        var_p, var_x = two_pulse_variance(tau0 + dtau, g_tilde, params.omega_m, n_bar)
-        rows.append((dtau, var_x, var_p))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -184,8 +158,9 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
 def sweep(spec: SweepSpec) -> list[SweepCell]:
     """Evaluate the observable over the grid, axis-1 major.
 
-    A cell whose substituted parameters are invalid records the error
-    message in place of a value; the sweep itself never aborts.
+    A cell whose substituted parameters are invalid, or whose evaluation
+    fails, records the error message in place of a value; the sweep itself
+    never aborts.
     """
     grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
     if len(grids) == 1:
@@ -196,7 +171,7 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
     for coords in points:
         try:
             value = _evaluate_cell(spec, coords)
-        except ParameterError as exc:
+        except QuadkickError as exc:
             cells.append(SweepCell(coords=coords, value=None, error=str(exc)))
         else:
             cells.append(SweepCell(coords=coords, value=value, error=None))

@@ -90,26 +90,6 @@ def baseline_intensity(config: ReadoutConfig) -> float:
     return abs(steady_field(config)) ** 2
 
 
-def zeroth_order_field(config: ReadoutConfig, t: float) -> complex:
-    """Cavity amplitude with the coupling switched off, drive on at t_start.
-
-    Closed form of the driven-decay integral for a constant drive:
-    drive·(1 - e^{-(kappa + i·detuning)(t - t_start)})/(kappa + i·detuning).
-    """
-    if t < config.t_start:
-        raise ParameterError("t precedes the probe switch-on time")
-    pole = complex(config.kappa, config.detuning)
-    return config.drive_amplitude * -_cexpm1(-pole * (t - config.t_start)) / pole
-
-
-def _cexpm1(z: complex) -> complex:
-    # e^z - 1 without cancellation for small |z|
-    if abs(z) < 1e-8:
-        return z * (1.0 + z * (0.5 + z / 6.0))
-    return complex(math.exp(z.real) * math.cos(z.imag) - 1.0,
-                   math.exp(z.real) * math.sin(z.imag))
-
-
 def adiabatic_intensity(x2: float, config: ReadoutConfig) -> float:
     """Steady output intensity to first order: I0·(1 + (2g/kappa)·x²)."""
     return baseline_intensity(config) * (1.0 + 2.0 * config.coupling / config.kappa * x2)

@@ -8,7 +8,7 @@ operation returns a new ``GaussianState``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,41 +24,29 @@ HEISENBERG_TOL = 1e-9   # absolute slack on det(cov) >= 1/4
 UNIT_DET_TOL = 1e-12    # |det - 1| allowed for symplectic maps
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SymplecticMap:
-    """A 2x2 real matrix with unit determinant acting on (p, x) columns."""
+    """A 2x2 real matrix ((a, b), (c, d)) with unit determinant acting on (p, x) columns."""
 
-    m: np.ndarray
+    m: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (2, 2):
-            raise ParameterError(f"symplectic map must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        try:
+            (a, b), (c, d) = self.m
+            m = ((float(a), float(b)), (float(c), float(d)))
+        except (TypeError, ValueError):
+            raise ParameterError(f"symplectic map must be 2x2, got {self.m!r}")
+        if not all(map(math.isfinite, m[0] + m[1])):
             raise ParameterError("symplectic map entries must be finite")
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(d - 1.0) > UNIT_DET_TOL:
-            raise ParameterError(f"symplectic map must have unit determinant, got det = {d!r}")
-        object.__setattr__(self, "m", _readonly(m))
+        object.__setattr__(self, "m", m)
+        det = self.det
+        if abs(det - 1.0) > UNIT_DET_TOL:
+            raise ParameterError(f"symplectic map must have unit determinant, got det = {det!r}")
 
     @property
     def det(self) -> float:
-        m = self.m
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-    def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """Map equivalent to applying ``other`` first, then ``self``."""
-        return SymplecticMap(self.m @ other.m)
-
-    @classmethod
-    def identity(cls) -> "SymplecticMap":
-        return cls(np.eye(2))
+        (a, b), (c, d) = self.m
+        return a * d - b * c
 
 
 @dataclass(frozen=True)
@@ -69,18 +57,23 @@ class GaussianState:
     independent entries so it is exactly symmetric by construction.
     """
 
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    mean: tuple[float, float] = (0.0, 0.0)
     var_p: float = VACUUM_VARIANCE
     var_x: float = VACUUM_VARIANCE
     cross: float = 0.0
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (2,):
-            raise ParameterError(f"mean must be a 2-vector, got shape {mean.shape}")
-        vals = (mean[0], mean[1], self.var_p, self.var_x, self.cross)
-        if not all(math.isfinite(v) for v in vals):
+        try:
+            p, x = self.mean
+        except (TypeError, ValueError):
+            raise ParameterError(f"mean must be a (p, x) pair, got {self.mean!r}")
+        vals = (float(p), float(x), float(self.var_p), float(self.var_x), float(self.cross))
+        if not all(map(math.isfinite, vals)):
             raise ParameterError("state moments must be finite")
+        object.__setattr__(self, "mean", vals[:2])
+        object.__setattr__(self, "var_p", vals[2])
+        object.__setattr__(self, "var_x", vals[3])
+        object.__setattr__(self, "cross", vals[4])
         if self.var_p <= 0.0 or self.var_x <= 0.0:
             raise ParameterError(
                 f"variances must be positive, got var_p={self.var_p!r}, var_x={self.var_x!r}"
@@ -89,10 +82,6 @@ class GaussianState:
             raise ParameterError(
                 f"covariance violates the Heisenberg bound: det = {self.det_cov!r} < 1/4"
             )
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "var_p", float(self.var_p))
-        object.__setattr__(self, "var_x", float(self.var_x))
-        object.__setattr__(self, "cross", float(self.cross))
 
     @property
     def cov(self) -> np.ndarray:
@@ -102,15 +91,6 @@ class GaussianState:
     @property
     def det_cov(self) -> float:
         return self.var_p * self.var_x - self.cross * self.cross
-
-    @classmethod
-    def from_cov(cls, mean, cov) -> "GaussianState":
-        """Build a state from a covariance matrix, symmetrizing rounding noise."""
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (2, 2):
-            raise ParameterError(f"covariance must be 2x2, got shape {cov.shape}")
-        off = 0.5 * (cov[0, 1] + cov[1, 0])
-        return cls(mean=mean, var_p=cov[0, 0], var_x=cov[1, 1], cross=off)
 
     @classmethod
     def vacuum(cls) -> "GaussianState":
@@ -144,14 +124,18 @@ def thermal_state(n_bar: float) -> GaussianState:
 
 def propagate(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     """Apply a symplectic map: mean -> M·mean, cov -> M·cov·Mᵀ."""
-    mean = smap.m @ state.mean
-    cov = smap.m @ state.cov @ smap.m.T
-    return GaussianState.from_cov(mean, cov)
-
-
-def quadrature_variances(state: GaussianState) -> tuple[float, float, float]:
-    """Return (var_p, var_x, cross)."""
-    return state.var_p, state.var_x, state.cross
+    (a, b), (c, d) = smap.m
+    p, x = state.mean
+    vp, vx, cx = state.var_p, state.var_x, state.cross
+    # rows of M·cov, then their products with the rows of M
+    rp, rpx = a * vp + b * cx, a * cx + b * vx
+    rxp, rx = c * vp + d * cx, c * cx + d * vx
+    return GaussianState(
+        mean=(a * p + b * x, c * p + d * x),
+        var_p=rp * a + rpx * b,
+        var_x=rxp * c + rx * d,
+        cross=0.5 * (rp * c + rpx * d + (rxp * a + rx * b)),
+    )
 
 
 def is_squeezed(state: GaussianState, threshold: float = VACUUM_VARIANCE) -> tuple[bool, bool]:

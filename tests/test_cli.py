@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quadkick
 from quadkick.cli import main
 
 NBAR_100UK = 12.598398495684691623
@@ -138,6 +141,21 @@ class TestSimulate:
         assert code == 4
         assert "segment" in captured.err
 
+    def test_non_finite_rotation_angle_exit_4(self, capsys):
+        code, captured = run(["simulate", "--schedule", "free:1e303"], capsys)
+        assert code == 4
+        assert captured.err.startswith("error: segment 0 (free)")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_invariant_message_carries_plain_float(self, capsys):
+        code, captured = run(["simulate", "--schedule", "kick:1e250;free;kick:1e250"], capsys)
+        assert code == 4
+        assert "np.float64" not in captured.err
+        det = captured.err.split("det = ", 1)[1].split()[0]
+        assert float(det) < 0.25
+
 
 class TestReadout:
     def test_thermal_state_summary(self, tmp_path):
@@ -244,6 +262,16 @@ class TestSweep:
         assert rows[1]["var_x"] == "ERROR"
         assert "R" in rows[1]["status"]
 
+    def test_overflowing_cell_marked(self, capsys):
+        code, captured = run(
+            ["sweep", "--axis", "n_p=1e300,1e11", "--observable", "var_p"], capsys
+        )
+        assert code == 0
+        assert "Traceback" not in captured.err
+        rows = parse_table_csv(captured.out)
+        assert rows[0]["var_p"] == "ERROR"
+        assert rows[1]["status"] == "ok"
+
     def test_lambda_key_accepted_as_axis(self, capsys):
         code, captured = run(["sweep", "--axis", "lambda=532e-9,1064e-9"], capsys)
         assert code == 0
@@ -300,10 +328,14 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    # the subprocess imports the same quadkick as this test, installed or not
+    src = str(Path(quadkick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "quadkick", "constants"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "g_tilde" in result.stdout

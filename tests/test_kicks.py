@@ -21,6 +21,7 @@ from quadkick import (
     thermal_state,
     two_pulse_variance,
 )
+from quadkick.kicks import fold
 
 # frozen from a 50-digit evaluation of 2*hbar*omega^2/(m*omega_m*L*c)*sqrt(R/(1-R))
 # at wavelength 532 nm, m = 1e-12 kg, omega_m = 1e6, L = 0.067 m, R = 0.4
@@ -81,15 +82,15 @@ class TestKickMatrix:
         t_star = math.pi / (2 * math.sqrt(2.1e13))
         k = kick_matrix(2.1e7, 1e6, t_star).m
         up = math.sqrt(21.0)
-        assert abs(k[0, 0]) <= 1e-12 and abs(k[1, 1]) <= 1e-12
-        assert k[0, 1] == pytest.approx(-up, rel=1e-12)
-        assert k[1, 0] == pytest.approx(1 / up, rel=1e-12)
-        assert k[0, 1] == pytest.approx(-4.583, rel=1e-3)
-        assert k[1, 0] == pytest.approx(0.2182, rel=1e-3)
+        assert abs(k[0][0]) <= 1e-12 and abs(k[1][1]) <= 1e-12
+        assert k[0][1] == pytest.approx(-up, rel=1e-12)
+        assert k[1][0] == pytest.approx(1 / up, rel=1e-12)
+        assert k[0][1] == pytest.approx(-4.583, rel=1e-3)
+        assert k[1][0] == pytest.approx(0.2182, rel=1e-3)
 
     def test_scaling_factors_product_is_one(self):
         k = kick_matrix(2.1e7, 1e6, optimal_kick_duration(2.1e7, 1e6)).m
-        assert abs(k[0, 1] * k[1, 0]) == pytest.approx(1.0, rel=1e-12)
+        assert abs(k[0][1] * k[1][0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_determinant_randomized(self):
         rng = np.random.default_rng(3)
@@ -107,6 +108,8 @@ class TestKickMatrix:
             kick_matrix(0.0, 1e6, 1e-7)
         with pytest.raises(ParameterError):
             kick_matrix(2.1e7, 1e6, -1e-7)
+        with pytest.raises(ParameterError, match="angle"):
+            kick_matrix(2.1e7, 1e6, 1e303)
 
 
 class TestFreeMatrix:
@@ -121,6 +124,10 @@ class TestFreeMatrix:
     def test_zero_time_identity(self):
         assert np.array_equal(free_matrix(1e6, 0.0).m, np.eye(2))
 
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(ParameterError, match="angle"):
+            free_matrix(1e6, 1e303)
+
 
 class TestOptimalKickDuration:
     def test_reference_value(self):
@@ -132,7 +139,7 @@ class TestOptimalKickDuration:
     def test_kick_diagonal_vanishes(self):
         g_tilde, omega = 5.5e7, 2.3e6
         k = kick_matrix(g_tilde, omega, optimal_kick_duration(g_tilde, omega)).m
-        assert abs(k[0, 0]) <= 1e-12
+        assert abs(k[0][0]) <= 1e-12
 
 
 class TestPhysicalParams:
@@ -234,6 +241,14 @@ class TestApplySchedule:
         assert excinfo.value.segment_index is not None
         assert str(excinfo.value.segment_index) in str(excinfo.value)
 
+    def test_fold_is_lazy(self):
+        # the failing second segment is never evaluated when only the first is taken
+        params = PhysicalParams()
+        states = fold(thermal_state(1.0), (Free(1e-7), Free(1e303)), params, 0.0)
+        assert next(states) == apply_schedule(
+            thermal_state(1.0), PulseSchedule((Free(1e-7),)), params
+        )[1][1]
+
     def test_dissipation_segment_uses_bath_occupancy(self):
         params = PhysicalParams(T=1e-3)
         n_env = params.occupancy()
@@ -269,14 +284,18 @@ class TestTwoPulseVariance:
         state = thermal_state(138.0)
         for tau in np.linspace(0.0, math.pi / params.omega_m, 100):
             composite = (
-                kick_matrix(g_tilde, params.omega_m, t_star).m
-                @ free_matrix(params.omega_m, tau).m
-                @ kick_matrix(g_tilde, params.omega_m, t_star).m
+                np.array(kick_matrix(g_tilde, params.omega_m, t_star).m)
+                @ np.array(free_matrix(params.omega_m, tau).m)
+                @ np.array(kick_matrix(g_tilde, params.omega_m, t_star).m)
             )
             cov = composite @ state.cov @ composite.T
             var_p, var_x = two_pulse_variance(tau, g_tilde, params.omega_m, 138.0)
             assert var_p == pytest.approx(cov[0, 0], rel=1e-12)
             assert var_x == pytest.approx(cov[1, 1], rel=1e-12)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ParameterError, match="not finite"):
+            two_pulse_variance(quarter_period(1e6), 2e296, 1e6, 12.6)
 
     def test_var_x_minimized_at_quarter_period(self):
         taus = np.linspace(0.0, math.pi / 1e6, 201)  # odd count: includes pi/2 exactly
@@ -295,7 +314,6 @@ class TestTwoPulseVariance:
             g_tilde = omega * rng.uniform(1.0 + 1e-6, 100.0)
             state = thermal_state(rng.uniform(0, 50))
             t = rng.uniform(0, 4) / math.sqrt(g_tilde * omega)
-            out_var_p = (
-                kick_matrix(g_tilde, omega, t).m @ state.cov @ kick_matrix(g_tilde, omega, t).m.T
-            )[0, 0]
+            k = np.array(kick_matrix(g_tilde, omega, t).m)
+            out_var_p = (k @ state.cov @ k.T)[0, 0]
             assert out_var_p >= state.var_p * (1 - 1e-12)

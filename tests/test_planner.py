@@ -10,9 +10,9 @@ from quadkick import (
     PulseSchedule,
     SweepAxis,
     SweepSpec,
+    apply_schedule,
     decoherence_term,
     effective_stiffness,
-    jitter_sensitivity,
     min_pulses,
     quarter_period,
     sweep,
@@ -116,36 +116,44 @@ class TestMinPulses:
             )
 
 
+ONE_FOLD_PARAMS = [
+    PARAMS,
+    PhysicalParams(T=1e-3),
+    PhysicalParams(T=1e-2, n_p=1e10),
+    PhysicalParams(n_p=5e7),  # spends the whole 64-pulse budget
+]
+
+
+@pytest.mark.parametrize("include_dissipation", [False, True])
+@pytest.mark.parametrize("params", ONE_FOLD_PARAMS, ids=lambda p: f"T={p.T:g},n_p={p.n_p:g}")
+def test_min_pulses_is_the_schedule_fold(params, include_dissipation):
+    # min_pulses and apply_schedule share one fold: their states agree bit for bit
+    plan = min_pulses(params, include_dissipation=include_dissipation)
+    folded = apply_schedule(thermal_state(params.occupancy()), plan.schedule, params)
+    assert plan.history == tuple((s.var_p, s.var_x, s.cross) for _, s in folded)
+    assert plan.final_state == folded[-1][1]
+
+
+def _jitter(delta_tau, observable="var_x"):
+    """The observable after the two-pulse protocol with its wait offset by delta_tau."""
+    spec = SweepSpec(axes=(SweepAxis("delta_tau", (delta_tau,)),), base=PARAMS, observable=observable)
+    (cell,) = sweep(spec)
+    return cell.value
+
+
 class TestJitterSensitivity:
+    V0 = PARAMS.occupancy() + 0.5
+
     def test_zero_offset_reaches_floor(self):
-        rows = jitter_sensitivity(PARAMS, 138.0, [0.0])
-        dtau, var_x, var_p = rows[0]
-        assert dtau == 0.0
-        assert var_x == pytest.approx(138.5 / 441.0, rel=1e-12)
-        assert var_p == pytest.approx(138.5 * 441.0, rel=1e-12)
+        assert _jitter(0.0) == pytest.approx(self.V0 / 441.0, rel=1e-12)
+        assert _jitter(0.0, "var_p") == pytest.approx(self.V0 * 441.0, rel=1e-12)
 
     def test_small_offset_value(self):
-        rows = jitter_sensitivity(PARAMS, 138.0, [-0.01 / PARAMS.omega_m])
-        assert rows[0][1] == pytest.approx(0.328, rel=2e-3)
+        var_x = _jitter(-0.01 / PARAMS.omega_m)
+        assert var_x == pytest.approx((1e-4 + 1 / 441.0) * self.V0, rel=2e-3)
 
     def test_worst_case_offset_no_squeezing(self):
-        rows = jitter_sensitivity(PARAMS, 138.0, [0.5 * math.pi / PARAMS.omega_m])
-        assert rows[0][1] == pytest.approx(138.5, rel=1e-12)
-
-    def test_rows_follow_input_order(self):
-        offsets = [1e-8, -1e-8, 0.0, 3e-8]
-        rows = jitter_sensitivity(PARAMS, 12.6, offsets)
-        assert [r[0] for r in rows] == offsets
-
-    def test_zero_offset_is_grid_minimum(self):
-        offsets = [k * 1e-9 for k in range(-100, 101)]
-        rows = jitter_sensitivity(PARAMS, 138.0, offsets)
-        best = min(rows, key=lambda r: r[1])
-        assert best[0] == 0.0
-
-    def test_non_finite_offset_rejected(self):
-        with pytest.raises(ParameterError):
-            jitter_sensitivity(PARAMS, 1.0, [math.nan])
+        assert _jitter(0.5 * math.pi / PARAMS.omega_m) == pytest.approx(self.V0, rel=1e-12)
 
 
 class TestSweepSpecValidation:
@@ -227,11 +235,10 @@ class TestSweep:
 
     def test_jitter_axis(self):
         spec = SweepSpec(
-            axes=(SweepAxis("delta_tau", (-1e-8, 0.0, 1e-8)),),
-            base=PARAMS,
-            observable="var_x",
+            axes=(SweepAxis("delta_tau", (-1e-8, 0.0, 1e-8)),), base=PARAMS, observable="var_x"
         )
         cells = sweep(spec)
+        assert [c.coords[0][1] for c in cells] == [-1e-8, 0.0, 1e-8]
         assert cells[1].value < cells[0].value
         assert cells[1].value < cells[2].value
 

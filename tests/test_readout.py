@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from quadkick import (
     GaussianState,
@@ -16,7 +15,6 @@ from quadkick import (
     integrate_langevin,
     ripple_report,
     thermal_state,
-    zeroth_order_field,
 )
 
 OMEGA_M = 1e6
@@ -55,40 +53,6 @@ class TestReadoutConfig:
             reference_config(kappa=0.0)
         with pytest.raises(ParameterError):
             reference_config(coupling=-1e-4)
-
-
-class TestZerothOrderField:
-    def test_zero_at_switch_on(self):
-        assert zeroth_order_field(reference_config(), 0.0) == 0.0
-
-    def test_resonant_steady_state(self):
-        cfg = reference_config()
-        field = zeroth_order_field(cfg, 4e-6)  # 40 lifetimes
-        assert field.real == pytest.approx(1e5 / 1e7, rel=1e-12)
-        assert abs(field.imag) < 1e-14
-
-    def test_detuned_steady_magnitude(self):
-        cfg = reference_config(detuning=1e6)
-        field = zeroth_order_field(cfg, 1e-5)
-        assert abs(field) == pytest.approx(1e5 / math.sqrt(1e14 + 1e12), rel=1e-6)
-        assert abs(field) == pytest.approx(9.95e-3, rel=1e-4)
-
-    def test_matches_numerical_quadrature(self):
-        # independent oracle: integrate drive * e^{-(kappa + i*delta)(t - s)} ds
-        cfg = reference_config(detuning=3e6)
-        pole = complex(cfg.kappa, cfg.detuning)
-        for t in (5e-8, 2e-7, 1e-6):
-            expected = quad(
-                lambda s: cfg.drive_amplitude * np.exp(-pole * (t - s)),
-                0.0,
-                t,
-                complex_func=True,
-            )[0]
-            assert zeroth_order_field(cfg, t) == pytest.approx(expected, rel=1e-8)
-
-    def test_before_switch_on_rejected(self):
-        with pytest.raises(ParameterError):
-            zeroth_order_field(reference_config(), -1e-9)
 
 
 class TestAdiabaticIntensity:
