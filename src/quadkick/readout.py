@@ -11,13 +11,19 @@ at twice the mechanical frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .state import GaussianState, free_x2_expectation
+
+# Upper bound on the RK4 step count of one trace, checked before anything
+# is allocated.
+MAX_STEPS = 10**7
+# Steps whose stage rates are held as Python complex numbers at one time.
+CHUNK_STEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,10 @@ class ReadoutConfig:
     context_frequency: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{field.name} must be finite, got {value!r}")
         if self.kappa <= 0.0:
             raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
         if self.coupling < 0.0:
@@ -54,6 +64,17 @@ class ReadoutConfig:
                 f"dt = {self.dt!r} too coarse: must be <= {limit!r} "
                 "(20 points per fastest timescale)"
             )
+        steps = (self.t_end - self.t_start) / self.dt
+        if not steps <= MAX_STEPS:
+            need = math.ceil(steps - 1e-9) if math.isfinite(steps) else steps
+            raise ParameterError(
+                f"time grid needs {need} RK4 steps, more than the limit of {MAX_STEPS}"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        """Number of RK4 steps covering [t_start, t_end] at no more than ``dt`` each."""
+        return max(1, math.ceil((self.t_end - self.t_start) / self.dt - 1e-9))
 
 
 class ReadoutTrace(NamedTuple):
@@ -111,39 +132,50 @@ def infer_x2(intensity: float, baseline: float, g: float, kappa: float) -> float
 
 
 def integrate_langevin(
-    config: ReadoutConfig, x2_of_t: Callable[[float], float]
+    config: ReadoutConfig, x2_of_t: Callable[[np.ndarray], np.ndarray | float]
 ) -> ReadoutTrace:
     """Integrate the cavity amplitude equation with a fixed-step RK4 scheme.
 
     dc/dt = -(kappa + i·detuning + g·x²(t))·c + drive, starting from an
-    empty cavity at t_start.  The trace's ``inferred_x2`` column applies the
-    literal steady-state expansion (baseline - I)·kappa/(2g·baseline); it is
-    all zeros when the coupling is zero.  Deterministic given the config.
+    empty cavity at t_start.  ``x2_of_t`` is called once for each of the
+    three RK4 stage grids, with the numpy array of times t_k, t_k + h/2 and
+    t_k + h (k = 0 … n_steps - 1); it returns x² there as an array or as a
+    scalar that holds for every time.  The trace's ``inferred_x2`` column
+    applies the literal steady-state expansion (baseline - I)·kappa/(2g·baseline);
+    it is all zeros when the coupling is zero.  Deterministic given the config.
     """
-    span = config.t_end - config.t_start
-    n_steps = max(1, math.ceil(span / config.dt - 1e-9))
-    h = span / n_steps
+    n_steps = config.n_steps
+    h = (config.t_end - config.t_start) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     drive = complex(config.drive_amplitude)
     pole = complex(config.kappa, config.detuning)
     g = config.coupling
 
-    def deriv(t: float, c: complex) -> complex:
-        return -(pole + g * x2_of_t(t)) * c + drive
+    t_k = config.t_start + np.arange(n_steps) * h
+    x2_grids = [
+        np.broadcast_to(np.asarray(x2_of_t(t), dtype=float), t.shape)
+        for t in (t_k, t_k + half, t_k + h)
+    ]
 
     times = np.empty(n_steps + 1)
-    intensity = np.empty(n_steps + 1)
-    c = 0.0 + 0.0j
     times[0] = config.t_start
+    times[1:] = config.t_start + np.arange(1, n_steps + 1) * h
+    intensity = np.empty(n_steps + 1)
     intensity[0] = 0.0
-    for k in range(n_steps):
-        t = config.t_start + k * h
-        k1 = deriv(t, c)
-        k2 = deriv(t + 0.5 * h, c + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, c + 0.5 * h * k2)
-        k4 = deriv(t + h, c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k + 1] = config.t_start + (k + 1) * h
-        intensity[k + 1] = abs(c) ** 2
+    c = 0.0 + 0.0j
+    for start in range(0, n_steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, n_steps)
+        # -(pole + g·x²) at the three stages of each step, as Python complex
+        r1s, r2s, r4s = ((-(pole + g * x2[start:stop])).tolist() for x2 in x2_grids)
+        block = []
+        for r1, r2, r4 in zip(r1s, r2s, r4s):
+            k1 = r1 * c + drive
+            k2 = r2 * (c + half * k1) + drive
+            k3 = r2 * (c + half * k2) + drive
+            k4 = r4 * (c + h * k3) + drive
+            c = c + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            block.append(abs(c) ** 2)
+        intensity[start + 1 : stop + 1] = block
 
     i0 = baseline_intensity(config)
     if g > 0.0:

@@ -78,10 +78,11 @@ class GaussianState:
             raise ParameterError(
                 f"variances must be positive, got var_p={self.var_p!r}, var_x={self.var_x!r}"
             )
-        if self.det_cov < 0.25 - HEISENBERG_TOL:
-            raise ParameterError(
-                f"covariance violates the Heisenberg bound: det = {self.det_cov!r} < 1/4"
-            )
+        det = self.det_cov
+        if not math.isfinite(det):
+            raise ParameterError(f"covariance determinant must be finite, got {det!r}")
+        if det < 0.25 - HEISENBERG_TOL:
+            raise ParameterError(f"covariance violates the Heisenberg bound: det = {det!r} < 1/4")
 
     @property
     def cov(self) -> np.ndarray:
@@ -111,7 +112,10 @@ def thermal_occupancy(T: float, omega_m: float) -> float:
         return 0.0
     x = HBAR * omega_m / (K_BOLTZMANN * T)
     # e^{-x}/(1 - e^{-x}) == 1/(e^x - 1), stable for both tiny and huge x
-    return math.exp(-x) / -math.expm1(-x)
+    n_bar = math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
+    if n_bar == math.inf:
+        raise ParameterError(f"thermal occupancy overflows: hbar*omega_m/(k_B*T) = {x!r}")
+    return n_bar
 
 
 def thermal_state(n_bar: float) -> GaussianState:
@@ -145,14 +149,16 @@ def is_squeezed(state: GaussianState, threshold: float = VACUUM_VARIANCE) -> tup
     return state.var_x < threshold, state.var_p < threshold
 
 
-def free_x2_expectation(state: GaussianState, omega_m: float, t: float) -> float:
+def free_x2_expectation(
+    state: GaussianState, omega_m: float, t: float | np.ndarray
+) -> float | np.ndarray:
     """⟨x²⟩ of ``state`` after free harmonic evolution for time ``t``.
 
     Under the free rotation the position picks up the momentum moments:
     the result is a constant plus an oscillation at twice the mechanical
     frequency.  Equivalent to propagating with the free-evolution map and
-    reading off var_x + x̄², written in closed form so it is cheap to call
-    inside time-stepped integrations.
+    reading off var_x + x̄², written in closed form so a whole numpy array
+    of times is evaluated in one call.
     """
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
@@ -161,4 +167,4 @@ def free_x2_expectation(state: GaussianState, omega_m: float, t: float) -> float
     amp_cos = 0.5 * (state.var_x - state.var_p + x0 * x0 - p0 * p0)
     amp_sin = state.cross + p0 * x0
     phase = 2.0 * omega_m * t
-    return dc + amp_cos * math.cos(phase) + amp_sin * math.sin(phase)
+    return dc + amp_cos * np.cos(phase) + amp_sin * np.sin(phase)

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadkick
+from quadkick import cli
 from quadkick.cli import main
 
 NBAR_100UK = 12.598398495684691623
@@ -87,6 +90,15 @@ class TestConstants:
         assert "line 1" in captured.err
 
 
+    def test_overflowing_occupancy_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("omega_m = 1e-300\n")
+        code, captured = run(["constants", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert captured.err.startswith("error: thermal occupancy overflows")
+        assert "Traceback" not in captured.err
+
+
 class TestSimulate:
     def test_default_two_pulse_protocol(self, capsys):
         code, captured = run(["simulate"], capsys)
@@ -155,6 +167,15 @@ class TestSimulate:
         assert "np.float64" not in captured.err
         det = captured.err.split("det = ", 1)[1].split()[0]
         assert float(det) < 0.25
+
+
+    def test_overflowing_occupancy_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("omega_m = 1e-300\n")
+        code, captured = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert captured.err.startswith("error: thermal occupancy overflows")
+        assert captured.out == ""
 
 
 class TestReadout:
@@ -229,6 +250,65 @@ class TestReadout:
         assert "var-p" in captured.err or "var_p" in captured.err or "variances" in captured.err
 
 
+    def test_step_count_bound_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "slow_cavity.cfg"
+        cfg.write_text("kappa = 1e-30\n")
+        code, captured = run(
+            ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1"], capsys
+        )
+        assert code == 2
+        assert captured.err.startswith("error: time grid needs ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_determinant_exit_2(self, capsys):
+        code, captured = run(
+            ["readout", "--var-p", "1e300", "--var-x", "1e300", "--cross", "1e300"], capsys
+        )
+        assert code == 2
+        assert "determinant must be finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+
+class TestFmtRows:
+    """The vectorised trace formatter writes exactly the bytes of ``_fmt``."""
+
+    @staticmethod
+    def columns():
+        rng = np.random.default_rng(11)
+        n = 20000
+        edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                0.1, 1 / 3, 0.5, 1e-11, -9.999999999999999e-12, 1e16, 1e17, 2.0**53]
+        near_pow = [s * 10.0**k * f for k in range(-14, 20) for s in (1, -1)
+                    for f in (1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0))]
+        # 17-digit decimals plus half a unit in the last digit: near-ties of the rounding
+        ties = (rng.integers(10**16, 10**17, n) * 10 + 5) * 10.0 ** rng.integers(-28, -1, n)
+        values = np.concatenate([
+            edge, near_pow, ties,
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+            rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-13, 18, n),
+        ])
+        values = values[: len(values) // 3 * 3]
+        return values[0::3], values[1::3], values[2::3]
+
+    @staticmethod
+    def expected(columns):
+        return "".join(
+            ",".join(cli._fmt(v) for v in row) + "\n" for row in zip(*columns)
+        )
+
+    def test_matches_fmt(self):
+        columns = self.columns()
+        assert "".join(cli._fmt_rows(*columns)) == self.expected(columns)
+
+    def test_fallback_path_matches_fmt(self, monkeypatch):
+        monkeypatch.setattr(cli, "_FAST_SCI", False)
+        columns = tuple(c[:2000] for c in self.columns())
+        assert "".join(cli._fmt_rows(*columns)) == self.expected(columns)
+
+
 class TestSweep:
     def test_decoherence_temperature_sweep(self, capsys):
         code, captured = run(
@@ -270,6 +350,14 @@ class TestSweep:
         assert "Traceback" not in captured.err
         rows = parse_table_csv(captured.out)
         assert rows[0]["var_p"] == "ERROR"
+        assert rows[1]["status"] == "ok"
+
+    def test_overflowing_occupancy_cell_marked(self, capsys):
+        code, captured = run(["sweep", "--axis", "omega_m=1e-300,1e6"], capsys)
+        assert code == 0
+        rows = parse_table_csv(captured.out)
+        assert rows[0]["var_x"] == "ERROR"
+        assert rows[0]["status"].startswith("thermal occupancy overflows")
         assert rows[1]["status"] == "ok"
 
     def test_lambda_key_accepted_as_axis(self, capsys):

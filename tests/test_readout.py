@@ -11,11 +11,13 @@ from quadkick import (
     analyze_trace,
     baseline_intensity,
     default_readout_config,
+    free_x2_expectation,
     infer_x2,
     integrate_langevin,
     ripple_report,
     thermal_state,
 )
+from quadkick.readout import CHUNK_STEPS, MAX_STEPS
 
 OMEGA_M = 1e6
 
@@ -53,6 +55,33 @@ class TestReadoutConfig:
             reference_config(kappa=0.0)
         with pytest.raises(ParameterError):
             reference_config(coupling=-1e-4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa", math.nan),
+            ("coupling", math.inf),
+            ("dt", math.nan),
+            ("drive_amplitude", math.inf),
+            ("detuning", math.nan),
+            ("t_start", -math.inf),
+            ("t_end", math.inf),
+            ("context_frequency", math.nan),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            reference_config(**{field: value})
+
+    def test_step_count_bound(self):
+        with pytest.raises(ParameterError, match=f"needs 20000000 RK4 steps.*{MAX_STEPS}"):
+            reference_config(t_end=0.1)  # 2e7 steps of 5e-9 s
+        with pytest.raises(ParameterError, match="RK4 steps"):
+            default_readout_config(kappa=1e-30, coupling=1e-4, omega_m=OMEGA_M)
+
+    def test_largest_default_grid_accepted(self):
+        cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
+        assert cfg.n_steps == 101331
 
 
 class TestAdiabaticIntensity:
@@ -133,7 +162,7 @@ class TestIntegrateLangevin:
         assert trace.inferred_x2[-1] == pytest.approx(13.5, rel=1e-2)
 
     def test_halving_dt_converged(self):
-        for x2_of_t in (lambda t: 138.5, lambda t: 137.9 + 137.2 * math.cos(2 * OMEGA_M * t)):
+        for x2_of_t in (lambda t: 138.5, lambda t: 137.9 + 137.2 * np.cos(2 * OMEGA_M * t)):
             coarse = integrate_langevin(reference_config(), x2_of_t)
             fine = integrate_langevin(reference_config(dt=2.5e-9), x2_of_t)
             assert fine.intensity[-1] == pytest.approx(coarse.intensity[-1], rel=1e-8)
@@ -145,7 +174,7 @@ class TestIntegrateLangevin:
         ripples = {}
         for kappa in (1e7, 1e8):
             cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-            trace = integrate_langevin(cfg, lambda t: a + b * math.cos(2 * OMEGA_M * t))
+            trace = integrate_langevin(cfg, lambda t: a + b * np.cos(2 * OMEGA_M * t))
             report = analyze_trace(trace, cfg, OMEGA_M)
             expected = 2 * cfg.coupling * b / math.sqrt(kappa**2 + 4 * OMEGA_M**2)
             assert report.ripple_amplitude == pytest.approx(expected, rel=1e-3)
@@ -154,6 +183,84 @@ class TestIntegrateLangevin:
             )
             ripples[kappa] = report.ripple_amplitude
         assert ripples[1e8] < ripples[1e7]
+
+
+def reference_rk4(config, x2_of_t):
+    """The per-step RK4 loop that evaluates x²(t) at every stage of every step.
+
+    ``integrate_langevin`` must reproduce its times and intensities bit for bit.
+    """
+    span = config.t_end - config.t_start
+    n_steps = max(1, math.ceil(span / config.dt - 1e-9))
+    h = span / n_steps
+    drive = complex(config.drive_amplitude)
+    pole = complex(config.kappa, config.detuning)
+    g = config.coupling
+
+    def deriv(t, c):
+        return -(pole + g * float(x2_of_t(t))) * c + drive
+
+    times = np.empty(n_steps + 1)
+    intensity = np.empty(n_steps + 1)
+    c = 0.0 + 0.0j
+    times[0] = config.t_start
+    intensity[0] = 0.0
+    for k in range(n_steps):
+        t = config.t_start + k * h
+        k1 = deriv(t, c)
+        k2 = deriv(t + 0.5 * h, c + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, c + 0.5 * h * k2)
+        k4 = deriv(t + h, c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times[k + 1] = config.t_start + (k + 1) * h
+        intensity[k + 1] = abs(c) ** 2
+    return times, intensity
+
+
+SQUEEZED = GaussianState(mean=(0.3, -1.2), var_p=275.1, var_x=0.624, cross=3.1)
+
+
+def free_x2(cfg):
+    return lambda t: free_x2_expectation(SQUEEZED, OMEGA_M, t - cfg.t_start)
+
+
+class TestIntegratorOracle:
+    @pytest.mark.parametrize(
+        "overrides, free",
+        [
+            ({}, False),
+            ({"t_start": 2.5e-6, "t_end": 7.5e-6}, True),
+            ({"detuning": 3e6}, True),
+            ({"coupling": 0.0}, True),
+            ({"t_end": 5.1e-5}, True),  # 10,200 steps: more than one chunk
+        ],
+        ids=["constant", "free_t_start", "detuning", "uncoupled", "multi_chunk"],
+    )
+    def test_matches_per_step_loop(self, overrides, free):
+        cfg = reference_config(**{"context_frequency": 2 * OMEGA_M, "coupling": 1e4, **overrides})
+        x2_of_t = free_x2(cfg) if free else (lambda t: 13.5)
+        times, intensity = reference_rk4(cfg, x2_of_t)
+        trace = integrate_langevin(cfg, x2_of_t)
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.intensity, intensity)
+
+    def test_multi_chunk_case_spans_chunks(self):
+        assert CHUNK_STEPS < reference_config(t_end=5.1e-5).n_steps < 2 * CHUNK_STEPS
+
+    def test_provider_called_once_per_stage_grid(self):
+        cfg = reference_config()
+        calls = []
+
+        def x2_of_t(t):
+            calls.append(t)
+            return np.full(t.shape, 13.5)
+
+        integrate_langevin(cfg, x2_of_t)
+        h = (cfg.t_end - cfg.t_start) / cfg.n_steps
+        assert len(calls) == 3
+        assert all(t.shape == (cfg.n_steps,) for t in calls)
+        assert calls[0][0] == cfg.t_start
+        assert np.array_equal(calls[2], calls[0] + h)
 
 
 class TestRippleReport:

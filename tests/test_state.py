@@ -61,6 +61,12 @@ class TestThermalOccupancy:
         values = [thermal_occupancy(1e-3, f) for f in freqs]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("T, omega_m", [(1e-4, 1e-300), (1e300, 1e-5)])
+    def test_overflowing_bose_factor_rejected(self, T, omega_m):
+        # hbar*omega_m/(k_B*T) underflows to 0 or to a subnormal whose inverse is inf
+        with pytest.raises(ParameterError, match="overflows"):
+            thermal_occupancy(T, omega_m)
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             thermal_occupancy(1e-3, 0.0)
@@ -133,6 +139,13 @@ class TestStateInvariants:
             GaussianState(var_p=math.inf, var_x=0.5)
         with pytest.raises(ParameterError):
             GaussianState(mean=(math.nan, 0.0))
+
+    def test_non_finite_determinant(self):
+        # var_p·var_x - cross² is inf - inf = nan, which no comparison rejects
+        with pytest.raises(ParameterError, match="determinant"):
+            GaussianState(var_p=1e300, var_x=1e300, cross=1e300)
+        with pytest.raises(ParameterError, match="determinant"):
+            GaussianState(var_p=1e200, var_x=1e200)
 
     def test_moments_are_plain_floats(self):
         state = GaussianState(mean=np.array([1.0, -2.0]), var_p=np.float64(2.0), var_x=1, cross=0)
