@@ -40,10 +40,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 _SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
 _FMT_BLOCK_ROWS = 8192
 _MAX_POW = 27     # 10**k is exact in a 64-bit significand up to k = 27 (5**27 < 2**63)
@@ -160,9 +156,9 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
                 segments.append(Dissipate(float(arg) if arg else tau_default))
             else:
                 raise ConfigError(f"schedule segment {pos}: unknown kind {kind!r}")
-        except (ValueError, ParameterError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"schedule segment {pos}: {exc}")
-    return PulseSchedule(tuple(segments), label=spec)
+    return PulseSchedule(tuple(segments))
 
 
 def _cmd_constants(args) -> str:
@@ -188,32 +184,20 @@ def _cmd_simulate(args) -> str:
     initial = thermal_state(params.occupancy())
     folded = apply_schedule(initial, schedule, params)
 
-    rows = []
+    header = ("index", "kind", "duration", "var_p", "var_x", "cross", "det_cov", "x_squeezed")
     kinds = ["initial"] + [seg.kind for seg in schedule.segments]
     durations = [0.0] + [seg.duration for seg in schedule.segments]
-    for (index, state), kind, duration in zip(folded, kinds, durations):
-        rows.append(
-            {
-                "index": index,
-                "kind": kind,
-                "duration": duration,
-                "var_p": state.var_p,
-                "var_x": state.var_x,
-                "cross": state.cross,
-                "det_cov": state.det_cov,
-                "x_squeezed": is_squeezed(state)[0],
-            }
-        )
+    rows = [
+        (index, kind, duration, s.var_p, s.var_x, s.cross, s.det_cov, is_squeezed(s)[0])
+        for (index, s), kind, duration in zip(folded, kinds, durations)
+    ]
     if args.format == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    out = ["index,kind,duration,var_p,var_x,cross,det_cov,x_squeezed"]
-    for r in rows:
-        out.append(
-            f"{r['index']},{r['kind']},{_fmt(r['duration'])},{_fmt(r['var_p'])},"
-            f"{_fmt(r['var_x'])},{_fmt(r['cross'])},{_fmt(r['det_cov'])},"
-            f"{_fmt_bool(r['x_squeezed'])}"
-        )
-    return "\n".join(out) + "\n"
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    out = [",".join(header) + "\n"]
+    for *values, x_squeezed in rows:
+        # "%.16e" writes the bytes of _fmt
+        out.append("%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n" % (*values, str(x_squeezed).lower()))
+    return "".join(out)
 
 
 def _state_from_args(args) -> GaussianState:
@@ -260,8 +244,6 @@ def _state_from_simulation(ref: str) -> GaussianState:
 def _cmd_readout(args) -> str:
     params = load_config(args.config)
     state = _state_from_args(args)
-    if params.g <= 0.0:
-        raise ConfigError("field g: readout needs a positive coupling")
     cfg = default_readout_config(
         kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
     )
@@ -306,24 +288,13 @@ def _parse_axis(text: str) -> SweepAxis:
         values = tuple(float(v) for v in rest.split(","))
     except ValueError as exc:
         raise ConfigError(f"axis {name}: {exc}")
-    try:
-        return SweepAxis(field, values)
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
+    return SweepAxis(field, values)
 
 
 def _cmd_sweep(args) -> str:
     params = load_config(args.config)
     axes = tuple(_parse_axis(a) for a in args.axis)
-    try:
-        spec = SweepSpec(
-            axes=axes,
-            base=params,
-            observable=args.observable,
-            include_dissipation=args.dissipation == "on",
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
+    spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
     cells = sweep(spec)
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]

@@ -23,10 +23,10 @@ class InvariantViolation(QuadkickError):
 
 class ConfigError(QuadkickError):
     """A configuration file, schedule spec, or sweep spec failed to parse
-    or validate.  ``line`` is the one-based line number when known."""
+    or validate.  ``line``, the one-based line number when known, prefixes
+    the message."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

@@ -78,7 +78,10 @@ def effective_stiffness(g: float, n_p: float, omega_m: float) -> float:
     """Stiffened spring constant 2·g·n_p + omega_m during a pulse."""
     if g < 0.0 or n_p < 0.0 or omega_m <= 0.0:
         raise ParameterError("effective stiffness needs g >= 0, n_p >= 0, omega_m > 0")
-    return 2.0 * g * n_p + omega_m
+    g_tilde = 2.0 * g * n_p + omega_m
+    if not math.isfinite(g_tilde):
+        raise ParameterError(f"effective stiffness 2*g*n_p + omega_m overflows: {g_tilde!r}")
+    return g_tilde
 
 
 def coupling_from_physical(params: PhysicalParams) -> float:
@@ -87,8 +90,14 @@ def coupling_from_physical(params: PhysicalParams) -> float:
     g = 2ħω²/(m·omega_m·L·c) · sqrt(R/(1-R)) with ω = 2πc/wavelength.
     """
     omega_opt = 2.0 * math.pi * SPEED_OF_LIGHT / params.wavelength
-    prefactor = 2.0 * HBAR * omega_opt**2 / (params.mass * params.omega_m * params.L * SPEED_OF_LIGHT)
-    return prefactor * math.sqrt(params.R / (1.0 - params.R))
+    denominator = params.mass * params.omega_m * params.L * SPEED_OF_LIGHT
+    try:
+        g = 2.0 * HBAR * omega_opt**2 / denominator * math.sqrt(params.R / (1.0 - params.R))
+    except (OverflowError, ZeroDivisionError):
+        g = math.inf
+    if not math.isfinite(g):
+        raise ParameterError(f"coupling from physical parameters is not finite: g = {g!r}")
+    return g
 
 
 def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
@@ -128,14 +137,20 @@ def optimal_kick_duration(g_tilde: float, omega_m: float) -> float:
     """Pulse duration putting the kick at its antidiagonal point, π/(2√(g̃ω))."""
     if g_tilde <= 0.0 or omega_m <= 0.0:
         raise ParameterError("optimal duration needs g_tilde > 0 and omega_m > 0")
-    return math.pi / (2.0 * math.sqrt(g_tilde * omega_m))
+    root = math.sqrt(g_tilde * omega_m)
+    if not 0.0 < root < math.inf:
+        raise ParameterError(f"optimal duration: g_tilde*omega_m = {g_tilde * omega_m!r} out of range")
+    return math.pi / (2.0 * root)
 
 
 def quarter_period(omega_m: float) -> float:
     """A quarter of the mechanical period, π/(2·omega_m)."""
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
-    return math.pi / (2.0 * omega_m)
+    tau = math.pi / (2.0 * omega_m)
+    if tau == math.inf:
+        raise ParameterError(f"quarter period overflows at omega_m = {omega_m!r}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -186,7 +201,6 @@ class PulseSchedule:
     """Ordered protocol of kick / free / dissipate segments."""
 
     segments: tuple[Segment, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))

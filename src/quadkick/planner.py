@@ -85,7 +85,7 @@ def min_pulses(
                     break
     return PlanResult(
         pulses=pulses,
-        schedule=PulseSchedule(canonical[: len(history) - 1], label=f"canonical-{pulses}-pulse"),
+        schedule=PulseSchedule(canonical[: len(history) - 1]),
         final_state=state,
         history=tuple(history),
         target_met=state.var_x < threshold,
@@ -118,7 +118,6 @@ class SweepSpec:
     base: PhysicalParams
     observable: str = "var_x"
     include_dissipation: bool = False
-    threshold: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -145,7 +144,7 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
     dtau = dict(coords).get("delta_tau", 0.0)
     params = replace(spec.base, **overrides)
     if spec.observable == "pulses_needed":
-        return float(min_pulses(params, spec.threshold, spec.include_dissipation).pulses)
+        return float(min_pulses(params, include_dissipation=spec.include_dissipation).pulses)
     if spec.observable == "decoherence_term":
         tau_wait = math.pi / params.omega_m
         return decoherence_term(params.gamma, tau_wait, params.occupancy())

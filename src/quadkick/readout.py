@@ -24,6 +24,11 @@ from .state import GaussianState, free_x2_expectation
 MAX_STEPS = 10**7
 # Steps whose stage rates are held as Python complex numbers at one time.
 CHUNK_STEPS = 8192
+# The fixed probe of ``default_readout_config``: a resonant drive, a settle of
+# SETTLE_FACTOR/kappa, then N_PERIODS modulation periods π/omega_m.
+DRIVE_AMPLITUDE = 1e5   # s^-1
+SETTLE_FACTOR = 40.0
+N_PERIODS = 16
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,9 @@ class RippleReport(NamedTuple):
     kappa_over_2omega: float
 
 
-def steady_field(config: ReadoutConfig) -> complex:
-    """Long-time limit of the zeroth-order cavity amplitude."""
-    return config.drive_amplitude / complex(config.kappa, config.detuning)
-
-
 def baseline_intensity(config: ReadoutConfig) -> float:
-    """Reference intensity |steady zeroth-order field|²."""
-    return abs(steady_field(config)) ** 2
+    """Reference intensity |drive/(kappa + i·detuning)|² of the steady uncoupled field."""
+    return abs(config.drive_amplitude / complex(config.kappa, config.detuning)) ** 2
 
 
 def adiabatic_intensity(x2: float, config: ReadoutConfig) -> float:
@@ -143,6 +143,9 @@ def integrate_langevin(
     scalar that holds for every time.  The trace's ``inferred_x2`` column
     applies the literal steady-state expansion (baseline - I)·kappa/(2g·baseline);
     it is all zeros when the coupling is zero.  Deterministic given the config.
+
+    Raises ``ParameterError`` when the step does not resolve the coupling
+    rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there.
     """
     n_steps = config.n_steps
     h = (config.t_end - config.t_start) / n_steps
@@ -151,15 +154,16 @@ def integrate_langevin(
     pole = complex(config.kappa, config.detuning)
     g = config.coupling
 
-    t_k = config.t_start + np.arange(n_steps) * h
+    times = config.t_start + np.arange(n_steps + 1) * h
+    t_k = times[:-1]
     x2_grids = [
         np.broadcast_to(np.asarray(x2_of_t(t), dtype=float), t.shape)
         for t in (t_k, t_k + half, t_k + h)
     ]
+    rate = h * g * max(float(np.max(np.abs(x2))) for x2 in x2_grids)
+    if not rate <= 0.05:
+        raise ParameterError(f"step too coarse for the coupling: h*g*max(x^2) = {rate!r} > 1/20")
 
-    times = np.empty(n_steps + 1)
-    times[0] = config.t_start
-    times[1:] = config.t_start + np.arange(1, n_steps + 1) * h
     intensity = np.empty(n_steps + 1)
     intensity[0] = 0.0
     c = 0.0 + 0.0j
@@ -185,27 +189,25 @@ def integrate_langevin(
     return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=inferred)
 
 
-def analyze_trace(
-    trace: ReadoutTrace, config: ReadoutConfig, omega_m: float, settle_factor: float = 40.0
-) -> RippleReport:
+def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) -> RippleReport:
     """Fit dc + 2·omega_m quadratures to the steady part of an intensity trace.
 
     The analysis window is the largest whole number of π/omega_m periods
-    that fits after the cavity transient (settle_factor/kappa) has decayed.
+    that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
     """
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     if config.coupling <= 0.0:
         raise ParameterError("trace analysis needs a positive coupling")
     period = math.pi / omega_m
-    settle = config.t_start + settle_factor / config.kappa
-    n_periods = math.floor((config.t_end - settle) / period + 1e-9)
-    if n_periods < 1:
+    settle = config.t_start + SETTLE_FACTOR / config.kappa
+    periods = math.floor((config.t_end - settle) / period + 1e-9)
+    if periods < 1:
         raise ParameterError(
             "trace too short: no full modulation period after the transient; "
             f"need t_end >= {settle + period!r}"
         )
-    window_start = config.t_end - n_periods * period
+    window_start = config.t_end - periods * period
     sel = trace.times >= window_start - 1e-15
     t = trace.times[sel]
     rel = trace.intensity[sel] / trace.baseline
@@ -236,37 +238,22 @@ def ripple_report(config: ReadoutConfig, state: GaussianState, omega_m: float) -
     return analyze_trace(trace, config, omega_m)
 
 
-def default_readout_config(
-    kappa: float,
-    coupling: float,
-    omega_m: float | None = None,
-    drive_amplitude: float = 1e5,
-    detuning: float = 0.0,
-    settle_factor: float = 40.0,
-    n_periods: int = 16,
-) -> ReadoutConfig:
-    """Deterministic probe settings resolving both the cavity and the signal.
+def default_readout_config(kappa: float, coupling: float, omega_m: float) -> ReadoutConfig:
+    """The fixed probe, on a grid resolving both the cavity and the signal.
 
-    With ``omega_m`` given, the window covers ``n_periods`` modulation
-    periods after the transient; otherwise it spans a further
-    ``settle_factor``/kappa of relaxation.
+    A resonant drive of DRIVE_AMPLITUDE runs SETTLE_FACTOR/kappa for the
+    transient, then N_PERIODS modulation periods π/omega_m.
     """
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    context = 0.0 if omega_m is None else 2.0 * omega_m
-    dt = 1.0 / (20.0 * max(kappa, context))
-    settle = settle_factor / kappa
-    if omega_m is None:
-        t_end = 2.0 * settle
-    else:
-        t_end = settle + n_periods * math.pi / omega_m
+    context = 2.0 * omega_m
     return ReadoutConfig(
-        drive_amplitude=drive_amplitude,
-        detuning=detuning,
+        drive_amplitude=DRIVE_AMPLITUDE,
+        detuning=0.0,
         kappa=kappa,
         coupling=coupling,
         t_start=0.0,
-        t_end=t_end,
-        dt=dt,
+        t_end=SETTLE_FACTOR / kappa + N_PERIODS * math.pi / omega_m,
+        dt=1.0 / (20.0 * max(kappa, context)),
         context_frequency=context,
     )

@@ -93,24 +93,22 @@ class GaussianState:
     def det_cov(self) -> float:
         return self.var_p * self.var_x - self.cross * self.cross
 
-    @classmethod
-    def vacuum(cls) -> "GaussianState":
-        return cls()
-
 
 def thermal_occupancy(T: float, omega_m: float) -> float:
     """Mean phonon number of an oscillator at temperature ``T`` (kelvin).
 
-    Evaluates the Bose factor 1/(e^{ħω/k_BT} - 1); T = 0 returns the
-    analytic limit 0 without touching the exponential.
+    Evaluates the Bose factor 1/(e^{ħω/k_BT} - 1); T = 0, or a T so small
+    that k_B·T underflows to 0, returns the analytic limit 0 without
+    touching the exponential.
     """
     if omega_m <= 0.0 or not math.isfinite(omega_m):
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     if T < 0.0 or not math.isfinite(T):
         raise ParameterError(f"temperature must be non-negative, got {T!r}")
-    if T == 0.0:
+    kt = K_BOLTZMANN * T
+    if kt == 0.0:
         return 0.0
-    x = HBAR * omega_m / (K_BOLTZMANN * T)
+    x = HBAR * omega_m / kt
     # e^{-x}/(1 - e^{-x}) == 1/(e^x - 1), stable for both tiny and huge x
     n_bar = math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
     if n_bar == math.inf:

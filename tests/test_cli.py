@@ -98,6 +98,23 @@ class TestConstants:
         assert captured.err.startswith("error: thermal occupancy overflows")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_p = 1e308\ng = 10\n", "effective stiffness"),
+            ("mass = 1e-320\nL = 1e-300\n", "coupling from physical parameters"),
+        ],
+        ids=["gain_overflow", "zero_denominator"],
+    )
+    def test_non_finite_derived_value_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        code, captured = run(["constants", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestSimulate:
     def test_default_two_pulse_protocol(self, capsys):
@@ -262,6 +279,23 @@ class TestReadout:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "g, message",
+        [("0", "trace analysis needs a positive coupling"), ("1e300", "h*g*max(x^2) = ")],
+        ids=["uncoupled", "step_too_coarse"],
+    )
+    def test_unusable_coupling_exit_2(self, tmp_path, capsys, g, message):
+        cfg = tmp_path / "coupling.cfg"
+        cfg.write_text(f"g = {g}\n")
+        code, captured = run(
+            ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1"], capsys
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_non_finite_determinant_exit_2(self, capsys):
         code, captured = run(
             ["readout", "--var-p", "1e300", "--var-x", "1e300", "--cross", "1e300"], capsys
@@ -350,6 +384,16 @@ class TestSweep:
         assert "Traceback" not in captured.err
         rows = parse_table_csv(captured.out)
         assert rows[0]["var_p"] == "ERROR"
+        assert rows[1]["status"] == "ok"
+
+    def test_overflowing_gain_cell_marked(self, tmp_path, capsys):
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text("g = 10\n")
+        code, captured = run(["sweep", "--config", str(cfg), "--axis", "n_p=1e308,1e11"], capsys)
+        assert code == 0
+        rows = parse_table_csv(captured.out)
+        assert rows[0]["var_x"] == "ERROR"
+        assert rows[0]["status"].startswith("effective stiffness")
         assert rows[1]["status"] == "ok"
 
     def test_overflowing_occupancy_cell_marked(self, capsys):

@@ -2,7 +2,8 @@
 
 Short outputs are stored whole in ``tests/golden/<name>``.  Readout traces
 (about 780 KB each) are stored as ``<name>.digest``: their ``# …`` summary
-lines in full, then one ``sha256 = <hex>`` line over the whole output.
+lines in full (a JSON trace has none), then one ``sha256 = <hex>`` line over
+the whole output.
 
 Regenerate the files (only when an output change is intended and explained)
 with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -22,11 +23,19 @@ CASES = {
     "constants.csv": ["constants"],
     "constants.json": ["constants", "--format", "json"],
     "simulate_kick_free_kick_diss.csv": ["simulate", "--schedule", "kick;free;kick;diss"],
+    "simulate_diss_on.json": [
+        "simulate", "--schedule", "kick;free;kick:3e10;diss:1e-3", "--dissipation", "on",
+        "--format", "json",
+    ],
     "readout_snapshot.digest": [
         "readout", "--var-p", "61078.5", "--var-x", "0.3140589569160997",
     ],
     "readout_free_evolution.digest": [
         "readout", "--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--free-evolution", "on",
+    ],
+    "readout_free_evolution_json.digest": [
+        "readout", "--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--free-evolution", "on",
+        "--format", "json",
     ],
     "sweep_decoherence_T.csv": [
         "sweep", "--axis", "T=1,1e-3,1e-4", "--observable", "decoherence_term",

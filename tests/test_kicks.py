@@ -44,6 +44,10 @@ class TestEffectiveStiffness:
         with pytest.raises(ParameterError):
             effective_stiffness(1e-4, 1e11, 0.0)
 
+    def test_overflow_rejected(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            effective_stiffness(10.0, 1e308, 1e6)
+
 
 class TestCouplingFromPhysical:
     def test_reference_value(self):
@@ -66,6 +70,15 @@ class TestCouplingFromPhysical:
     def test_reflectivity_bound(self):
         with pytest.raises(ParameterError):
             PhysicalParams(R=1.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"mass": 1e-320, "L": 1e-300}, {"wavelength": 1e-200}, {"wavelength": 1e-320}],
+        ids=["zero_denominator", "omega_squared_overflows", "omega_overflows"],
+    )
+    def test_non_finite_coupling_rejected(self, overrides):
+        with pytest.raises(ParameterError, match="not finite"):
+            coupling_from_physical(PhysicalParams(**overrides))
 
 
 class TestKickMatrix:
@@ -140,6 +153,16 @@ class TestOptimalKickDuration:
         g_tilde, omega = 5.5e7, 2.3e6
         k = kick_matrix(g_tilde, omega, optimal_kick_duration(g_tilde, omega)).m
         assert abs(k[0][0]) <= 1e-12
+
+    @pytest.mark.parametrize("g_tilde, omega", [(1e-170, 1e-170), (1e300, 1e10)])
+    def test_product_out_of_range_rejected(self, g_tilde, omega):
+        # g_tilde*omega_m underflows to 0 or overflows to inf
+        with pytest.raises(ParameterError, match="out of range"):
+            optimal_kick_duration(g_tilde, omega)
+
+    def test_overflowing_quarter_period_rejected(self):
+        with pytest.raises(ParameterError, match="quarter period overflows"):
+            quarter_period(1e-320)
 
 
 class TestPhysicalParams:

@@ -17,7 +17,7 @@ from quadkick import (
     ripple_report,
     thermal_state,
 )
-from quadkick.readout import CHUNK_STEPS, MAX_STEPS
+from quadkick.readout import CHUNK_STEPS, DRIVE_AMPLITUDE, MAX_STEPS, N_PERIODS, SETTLE_FACTOR
 
 OMEGA_M = 1e6
 
@@ -82,6 +82,13 @@ class TestReadoutConfig:
     def test_largest_default_grid_accepted(self):
         cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
         assert cfg.n_steps == 101331
+
+    def test_default_is_the_fixed_probe(self):
+        cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
+        assert (cfg.drive_amplitude, cfg.detuning, cfg.t_start) == (DRIVE_AMPLITUDE, 0.0, 0.0)
+        assert cfg.t_end == SETTLE_FACTOR / 1e7 + N_PERIODS * math.pi / OMEGA_M
+        assert cfg.dt == 1.0 / (20.0 * 1e7)
+        assert cfg.context_frequency == 2 * OMEGA_M
 
 
 class TestAdiabaticIntensity:
@@ -155,6 +162,20 @@ class TestIntegrateLangevin:
         assert trace.intensity[-1] == pytest.approx(closed_form, rel=1e-10)
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
         assert shift == pytest.approx(2 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
+
+    @pytest.mark.parametrize("coupling", [1.1e7, 1e300])
+    def test_step_must_resolve_coupling_rate(self, coupling):
+        # h = 5e-9 and x² = 1: h·g·x² > 1/20 diverges under RK4
+        with pytest.raises(ParameterError, match=r"h\*g\*max\(x\^2\)"):
+            integrate_langevin(reference_config(coupling=coupling), lambda t: 1.0)
+
+    def test_step_resolving_coupling_rate_accepted(self):
+        trace = integrate_langevin(reference_config(coupling=9e6), lambda t: 1.0)
+        assert np.all(np.isfinite(trace.intensity))
+
+    def test_non_finite_x2_rejected(self):
+        with pytest.raises(ParameterError, match="coupling"):
+            integrate_langevin(reference_config(), lambda t: math.nan)
 
     def test_inferred_x2_settles_to_input(self):
         cfg = reference_config()

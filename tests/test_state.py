@@ -51,6 +51,10 @@ class TestThermalOccupancy:
     def test_very_low_temperature_underflows_to_zero(self):
         assert thermal_occupancy(1e-30, 1e6) == 0.0
 
+    def test_underflowing_thermal_energy_is_zero_temperature(self):
+        # k_B*T underflows to 0
+        assert thermal_occupancy(1e-320, 1e6) == 0.0
+
     def test_monotone_in_temperature(self):
         temps = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
         values = [thermal_occupancy(t, 1e6) for t in temps]
