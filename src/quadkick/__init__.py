@@ -3,7 +3,7 @@ quadratic optomechanical kicks: Gaussian-state dynamics, pulse-protocol
 planning, and the intensity readout that measures ⟨x²⟩ directly."""
 
 from .dissipation import decoherence_term, dissipate
-from .errors import ConfigError, InvariantViolation, ParameterError, QuadkickError
+from .errors import InvariantViolation, ParameterError, QuadkickError
 from .kicks import (
     Dissipate,
     Free,

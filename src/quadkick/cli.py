@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
-from .errors import ConfigError, InvariantViolation, ParameterError
+from .errors import InvariantViolation, ParameterError
 from .kicks import (
     Dissipate,
     Free,
@@ -155,9 +155,9 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
             elif kind == "diss":
                 segments.append(Dissipate(float(arg) if arg else tau_default))
             else:
-                raise ConfigError(f"schedule segment {pos}: unknown kind {kind!r}")
+                raise ParameterError(f"unknown kind {kind!r}")
         except ValueError as exc:
-            raise ConfigError(f"schedule segment {pos}: {exc}")
+            raise ParameterError(f"schedule segment {pos}: {exc}")
     return PulseSchedule(tuple(segments))
 
 
@@ -203,14 +203,14 @@ def _cmd_simulate(args) -> str:
 def _state_from_args(args) -> GaussianState:
     if args.from_simulation is not None:
         if args.var_p is not None or args.var_x is not None:
-            raise ConfigError("give either --from-simulation or explicit variances, not both")
+            raise ParameterError("give either --from-simulation or explicit variances, not both")
         return _state_from_simulation(args.from_simulation)
     if args.var_p is None or args.var_x is None:
-        raise ConfigError("readout needs --var-p and --var-x, or --from-simulation")
+        raise ParameterError("readout needs --var-p and --var-x, or --from-simulation")
     try:
         return GaussianState(var_p=args.var_p, var_x=args.var_x, cross=args.cross)
     except ParameterError as exc:
-        raise ConfigError(f"invalid state: {exc}")
+        raise ParameterError(f"invalid state: {exc}")
 
 
 def _state_from_simulation(ref: str) -> GaussianState:
@@ -222,7 +222,7 @@ def _state_from_simulation(ref: str) -> GaussianState:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read simulation output {path!r}: {exc}")
+        raise ParameterError(f"cannot read simulation output {path!r}: {exc}")
     try:
         if text.lstrip().startswith(("[", "{")):
             rows = json.loads(text)
@@ -234,11 +234,11 @@ def _state_from_simulation(ref: str) -> GaussianState:
             cells = lines[1:][row].split(",")
             moments = {k: float(cells[header.index(k)]) for k in ("var_p", "var_x", "cross")}
     except (IndexError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot extract row {row} from {path!r}: {exc}")
+        raise ParameterError(f"cannot extract row {row} from {path!r}: {exc}")
     try:
         return GaussianState(**moments)
     except ParameterError as exc:
-        raise ConfigError(f"row {row} of {path!r} is not a valid state: {exc}")
+        raise ParameterError(f"row {row} of {path!r} is not a valid state: {exc}")
 
 
 def _cmd_readout(args) -> str:
@@ -281,13 +281,13 @@ def _cmd_readout(args) -> str:
 def _parse_axis(text: str) -> SweepAxis:
     name, sep, rest = text.partition("=")
     if not sep or not rest:
-        raise ConfigError(f"axis {text!r}: expected NAME=V1,V2,...")
+        raise ParameterError(f"axis {text!r}: expected NAME=V1,V2,...")
     name = name.strip()
     field = KEY_TO_FIELD.get(name, name)
     try:
         values = tuple(float(v) for v in rest.split(","))
     except ValueError as exc:
-        raise ConfigError(f"axis {name}: {exc}")
+        raise ParameterError(f"axis {name}: {exc}")
     return SweepAxis(field, values)
 
 
@@ -326,8 +326,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps the value of ``--opt=--`` as the text "--"; argparse stores [] unchecked."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadkick",
         description="Pulse-squeezing simulator for a quadratically coupled nanomechanical oscillator",
     )
@@ -386,7 +397,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -7,7 +7,7 @@ wavelength uses the key ``lambda``); unknown or repeated keys are errors.
 
 from __future__ import annotations
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .kicks import PhysicalParams
 
 # config key -> PhysicalParams attribute
@@ -29,7 +29,7 @@ FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}
 def parse_config(text: str) -> PhysicalParams:
     """Parse config text into validated physical parameters.
 
-    Raises ConfigError with a line/field diagnostic on malformed input.
+    Raises ParameterError with a line/field diagnostic on malformed input.
     """
     overrides: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -37,23 +37,20 @@ def parse_config(text: str) -> PhysicalParams:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+            raise ParameterError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in KEY_TO_FIELD:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
+            raise ParameterError(f"line {lineno}: unknown key {key!r}")
         field = KEY_TO_FIELD[key]
         if field in overrides:
-            raise ConfigError(f"repeated key {key!r}", line=lineno)
+            raise ParameterError(f"line {lineno}: repeated key {key!r}")
         try:
             overrides[field] = float(value)
         except ValueError:
-            raise ConfigError(f"field {key}: cannot parse {value!r} as a number", line=lineno)
-    try:
-        return PhysicalParams(**overrides)
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
+            raise ParameterError(f"line {lineno}: field {key}: cannot parse {value!r} as a number")
+    return PhysicalParams(**overrides)
 
 
 def load_config(path: str | None) -> PhysicalParams:
@@ -64,5 +61,5 @@ def load_config(path: str | None) -> PhysicalParams:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}")
+        raise ParameterError(f"cannot read config {path!r}: {exc}")
     return parse_config(text)

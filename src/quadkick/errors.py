@@ -6,7 +6,7 @@ class QuadkickError(Exception):
 
 
 class ParameterError(QuadkickError, ValueError):
-    """An argument or field is outside its valid domain."""
+    """An argument, field, config file or CLI spec is invalid or fails to parse."""
 
 
 class InvariantViolation(QuadkickError):
@@ -20,13 +20,3 @@ class InvariantViolation(QuadkickError):
         super().__init__(message)
         self.segment_index = segment_index
 
-
-class ConfigError(QuadkickError):
-    """A configuration file, schedule spec, or sweep spec failed to parse
-    or validate.  ``line``, the one-based line number when known, prefixes
-    the message."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

@@ -147,7 +147,8 @@ def quarter_period(omega_m: float) -> float:
     """A quarter of the mechanical period, π/(2·omega_m)."""
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
-    tau = math.pi / (2.0 * omega_m)
+    # 0.5·π is exact, so this is π/(2·omega_m) without 2·omega_m overflowing
+    tau = 0.5 * math.pi / omega_m
     if tau == math.inf:
         raise ParameterError(f"quarter period overflows at omega_m = {omega_m!r}")
     return tau
@@ -269,6 +270,8 @@ def two_pulse_variance(
         raise ParameterError("two-pulse variance needs g_tilde > 0 and omega_m > 0")
     if n_bar < 0.0:
         raise ParameterError(f"occupancy must be non-negative, got {n_bar!r}")
+    if tau < 0.0:
+        raise ParameterError(f"duration must be non-negative, got {tau!r}")
     v0 = n_bar + 0.5
     theta = _finite_angle("free", omega_m * tau)
     c, s = math.cos(theta), math.sin(theta)

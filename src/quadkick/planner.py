@@ -3,6 +3,7 @@ parameter-grid sweeps (timing jitter is the sweep's ``delta_tau`` axis)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -21,75 +22,52 @@ from .kicks import (
     quarter_period,
     two_pulse_variance,
 )
-from .state import GaussianState, thermal_state
+from .state import GaussianState, is_squeezed, thermal_state
 
 _PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
+MAX_PULSES = 64
 
 
-@dataclass(frozen=True)
-class PlanResult:
-    """Outcome of a pulse-count search."""
+class PlanResult(NamedTuple):
+    """Outcome of a pulse-count search: ``final_state`` is the state after
+    ``schedule``, and the target is met when ``is_squeezed(final_state)[0]``."""
 
     pulses: int
     schedule: PulseSchedule
     final_state: GaussianState
-    history: tuple[tuple[float, float, float], ...]  # (var_p, var_x, cross) per state
-    target_met: bool
-
-    def __post_init__(self):
-        if self.pulses < 0:
-            raise ParameterError("pulse count cannot be negative")
-        if len(self.history) != len(self.schedule.segments) + 1:
-            raise ParameterError("history must hold one entry per segment plus the initial state")
 
 
 def min_pulses(
-    params: PhysicalParams,
-    threshold: float = 0.5,
-    include_dissipation: bool = False,
-    max_pulses: int = 64,
-    occupancy: float | None = None,
+    params: PhysicalParams, include_dissipation: bool = False, occupancy: float | None = None
 ) -> PlanResult:
-    """Smallest number of pulses driving var_x strictly below ``threshold``.
+    """Smallest number of pulses driving var_x strictly below the vacuum's 1/2.
 
     Folds the canonical protocol with ``kicks.fold``: optimal-duration kicks
     separated by quarter-period free evolutions (each followed by a
     same-length thermal contact when ``include_dissipation``), stopping at
     the first kick that meets the target.  ``occupancy`` overrides the
     initial/bath occupancy otherwise derived from the params' temperature.
-    Exhausting ``max_pulses`` is reported through ``target_met``, not an
-    error.
+    A thermal state is never squeezed, so at least one kick is made; a plan
+    that spends all MAX_PULSES kicks without reaching the target is returned,
+    not raised.
     """
-    if threshold <= 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold!r}")
-    if max_pulses < 0:
-        raise ParameterError(f"max_pulses must be non-negative, got {max_pulses!r}")
     n_bar = params.occupancy() if occupancy is None else occupancy
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
     tau = quarter_period(params.omega_m)
     step = (Free(tau), Dissipate(tau), kick) if include_dissipation else (Free(tau), kick)
-    canonical = ((kick,) + step * (max_pulses - 1)) if max_pulses else ()
+    canonical = (kick,) + step * (MAX_PULSES - 1)
 
     state = thermal_state(n_bar)
-    history = [(state.var_p, state.var_x, state.cross)]
     pulses = 0
-    if state.var_x >= threshold:
-        # the loop rebinds ``state``: afterwards it is the last folded state
-        for segment, state in zip(canonical, fold(state, canonical, params, n_bar)):
-            history.append((state.var_p, state.var_x, state.cross))
-            if segment is kick:
-                pulses += 1
-                if state.var_x < threshold:
-                    break
-    return PlanResult(
-        pulses=pulses,
-        schedule=PulseSchedule(canonical[: len(history) - 1]),
-        final_state=state,
-        history=tuple(history),
-        target_met=state.var_x < threshold,
-    )
+    # the loop rebinds ``state``: afterwards it is the last folded state
+    for segment, state in zip(canonical, fold(state, canonical, params, n_bar)):
+        if segment is kick:
+            pulses += 1
+            if is_squeezed(state)[0]:
+                break
+    return PlanResult(pulses, PulseSchedule((kick,) + step * (pulses - 1)), state)
 
 
 @dataclass(frozen=True)
@@ -162,12 +140,8 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
     never aborts.
     """
     grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
-    if len(grids) == 1:
-        points = [(c,) for c in grids[0]]
-    else:
-        points = [(c1, c2) for c1 in grids[0] for c2 in grids[1]]
     cells = []
-    for coords in points:
+    for coords in itertools.product(*grids):
         try:
             value = _evaluate_cell(spec, coords)
         except QuadkickError as exc:

@@ -194,11 +194,10 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
 
     The analysis window is the largest whole number of π/omega_m periods
     that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
+    The d.c. shift goes through ``infer_x2``, which needs a positive coupling.
     """
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
-    if config.coupling <= 0.0:
-        raise ParameterError("trace analysis needs a positive coupling")
     period = math.pi / omega_m
     settle = config.t_start + SETTLE_FACTOR / config.kappa
     periods = math.floor((config.t_end - settle) / period + 1e-9)
@@ -216,11 +215,9 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     design = np.column_stack([np.ones_like(t), np.cos(phase), np.sin(phase)])
     coef, *_ = np.linalg.lstsq(design, rel, rcond=None)
     dc, b, c = coef
-    dc_shift = abs(dc - 1.0) * config.kappa / (2.0 * config.coupling)
-    ripple = math.hypot(b, c)
     return RippleReport(
-        dc_shift=dc_shift,
-        ripple_amplitude=ripple,
+        dc_shift=infer_x2(dc, 1.0, config.coupling, config.kappa),
+        ripple_amplitude=math.hypot(b, c),
         kappa_over_2omega=config.kappa / (2.0 * omega_m),
     )
 
@@ -242,12 +239,13 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
     """The fixed probe, on a grid resolving both the cavity and the signal.
 
     A resonant drive of DRIVE_AMPLITUDE runs SETTLE_FACTOR/kappa for the
-    transient, then N_PERIODS modulation periods π/omega_m.
+    transient, then N_PERIODS modulation periods π/omega_m.  A coupling
+    g <= 0 is rejected, since ``analyze_trace`` could not calibrate its trace.
     """
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa!r}")
     context = 2.0 * omega_m
-    return ReadoutConfig(
+    config = ReadoutConfig(
         drive_amplitude=DRIVE_AMPLITUDE,
         detuning=0.0,
         kappa=kappa,
@@ -257,3 +255,7 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
         dt=1.0 / (20.0 * max(kappa, context)),
         context_frequency=context,
     )
+    # after the grid's own checks, so a bad grid is still reported first
+    if config.coupling <= 0.0:
+        raise ParameterError("trace analysis needs a positive coupling")
+    return config

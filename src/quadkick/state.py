@@ -140,11 +140,9 @@ def propagate(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     )
 
 
-def is_squeezed(state: GaussianState, threshold: float = VACUUM_VARIANCE) -> tuple[bool, bool]:
-    """Return (x_squeezed, p_squeezed): variance strictly below ``threshold``."""
-    if threshold <= 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold!r}")
-    return state.var_x < threshold, state.var_p < threshold
+def is_squeezed(state: GaussianState) -> tuple[bool, bool]:
+    """Return (x_squeezed, p_squeezed): variance strictly below the vacuum's 1/2."""
+    return state.var_x < VACUUM_VARIANCE, state.var_p < VACUUM_VARIANCE
 
 
 def free_x2_expectation(

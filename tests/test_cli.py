@@ -194,6 +194,14 @@ class TestSimulate:
         assert captured.err.startswith("error: thermal occupancy overflows")
         assert captured.out == ""
 
+    def test_default_durations_where_twice_omega_overflows(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("omega_m = 1e308\nT = 0\n")
+        code, captured = run(["simulate", "--config", str(cfg), "--schedule", "free;diss"], capsys)
+        assert code == 0
+        rows = parse_table_csv(captured.out)
+        assert [r["duration"] for r in rows[1:]] == ["1.5707963267948964e-308"] * 2
+
 
 class TestReadout:
     def test_thermal_state_summary(self, tmp_path):
@@ -295,6 +303,19 @@ class TestReadout:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_uncoupled_rejected_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("integrate_langevin called")
+
+        monkeypatch.setattr(cli, "integrate_langevin", no_integration)
+        cfg = tmp_path / "uncoupled.cfg"
+        cfg.write_text("g = 0\nkappa = 1e8\n")
+        code, captured = run(
+            ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1"], capsys
+        )
+        assert code == 2
+        assert captured.err == "error: trace analysis needs a positive coupling\n"
 
     def test_non_finite_determinant_exit_2(self, capsys):
         code, captured = run(
@@ -404,6 +425,15 @@ class TestSweep:
         assert rows[0]["status"].startswith("thermal occupancy overflows")
         assert rows[1]["status"] == "ok"
 
+    def test_negative_wait_cell_marked(self, capsys):
+        # the quarter period is ~1.57e-6 s, so a -1e-5 s offset asks for a negative wait
+        code, captured = run(["sweep", "--axis", "delta_tau=-1e-5,0"], capsys)
+        assert code == 0
+        rows = parse_table_csv(captured.out)
+        assert rows[0]["var_x"] == "ERROR"
+        assert rows[0]["status"].startswith("duration must be non-negative")
+        assert rows[1]["status"] == "ok"
+
     def test_lambda_key_accepted_as_axis(self, capsys):
         code, captured = run(["sweep", "--axis", "lambda=532e-9,1064e-9"], capsys)
         assert code == 0
@@ -432,6 +462,27 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--schedule=--"], "error: schedule segment 0: unknown kind '--'\n"),
+            (["sweep", "--axis=--"], "error: axis '--': expected NAME=V1,V2,...\n"),
+        ],
+    )
+    def test_double_dash_value_is_text(self, argv, message, capsys):
+        # argparse alone hands the value of --opt=-- over as [], which crashed here
+        code, captured = run(argv, capsys)
+        assert (code, captured.out, captured.err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "argv", [["constants", "--format=--"], ["readout", "--var-p=--", "--var-x", "1"]]
+    )
+    def test_double_dash_value_is_checked(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, capsys):
         code, captured = run(["constants", "--out", "/nonexistent-dir/x.csv"], capsys)
         assert code == 3

@@ -4,6 +4,8 @@
 ``--format json`` on drawn config files, schedules and axes.  Every run must
 exit 0, 2 or 4; a failing run writes exactly one ``error:`` line and no
 traceback; a successful run writes strict JSON (no NaN or Infinity).
+A second test feeds text drawn from the grammars' own alphabet through the
+``--schedule=``, ``--axis=`` and config-file channels under the same contract.
 ``readout`` is covered by explicit cases in ``test_cli.py`` instead: a
 drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
 """
@@ -27,6 +29,14 @@ VALUE = (
     | st.floats(min_value=0.0, allow_infinity=False)
     | st.floats(allow_nan=False, allow_infinity=False)
 )
+# words and characters of the schedule, axis and config grammars
+ALPHABET = (
+    ("kick", "free", "diss", ":", ";", "=", ",", ".", "-", "+", "e", "nan", "inf", " ")
+    + tuple("0123456789")
+    + tuple(sorted(KEY_TO_FIELD))
+    + ("delta_tau",)
+)
+TEXT = st.lists(st.sampled_from(ALPHABET), max_size=12).map("".join)
 TOKEN = st.tuples(st.sampled_from(("kick", "free", "diss")), st.none() | VALUE).map(
     lambda t: t[0] if t[1] is None else f"{t[0]}:{t[1]!r}"
 )
@@ -75,3 +85,14 @@ def test_cli_contract(tmp_path_factory, fields, tokens, dissipation, axis, axis_
         ["sweep", "--axis", f"{axis}={','.join(map(repr, axis_values))}",
          "--observable", observable, "--dissipation", dissipation] + common
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(schedule=TEXT, axis=TEXT, config_lines=st.lists(TEXT, max_size=4))
+def test_argv_text_contract(tmp_path_factory, schedule, axis, config_lines):
+    # the --opt=TEXT form keeps argparse from reading a leading "-" as an option
+    config = tmp_path_factory.getbasetemp() / "text.cfg"
+    config.write_text("".join(line + "\n" for line in config_lines))
+    check_contract(["simulate", f"--schedule={schedule}", "--format", "json"])
+    check_contract(["sweep", f"--axis={axis}", "--format", "json"])
+    check_contract(["constants", "--config", str(config), "--format", "json"])

@@ -7,6 +7,10 @@ the whole output.
 
 Regenerate the files (only when an output change is intended and explained)
 with ``PYTHONPATH=src python tests/test_golden.py``.
+
+``ERRORS`` pins the failing runs: each entry is the files to write into a
+scratch working directory, the argv, the exit code and the exact stderr.
+Paths in argv are relative, so no temporary directory reaches a message.
 """
 
 import hashlib
@@ -53,6 +57,120 @@ CASES = {
 }
 
 
+SIM_CSV = "index,var_p,var_x,cross\n0,1.5,1.5,0.0\n"
+BAD_STATE_CSV = "index,var_p,var_x,cross\n0,0.1,0.1,0.0\n"
+
+# name -> (files, argv, exit code, stderr)
+ERRORS = {
+    "config_syntax": (
+        {"c.cfg": "omega_m = 1e6\ng 1e-4\n"}, ["constants", "--config", "c.cfg"], 2,
+        "error: line 2: expected 'key = value', got 'g 1e-4'\n",
+    ),
+    "config_unknown_key": (
+        {"c.cfg": "g = 1e-4\nboost = 3\n"}, ["constants", "--config", "c.cfg"], 2,
+        "error: line 2: unknown key 'boost'\n",
+    ),
+    "config_repeated_key": (
+        {"c.cfg": "T = 1e-3\nT = 1e-4  # again\n"}, ["constants", "--config", "c.cfg"], 2,
+        "error: line 2: repeated key 'T'\n",
+    ),
+    "config_unparsable_value": (
+        {"c.cfg": "\n# comment\nn_p = lots\n"}, ["simulate", "--config", "c.cfg"], 2,
+        "error: line 3: field n_p: cannot parse 'lots' as a number\n",
+    ),
+    "config_missing": (
+        {}, ["constants", "--config", "missing.cfg"], 2,
+        "error: cannot read config 'missing.cfg': "
+        "[Errno 2] No such file or directory: 'missing.cfg'\n",
+    ),
+    "config_out_of_range": (
+        {"c.cfg": "R = 1.5\n"}, ["sweep", "--config", "c.cfg", "--axis", "g=1"], 2,
+        "error: field R: value 1.5 is out of range\n",
+    ),
+    "schedule_bad_kind": (
+        {}, ["simulate", "--schedule", "kick;wiggle"], 2,
+        "error: schedule segment 1: unknown kind 'wiggle'\n",
+    ),
+    "schedule_bad_value": (
+        {}, ["simulate", "--schedule", "kick;free:abc"], 2,
+        "error: schedule segment 1: could not convert string to float: 'abc'\n",
+    ),
+    "schedule_negative_duration": (
+        {}, ["simulate", "--schedule", "diss:-1"], 2,
+        "error: schedule segment 0: segment duration must be non-negative and finite, got -1.0\n",
+    ),
+    "axis_without_equals": (
+        {}, ["sweep", "--axis", "n_p"], 2,
+        "error: axis 'n_p': expected NAME=V1,V2,...\n",
+    ),
+    "axis_bad_float": (
+        {}, ["sweep", "--axis", "n_p=1e9,lots"], 2,
+        "error: axis n_p: could not convert string to float: 'lots'\n",
+    ),
+    "axis_unknown_name": (
+        {}, ["sweep", "--axis", "boost=1"], 2,
+        "error: unknown sweep parameter 'boost'\n",
+    ),
+    "axis_three": (
+        {}, ["sweep", "--axis", "n_p=1e9", "--axis", "g=1e-4", "--axis", "T=0"], 2,
+        "error: sweep needs one or two axes\n",
+    ),
+    "axis_duplicate": (
+        {}, ["sweep", "--axis", "n_p=1e9", "--axis", "n_p=1e10"], 2,
+        "error: sweep axes must be distinct\n",
+    ),
+    "readout_no_state": (
+        {}, ["readout", "--var-p", "1"], 2,
+        "error: readout needs --var-p and --var-x, or --from-simulation\n",
+    ),
+    "readout_both_sources": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv", "--var-x", "1"], 2,
+        "error: give either --from-simulation or explicit variances, not both\n",
+    ),
+    "readout_invalid_state": (
+        {}, ["readout", "--var-p", "0.1", "--var-x", "0.1"], 2,
+        "error: invalid state: covariance violates the Heisenberg bound: "
+        "det = 0.010000000000000002 < 1/4\n",
+    ),
+    "readout_zero_coupling": (
+        {"c.cfg": "g = 0\n"}, ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"],
+        2, "error: trace analysis needs a positive coupling\n",
+    ),
+    "from_simulation_missing": (
+        {}, ["readout", "--from-simulation", "nosuch.csv"], 2,
+        "error: cannot read simulation output 'nosuch.csv': "
+        "[Errno 2] No such file or directory: 'nosuch.csv'\n",
+    ),
+    "from_simulation_bad_row": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:5"], 2,
+        "error: cannot extract row 5 from 'sim.csv': list index out of range\n",
+    ),
+    "from_simulation_invalid_state": (
+        {"sim.csv": BAD_STATE_CSV}, ["readout", "--from-simulation", "sim.csv"], 2,
+        "error: row -1 of 'sim.csv' is not a valid state: covariance violates the "
+        "Heisenberg bound: det = 0.010000000000000002 < 1/4\n",
+    ),
+    "invariant_violation": (
+        {}, ["simulate", "--schedule", "free:1e303"], 4,
+        "error: segment 0 (free) produced an invalid state: "
+        "free rotation angle must be finite, got inf\n",
+    ),
+    "unwritable_output": (
+        {}, ["constants", "--out", "/"], 3,
+        "error: cannot write output: [Errno 21] Is a directory: '/'\n",
+    ),
+}
+
+
+def run_error(files: dict, argv: list[str], cwd: Path, capsys) -> tuple[int, str, str]:
+    """Run one failing command in ``cwd``; return (exit code, stdout, stderr)."""
+    for name, text in files.items():
+        (cwd / name).write_text(text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def render(name: str, argv: list[str], out: Path) -> bytes:
     """Run one command and return the bytes the golden file should hold."""
     assert main(argv + ["--out", str(out)]) == 0
@@ -68,6 +186,13 @@ def render(name: str, argv: list[str], out: Path) -> bytes:
 def test_golden_output(name, tmp_path):
     expected = (GOLDEN / name).read_bytes()
     assert render(name, CASES[name], tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_golden_error(name, tmp_path, monkeypatch, capsys):
+    files, argv, code, stderr = ERRORS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run_error(files, argv, tmp_path, capsys) == (code, "", stderr)
 
 
 if __name__ == "__main__":

@@ -164,6 +164,15 @@ class TestOptimalKickDuration:
         with pytest.raises(ParameterError, match="quarter period overflows"):
             quarter_period(1e-320)
 
+    def test_quarter_period_where_twice_omega_overflows(self):
+        # 2·omega_m is inf here; the quarter period is still a positive double
+        assert quarter_period(1e308) == 1.5707963267948964e-308
+
+    def test_quarter_period_is_pi_over_twice_omega(self):
+        rng = np.random.default_rng(17)
+        omegas = np.exp(rng.uniform(-700.0, 700.0, 20000)).tolist()
+        assert all(quarter_period(w) == math.pi / (2.0 * w) for w in omegas)
+
 
 class TestPhysicalParams:
     @pytest.mark.parametrize(
@@ -319,6 +328,11 @@ class TestTwoPulseVariance:
     def test_overflow_rejected(self):
         with pytest.raises(ParameterError, match="not finite"):
             two_pulse_variance(quarter_period(1e6), 2e296, 1e6, 12.6)
+
+    def test_negative_wait_rejected(self):
+        # a wait cannot be negative, as for free_matrix
+        with pytest.raises(ParameterError, match="duration must be non-negative"):
+            two_pulse_variance(-1e-12, 2.1e7, 1e6, 138.0)
 
     def test_var_x_minimized_at_quarter_period(self):
         taus = np.linspace(0.0, math.pi / 1e6, 201)  # odd count: includes pi/2 exactly

@@ -79,6 +79,10 @@ class TestReadoutConfig:
         with pytest.raises(ParameterError, match="RK4 steps"):
             default_readout_config(kappa=1e-30, coupling=1e-4, omega_m=OMEGA_M)
 
+    def test_default_needs_positive_coupling(self):
+        with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
+            default_readout_config(kappa=1e7, coupling=0.0, omega_m=OMEGA_M)
+
     def test_largest_default_grid_accepted(self):
         cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
         assert cfg.n_steps == 101331

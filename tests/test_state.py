@@ -221,10 +221,6 @@ class TestAccessors:
     def test_hot_thermal_not_squeezed(self):
         assert is_squeezed(thermal_state(138.0)) == (False, False)
 
-    def test_threshold_domain(self):
-        with pytest.raises(ParameterError):
-            is_squeezed(thermal_state(1.0), threshold=0.0)
-
 
 class TestFreeX2Expectation:
     def test_vacuum_constant(self):
