@@ -241,6 +241,9 @@ def _state_from_simulation(ref: str) -> GaussianState:
         raise ParameterError(f"row {row} of {path!r} is not a valid state: {exc}")
 
 
+_JSON_TRACE_ROW = '    {\n      "t": %r,\n      "intensity": %r,\n      "inferred_x2": %r\n    }'
+
+
 def _cmd_readout(args) -> str:
     params = load_config(args.config)
     state = _state_from_args(args)
@@ -262,16 +265,12 @@ def _cmd_readout(args) -> str:
         "baseline": trace.baseline,
     }
     if args.format == "json":
-        payload = {
-            "summary": summary,
-            "trace": [
-                {"t": t, "intensity": i, "inferred_x2": v}
-                for t, i, v in zip(
-                    trace.times.tolist(), trace.intensity.tolist(), trace.inferred_x2.tolist()
-                )
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): "%r" of a
+        # finite float is its JSON text, and integrate_langevin rejects non-finite ones
+        head = json.dumps({"summary": summary}, indent=2)[: -len("\n}")]
+        rows = zip(trace.times.tolist(), trace.intensity.tolist(), trace.inferred_x2.tolist())
+        body = ",\n".join([_JSON_TRACE_ROW % row for row in rows])
+        return head + ',\n  "trace": [\n' + body + "\n  ]\n}\n"
     out = [f"# {k} = {_fmt(v)}\n" for k, v in summary.items()]
     out.append("t,intensity,inferred_x2\n")
     out += _fmt_rows(trace.times, trace.intensity, trace.inferred_x2)
@@ -327,7 +326,13 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Keeps the value of ``--opt=--`` as the text "--"; argparse stores [] unchecked."""
+    """Reports a usage error as ``ParameterError``, so it exits 2 with one
+    ``error:`` line like any other bad input; keeps the value of ``--opt=--``
+    as the text "--", where argparse stores [] unchecked.
+    """
+
+    def error(self, message):
+        raise ParameterError(message)
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -394,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = _COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

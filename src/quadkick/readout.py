@@ -2,10 +2,18 @@
 
 The cavity amplitude obeys dc/dt = -(kappa + i·detuning + g·x²(t))·c + drive.
 In the large-kappa regime the output intensity tracks x²(t) instantaneously
-and the mean intensity shift is (2g/kappa)·⟨x²⟩ of the baseline; the module
-provides both that closed form and a brute-force fixed-step integration of
-the amplitude equation that validates it and quantifies the residual ripple
-at twice the mechanical frequency.
+and the mean intensity falls by (2g/kappa)·⟨x²⟩ of the baseline; the module
+provides both that closed form and a brute-force fixed-step RK4 integration
+of the amplitude equation that validates it and quantifies the residual
+ripple at twice the mechanical frequency.
+
+The integration runs in the deviation u = c/c0 - 1 from the uncoupled steady
+field c0 = drive/(kappa + i·detuning), so the tiny shift is carried by u
+itself rather than left as the difference of two nearly equal intensities.
+Each RK4 step of du/dt = -(kappa + i·detuning + g·x²)·u - g·x² is exactly
+u' = a·u + b; the a and b of all steps are built with numpy and the
+recurrence is solved as a blocked prefix scan (G. Blelloch, "Prefix sums and
+their applications", CMU-CS-90-190, 1990).
 """
 
 from __future__ import annotations
@@ -22,8 +30,12 @@ from .state import GaussianState, free_x2_expectation
 # Upper bound on the RK4 step count of one trace, checked before anything
 # is allocated.
 MAX_STEPS = 10**7
-# Steps whose stage rates are held as Python complex numbers at one time.
+# Steps whose step coefficients are held as numpy arrays at one time, which
+# keeps the complex temporaries of a long trace small.
 CHUNK_STEPS = 8192
+# Steps of one run of the scan: the running product of the step factors a,
+# each about e^(-h·kappa) >= e^(-1/10), stays far from underflow over a run.
+RUN_STEPS = 64
 # The fixed probe of ``default_readout_config``: a resonant drive, a settle of
 # SETTLE_FACTOR/kappa, then N_PERIODS modulation periods π/omega_m.
 DRIVE_AMPLITUDE = 1e5   # s^-1
@@ -112,23 +124,66 @@ def baseline_intensity(config: ReadoutConfig) -> float:
 
 
 def adiabatic_intensity(x2: float, config: ReadoutConfig) -> float:
-    """Steady output intensity to first order: I0·(1 + (2g/kappa)·x²)."""
-    return baseline_intensity(config) * (1.0 + 2.0 * config.coupling / config.kappa * x2)
+    """Steady output intensity to first order: I0·(1 - (2g/kappa)·x²).
+
+    The coupling g·x² adds to the cavity damping, so the steady intensity
+    I0·(kappa² + detuning²)/((kappa + g·x²)² + detuning²) lies below I0.
+    """
+    return baseline_intensity(config) * (1.0 - 2.0 * config.coupling / config.kappa * x2)
 
 
 def infer_x2(intensity: float, baseline: float, g: float, kappa: float) -> float:
-    """Invert the first-order intensity shift back to ⟨x²⟩.
-
-    Uses the magnitude of the fractional shift so the answer is independent
-    of the sign convention of the first-order correction.
-    """
+    """Invert the first-order intensity shift back to ⟨x²⟩: (1 - I/I0)·kappa/(2g)."""
     if baseline <= 0.0:
         raise ParameterError(f"baseline must be positive, got {baseline!r}")
     if g <= 0.0:
         raise ParameterError(f"coupling must be positive, got {g!r}")
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    return abs(intensity / baseline - 1.0) * kappa / (2.0 * g)
+    return (1.0 - intensity / baseline) * kappa / (2.0 * g)
+
+
+def _step_coefficients(
+    s1: np.ndarray, s2: np.ndarray, s4: np.ndarray, pole: complex, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of each RK4 step u' = a·u + b of du/dt = (s - pole)·u + s.
+
+    ``s1``, ``s2`` and ``s4`` hold s = -g·x² at the start, the middle and
+    the end of each step.  The RK4 stages are linear in u: the stages of
+    u = 1 without the source give a, those of u = 0 give b.
+    """
+    half = 0.5 * h
+    r1, r2, r4 = s1 - pole, s2 - pole, s4 - pole
+    a2 = r2 * (1.0 + half * r1)
+    a3 = r2 * (1.0 + half * a2)
+    a4 = r4 * (1.0 + h * a3)
+    b2 = r2 * (half * s1) + s2
+    b3 = r2 * (half * b2) + s2
+    b4 = r4 * (h * b3) + s4
+    sixth = h / 6.0
+    return 1.0 + sixth * (r1 + 2.0 * a2 + 2.0 * a3 + a4), sixth * (s1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+def _scan(a: np.ndarray, b: np.ndarray, u0: complex) -> np.ndarray:
+    """u_1 … u_n of the recurrence u_{k+1} = a_k·u_k + b_k from u_0 = ``u0``.
+
+    Inside each run of RUN_STEPS steps, u_{k+1} = P_k·(u_start + Σ_{j<=k} b_j/P_j)
+    with P_k the running product of a over the run; one sequential pass
+    carries u from the end of each run to the start of the next.
+    """
+    n = len(a)
+    pad = -n % RUN_STEPS
+    if pad:
+        a = np.concatenate((a, np.ones(pad)))
+        b = np.concatenate((b, np.zeros(pad)))
+    prod = np.cumprod(a.reshape(-1, RUN_STEPS), axis=1)
+    acc = np.cumsum(b.reshape(-1, RUN_STEPS) / prod, axis=1)
+    starts = []
+    u = u0
+    for p, s in zip(prod[:, -1].tolist(), acc[:, -1].tolist()):
+        starts.append(u)
+        u = p * (u + s)
+    return (prod * (np.array(starts)[:, None] + acc)).ravel()[:n]
 
 
 def integrate_langevin(
@@ -137,67 +192,75 @@ def integrate_langevin(
     """Integrate the cavity amplitude equation with a fixed-step RK4 scheme.
 
     dc/dt = -(kappa + i·detuning + g·x²(t))·c + drive, starting from an
-    empty cavity at t_start.  ``x2_of_t`` is called once for each of the
-    three RK4 stage grids, with the numpy array of times t_k, t_k + h/2 and
-    t_k + h (k = 0 … n_steps - 1); it returns x² there as an array or as a
-    scalar that holds for every time.  The trace's ``inferred_x2`` column
-    applies the literal steady-state expansion (baseline - I)·kappa/(2g·baseline);
-    it is all zeros when the coupling is zero.  Deterministic given the config.
+    empty cavity at t_start, integrated as the deviation u = c/c0 - 1 from
+    the uncoupled steady field (u = -1 at t_start).  ``x2_of_t`` is called
+    once for each of the three RK4 stage grids, with the numpy array of
+    times t_k, t_k + h/2 and t_k + h (k = 0 … n_steps - 1); it returns x²
+    there as an array or as a scalar that holds for every time.  The trace's
+    ``inferred_x2`` column is the literal steady-state expansion
+    (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·Re u + |u|² without
+    cancellation; it is all zeros when the coupling is zero.  Deterministic
+    given the config.
 
     Raises ``ParameterError`` when the step does not resolve the coupling
-    rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there.
+    rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there;
+    and when the calibration kappa/(2g) or any trace value is not finite.
     """
     n_steps = config.n_steps
     h = (config.t_end - config.t_start) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-    drive = complex(config.drive_amplitude)
     pole = complex(config.kappa, config.detuning)
     g = config.coupling
+    calibration = config.kappa / (2.0 * g) if g > 0.0 else 0.0
+    if not math.isfinite(calibration):
+        raise ParameterError(
+            f"coupling g = {g!r} too small: calibration kappa/(2g) = {calibration!r}"
+        )
 
     times = config.t_start + np.arange(n_steps + 1) * h
     t_k = times[:-1]
     x2_grids = [
         np.broadcast_to(np.asarray(x2_of_t(t), dtype=float), t.shape)
-        for t in (t_k, t_k + half, t_k + h)
+        for t in (t_k, t_k + 0.5 * h, t_k + h)
     ]
     rate = h * g * max(float(np.max(np.abs(x2))) for x2 in x2_grids)
     if not rate <= 0.05:
         raise ParameterError(f"step too coarse for the coupling: h*g*max(x^2) = {rate!r} > 1/20")
 
+    # I/I0 = |1 + u|², and I/I0 - 1 = 2·Re u + |u|² keeps the digits of a small u
     intensity = np.empty(n_steps + 1)
-    intensity[0] = 0.0
-    c = 0.0 + 0.0j
+    shift = np.empty(n_steps + 1)
+    intensity[0], shift[0] = 0.0, -1.0
+    u = -1.0 + 0.0j
     for start in range(0, n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, n_steps)
-        # -(pole + g·x²) at the three stages of each step, as Python complex
-        r1s, r2s, r4s = ((-(pole + g * x2[start:stop])).tolist() for x2 in x2_grids)
-        block = []
-        for r1, r2, r4 in zip(r1s, r2s, r4s):
-            k1 = r1 * c + drive
-            k2 = r2 * (c + half * k1) + drive
-            k3 = r2 * (c + half * k2) + drive
-            k4 = r4 * (c + h * k3) + drive
-            c = c + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            block.append(abs(c) ** 2)
-        intensity[start + 1 : stop + 1] = block
+        a, b = _step_coefficients(*(-g * x2[start:stop] for x2 in x2_grids), pole, h)
+        block = _scan(a, b, u)
+        u = complex(block[-1])
+        re, im = block.real, block.imag
+        intensity[start + 1 : stop + 1] = (1.0 + re) ** 2 + im * im
+        shift[start + 1 : stop + 1] = 2.0 * re + (re * re + im * im)
 
     i0 = baseline_intensity(config)
-    if g > 0.0:
-        inferred = (i0 - intensity) * (config.kappa / (2.0 * g * i0))
-    else:
-        inferred = np.zeros_like(intensity)
+    intensity *= i0
+    inferred = shift * -calibration if g > 0.0 else np.zeros_like(shift)
+    if not (np.isfinite(intensity).all() and np.isfinite(inferred).all()):
+        raise ParameterError("readout trace is not finite")
     return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=inferred)
 
 
 def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) -> RippleReport:
-    """Fit dc + 2·omega_m quadratures to the steady part of an intensity trace.
+    """Fit dc + 2·omega_m quadratures to the steady part of a trace.
 
     The analysis window is the largest whole number of π/omega_m periods
     that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
-    The d.c. shift goes through ``infer_x2``, which needs a positive coupling.
+    The fit runs on the ``inferred_x2`` column, so its d.c. term is the
+    inferred ⟨x²⟩ and its ripple, scaled back by 2g/kappa, the relative
+    intensity ripple; both need a positive coupling.
     """
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
+    if config.coupling <= 0.0:
+        raise ParameterError(f"coupling must be positive, got {config.coupling!r}")
     period = math.pi / omega_m
     settle = config.t_start + SETTLE_FACTOR / config.kappa
     periods = math.floor((config.t_end - settle) / period + 1e-9)
@@ -209,15 +272,14 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     window_start = config.t_end - periods * period
     sel = trace.times >= window_start - 1e-15
     t = trace.times[sel]
-    rel = trace.intensity[sel] / trace.baseline
 
     phase = 2.0 * omega_m * (t - t[0])
     design = np.column_stack([np.ones_like(t), np.cos(phase), np.sin(phase)])
-    coef, *_ = np.linalg.lstsq(design, rel, rcond=None)
-    dc, b, c = coef
+    coef, *_ = np.linalg.lstsq(design, trace.inferred_x2[sel], rcond=None)
+    dc, b, c = coef.tolist()
     return RippleReport(
-        dc_shift=infer_x2(dc, 1.0, config.coupling, config.kappa),
-        ripple_amplitude=math.hypot(b, c),
+        dc_shift=dc,
+        ripple_amplitude=math.hypot(b, c) * (2.0 * config.coupling / config.kappa),
         kappa_over_2omega=config.kappa / (2.0 * omega_m),
     )
 

@@ -34,6 +34,10 @@ def parse_table_csv(text):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def parse_summary(text):
     out = {}
     for line in text.splitlines():
@@ -317,6 +321,31 @@ class TestReadout:
         assert code == 2
         assert captured.err == "error: trace analysis needs a positive coupling\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("g", ["1e-320", "1e-300"])
+    def test_tiny_coupling_exit_2_or_finite_output(self, tmp_path, capsys, g, fmt):
+        # kappa/(2g) overflows at g = 1e-320; at 1e-300 the calibration is finite
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"g = {g}\n")
+        argv = ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1", "--format", fmt]
+        code, captured = run(argv, capsys)
+        if g == "1e-320":
+            assert (code, captured.out) == (2, "")
+            assert captured.err == (
+                "error: coupling g = 1e-320 too small: calibration kappa/(2g) = inf\n"
+            )
+            return
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(captured.out, parse_constant=reject_constant)
+            values = list(payload["summary"].values())
+            values += [v for row in payload["trace"] for v in row.values()]
+        else:
+            lines = captured.out.splitlines()
+            values = [float(line.partition(" = ")[2]) for line in lines[:4]]
+            values += [float(v) for line in lines[5:] for v in line.split(",")]
+        assert np.all(np.isfinite(values))
+
     def test_non_finite_determinant_exit_2(self, capsys):
         code, captured = run(
             ["readout", "--var-p", "1e300", "--var-x", "1e300", "--cross", "1e300"], capsys
@@ -478,10 +507,10 @@ class TestExitCodes:
         "argv", [["constants", "--format=--"], ["readout", "--var-p=--", "--var-x", "1"]]
     )
     def test_double_dash_value_is_checked(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "invalid" in capsys.readouterr().err
+        code, captured = run(argv, capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: argument ") and "invalid" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_unwritable_output_exit_3(self, capsys):
         code, captured = run(["constants", "--out", "/nonexistent-dir/x.csv"], capsys)

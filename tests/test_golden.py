@@ -155,6 +155,27 @@ ERRORS = {
         "error: segment 0 (free) produced an invalid state: "
         "free rotation angle must be finite, got inf\n",
     ),
+    "readout_tiny_coupling": (
+        {"c.cfg": "g = 1e-320\n"}, ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"],
+        2, "error: coupling g = 1e-320 too small: calibration kappa/(2g) = inf\n",
+    ),
+    "argparse_bad_float": (
+        {}, ["readout", "--var-p", "abc"], 2,
+        "error: argument --var-p: invalid float value: 'abc'\n",
+    ),
+    "argparse_bad_choice": (
+        {}, ["constants", "--format", "xml"], 2,
+        "error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')\n",
+    ),
+    "argparse_missing_value": (
+        {}, ["simulate", "--schedule"], 2,
+        "error: argument --schedule: expected one argument\n",
+    ),
+    "argparse_unknown_command": (
+        {}, ["bogus"], 2,
+        "error: argument command: invalid choice: 'bogus' "
+        "(choose from 'constants', 'simulate', 'readout', 'sweep')\n",
+    ),
     "unwritable_output": (
         {}, ["constants", "--out", "/"], 3,
         "error: cannot write output: [Errno 21] Is a directory: '/'\n",

@@ -103,7 +103,7 @@ class TestAdiabaticIntensity:
     def test_fractional_shift_value(self):
         cfg = reference_config()
         shift = adiabatic_intensity(13.5, cfg) / baseline_intensity(cfg) - 1.0
-        assert shift == pytest.approx(2.7e-10, rel=1e-6)
+        assert shift == pytest.approx(-2.7e-10, rel=1e-6)
 
     def test_squeezing_visible_in_shift_ratio(self):
         cfg = reference_config()
@@ -112,13 +112,26 @@ class TestAdiabaticIntensity:
         after = adiabatic_intensity(0.314, cfg) / i0 - 1.0
         assert after / before == pytest.approx(0.314 / 138.5, rel=1e-4)
 
+    @pytest.mark.parametrize("coupling", [1e-4, 1e4])
+    @pytest.mark.parametrize("x2", [0.5, 138.5])
+    def test_integrator_agrees_in_sign_and_first_order(self, coupling, x2):
+        # the integrator settles at I/I0 - 1 = (1 + eps)^-2 - 1 = -2·eps + 3·eps² - …,
+        # eps = g·x²/kappa; the closed form's I/I0 - 1 is itself rounded to about 1e-16
+        cfg = reference_config(coupling=coupling, t_end=1e-5)  # 100 lifetimes
+        trace = integrate_langevin(cfg, lambda t: x2)
+        integrated = -trace.inferred_x2[-1] * 2.0 * coupling / cfg.kappa
+        closed_form = adiabatic_intensity(x2, cfg) / baseline_intensity(cfg) - 1.0
+        eps = coupling * x2 / cfg.kappa
+        assert integrated < 0.0 and closed_form < 0.0
+        assert abs(integrated - closed_form) <= 3.0 * eps**2 + 2.0 * np.finfo(float).eps
+
 
 class TestInferX2:
     def test_identity_shift(self):
         assert infer_x2(1e-4, 1e-4, 1e-4, 1e7) == 0.0
 
     def test_inverts_reference_shift(self):
-        assert infer_x2(1e-4 * (1 + 2.7e-10), 1e-4, 1e-4, 1e7) == pytest.approx(13.5, rel=1e-5)
+        assert infer_x2(1e-4 * (1 - 2.7e-10), 1e-4, 1e-4, 1e7) == pytest.approx(13.5, rel=1e-5)
 
     def test_round_trip_with_order_one_shift(self):
         # relative accuracy of the round trip scales as eps/(2 g x2 / kappa),
@@ -210,36 +223,38 @@ class TestIntegrateLangevin:
         assert ripples[1e8] < ripples[1e7]
 
 
-def reference_rk4(config, x2_of_t):
-    """The per-step RK4 loop that evaluates x²(t) at every stage of every step.
-
-    ``integrate_langevin`` must reproduce its times and intensities bit for bit.
-    """
+def per_step_rk4(config, x2_of_t, rate, y0):
+    """The per-step RK4 loop of dy/dt = rate(y, g·x²(t)) from y0, evaluating
+    x²(t) at every stage of every step; returns the times and y after each step."""
     span = config.t_end - config.t_start
     n_steps = max(1, math.ceil(span / config.dt - 1e-9))
     h = span / n_steps
-    drive = complex(config.drive_amplitude)
-    pole = complex(config.kappa, config.detuning)
-    g = config.coupling
 
-    def deriv(t, c):
-        return -(pole + g * float(x2_of_t(t))) * c + drive
+    def deriv(t, y):
+        return rate(y, config.coupling * float(x2_of_t(t)))
 
-    times = np.empty(n_steps + 1)
-    intensity = np.empty(n_steps + 1)
-    c = 0.0 + 0.0j
-    times[0] = config.t_start
-    intensity[0] = 0.0
+    y, ys = y0, [y0]
     for k in range(n_steps):
         t = config.t_start + k * h
-        k1 = deriv(t, c)
-        k2 = deriv(t + 0.5 * h, c + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, c + 0.5 * h * k2)
-        k4 = deriv(t + h, c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k + 1] = config.t_start + (k + 1) * h
-        intensity[k + 1] = abs(c) ** 2
-    return times, intensity
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return np.array([config.t_start + k * h for k in range(n_steps + 1)]), np.array(ys)
+
+
+def deviation_loop(config, x2_of_t):
+    """Sequential RK4 of du/dt = -(pole + g·x²)·u - g·x² from u = -1."""
+    pole = complex(config.kappa, config.detuning)
+    return per_step_rk4(config, x2_of_t, lambda u, gx2: -(pole + gx2) * u - gx2, -1.0 + 0.0j)
+
+
+def amplitude_loop(config, x2_of_t):
+    """Sequential RK4 of the amplitude itself, dc/dt = -(pole + g·x²)·c + drive, from c = 0."""
+    pole, drive = complex(config.kappa, config.detuning), complex(config.drive_amplitude)
+    return per_step_rk4(config, x2_of_t, lambda c, gx2: -(pole + gx2) * c + drive, 0.0j)
 
 
 SQUEEZED = GaussianState(mean=(0.3, -1.2), var_p=275.1, var_x=0.624, cross=3.1)
@@ -249,25 +264,50 @@ def free_x2(cfg):
     return lambda t: free_x2_expectation(SQUEEZED, OMEGA_M, t - cfg.t_start)
 
 
+ORACLE_CASES = pytest.mark.parametrize(
+    "overrides, free",
+    [
+        ({}, False),
+        ({"t_start": 2.5e-6, "t_end": 7.5e-6}, True),
+        ({"detuning": 3e6}, True),
+        ({"coupling": 0.0}, True),
+        ({"t_end": 5.1e-5}, True),  # 10,200 steps: more than one chunk
+    ],
+    ids=["constant", "free_t_start", "detuning", "uncoupled", "multi_chunk"],
+)
+
+
+def oracle_config(overrides):
+    return reference_config(**{"context_frequency": 2 * OMEGA_M, "coupling": 1e4, **overrides})
+
+
 class TestIntegratorOracle:
-    @pytest.mark.parametrize(
-        "overrides, free",
-        [
-            ({}, False),
-            ({"t_start": 2.5e-6, "t_end": 7.5e-6}, True),
-            ({"detuning": 3e6}, True),
-            ({"coupling": 0.0}, True),
-            ({"t_end": 5.1e-5}, True),  # 10,200 steps: more than one chunk
-        ],
-        ids=["constant", "free_t_start", "detuning", "uncoupled", "multi_chunk"],
-    )
+    @ORACLE_CASES
     def test_matches_per_step_loop(self, overrides, free):
-        cfg = reference_config(**{"context_frequency": 2 * OMEGA_M, "coupling": 1e4, **overrides})
+        # the scan reorders the arithmetic of the sequential deviation loop:
+        # equal to a few units of 1e-16, relative to each value
+        cfg = oracle_config(overrides)
         x2_of_t = free_x2(cfg) if free else (lambda t: 13.5)
-        times, intensity = reference_rk4(cfg, x2_of_t)
+        times, u = deviation_loop(cfg, x2_of_t)
         trace = integrate_langevin(cfg, x2_of_t)
         assert np.array_equal(trace.times, times)
-        assert np.array_equal(trace.intensity, intensity)
+        intensity = trace.baseline * np.abs(1.0 + u) ** 2
+        assert np.allclose(trace.intensity, intensity, rtol=1e-14, atol=0.0)
+        if cfg.coupling > 0.0:
+            inferred = -(2.0 * u.real + np.abs(u) ** 2) * cfg.kappa / (2.0 * cfg.coupling)
+            assert np.allclose(trace.inferred_x2, inferred, rtol=1e-14, atol=0.0)
+
+    @ORACLE_CASES
+    def test_amplitude_loop_agrees_within_its_cancellation(self, overrides, free):
+        # the amplitude loop, the integrator before the change to u, carries
+        # I/I0 - 1 only to a few units of eps absolute (its inferred x² to
+        # eps·kappa/(2g)): the two intensities agree to that, not better
+        cfg = oracle_config(overrides)
+        x2_of_t = free_x2(cfg) if free else (lambda t: 13.5)
+        _, c = amplitude_loop(cfg, x2_of_t)
+        trace = integrate_langevin(cfg, x2_of_t)
+        tolerance = 64 * np.finfo(float).eps * trace.baseline
+        assert np.max(np.abs(np.abs(c) ** 2 - trace.intensity)) <= tolerance
 
     def test_multi_chunk_case_spans_chunks(self):
         assert CHUNK_STEPS < reference_config(t_end=5.1e-5).n_steps < 2 * CHUNK_STEPS
@@ -310,6 +350,14 @@ class TestRippleReport:
             cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
             amplitudes.append(ripple_report(cfg, state, OMEGA_M).ripple_amplitude)
         assert amplitudes[1] < amplitudes[0]
+
+    @pytest.mark.parametrize("kappa", [5e6, 1e7, 1e8])
+    def test_dc_shift_is_mean_x2(self, kappa):
+        cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+        state = GaussianState(var_p=3.0, var_x=0.2, cross=0.1)
+        assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(1.6, rel=1e-7)
+        snapshot = integrate_langevin(cfg, lambda t: 0.314)
+        assert analyze_trace(snapshot, cfg, OMEGA_M).dc_shift == pytest.approx(0.314, rel=1e-7)
 
     def test_window_too_short_rejected(self):
         cfg = reference_config(t_end=1e-6)
