@@ -7,21 +7,14 @@ wavelength uses the key ``lambda``); unknown or repeated keys are errors.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ParameterError
 from .kicks import PhysicalParams
 
-# config key -> PhysicalParams attribute
+# config key -> PhysicalParams attribute, in field order
 KEY_TO_FIELD = {
-    "g": "g",
-    "omega_m": "omega_m",
-    "n_p": "n_p",
-    "kappa": "kappa",
-    "gamma": "gamma",
-    "T": "T",
-    "mass": "mass",
-    "L": "L",
-    "lambda": "wavelength",
-    "R": "R",
+    {"wavelength": "lambda"}.get(f.name, f.name): f.name for f in fields(PhysicalParams)
 }
 FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}
 

@@ -112,7 +112,10 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
         raise ParameterError(f"kick duration must be non-negative, got {t!r}")
     theta = _finite_angle("kick", math.sqrt(g_tilde * omega_m) * t)
     c, s = math.cos(theta), math.sin(theta)
-    up = math.sqrt(g_tilde / omega_m)
+    ratio = g_tilde / omega_m
+    if ratio == 0.0:
+        raise ParameterError(f"kick matrix: g_tilde/omega_m = {g_tilde!r}/{omega_m!r} underflows")
+    up = math.sqrt(ratio)
     return SymplecticMap(((c, -up * s), (s / up, c)))
 
 
@@ -145,7 +148,7 @@ def optimal_kick_duration(g_tilde: float, omega_m: float) -> float:
 
 def quarter_period(omega_m: float) -> float:
     """A quarter of the mechanical period, π/(2·omega_m)."""
-    if omega_m <= 0.0:
+    if not omega_m > 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     # 0.5·π is exact, so this is π/(2·omega_m) without 2·omega_m overflowing
     tau = 0.5 * math.pi / omega_m
@@ -155,14 +158,26 @@ def quarter_period(omega_m: float) -> float:
 
 
 @dataclass(frozen=True)
-class Kick:
-    """Pulse segment; ``n_p`` = None means use the schedule-wide photon number."""
+class _Timed:
+    """A schedule segment's duration, non-negative and finite."""
 
     duration: float
+
+    def __post_init__(self):
+        if self.duration < 0.0 or not math.isfinite(self.duration):
+            raise ParameterError(
+                f"segment duration must be non-negative and finite, got {self.duration!r}"
+            )
+
+
+@dataclass(frozen=True)
+class Kick(_Timed):
+    """Pulse segment; ``n_p`` = None means use the schedule-wide photon number."""
+
     n_p: float | None = None
 
     def __post_init__(self):
-        _check_duration(self.duration)
+        super().__post_init__()
         if self.n_p is not None and (self.n_p < 0.0 or not math.isfinite(self.n_p)):
             raise ParameterError(f"kick photon number must be non-negative, got {self.n_p!r}")
 
@@ -170,31 +185,16 @@ class Kick:
 
 
 @dataclass(frozen=True)
-class Free:
-    duration: float
-
-    def __post_init__(self):
-        _check_duration(self.duration)
-
+class Free(_Timed):
     kind = "free"
 
 
 @dataclass(frozen=True)
-class Dissipate:
-    duration: float
-
-    def __post_init__(self):
-        _check_duration(self.duration)
-
+class Dissipate(_Timed):
     kind = "dissipate"
 
 
 Segment = Kick | Free | Dissipate
-
-
-def _check_duration(d: float):
-    if d < 0.0 or not math.isfinite(d):
-        raise ParameterError(f"segment duration must be non-negative and finite, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,8 @@ def two_pulse_variance(
     theta = _finite_angle("free", omega_m * tau)
     c, s = math.cos(theta), math.sin(theta)
     ratio = g_tilde / omega_m
+    if ratio * ratio == 0.0:
+        raise ParameterError(f"two-pulse variance: (g_tilde/omega_m)^2 = {ratio!r}^2 underflows")
     var_p = (c * c + ratio * ratio * (s * s)) * v0
     var_x = (c * c + s * s / (ratio * ratio)) * v0
     if not (math.isfinite(var_p) and math.isfinite(var_x)):

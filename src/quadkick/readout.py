@@ -50,7 +50,9 @@ class ReadoutConfig:
     ``context_frequency`` is the fastest angular frequency present in the
     x²(t) signal being probed (2·omega_m for a freely evolving state, 0 for
     a constant signal); the step size must resolve both it and the cavity
-    relaxation with at least 20 points per characteristic time.
+    relaxation with at least 20 points per characteristic time.  The
+    coupling must be positive with a finite calibration kappa/(2g): the
+    intensity shift that carries ⟨x²⟩ exists only through it.
     """
 
     drive_amplitude: float   # s^-1
@@ -69,8 +71,6 @@ class ReadoutConfig:
                 raise ParameterError(f"{field.name} must be finite, got {value!r}")
         if self.kappa <= 0.0:
             raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
-        if self.coupling < 0.0:
-            raise ParameterError(f"coupling must be non-negative, got {self.coupling!r}")
         if self.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not self.t_end > self.t_start:
@@ -86,6 +86,15 @@ class ReadoutConfig:
             need = math.ceil(steps - 1e-9) if math.isfinite(steps) else steps
             raise ParameterError(
                 f"time grid needs {need} RK4 steps, more than the limit of {MAX_STEPS}"
+            )
+        # after the grid's own checks, so a bad grid is still reported first
+        if self.coupling <= 0.0:
+            raise ParameterError("trace analysis needs a positive coupling")
+        calibration = self.kappa / (2.0 * self.coupling)
+        if not math.isfinite(calibration):
+            raise ParameterError(
+                f"coupling g = {self.coupling!r} too small: calibration kappa/(2g) = "
+                f"{calibration!r}"
             )
 
     @property
@@ -199,23 +208,16 @@ def integrate_langevin(
     there as an array or as a scalar that holds for every time.  The trace's
     ``inferred_x2`` column is the literal steady-state expansion
     (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·Re u + |u|² without
-    cancellation; it is all zeros when the coupling is zero.  Deterministic
-    given the config.
+    cancellation.  Deterministic given the config.
 
     Raises ``ParameterError`` when the step does not resolve the coupling
     rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there;
-    and when the calibration kappa/(2g) or any trace value is not finite.
+    and when any trace value is not finite.
     """
     n_steps = config.n_steps
     h = (config.t_end - config.t_start) / n_steps
     pole = complex(config.kappa, config.detuning)
     g = config.coupling
-    calibration = config.kappa / (2.0 * g) if g > 0.0 else 0.0
-    if not math.isfinite(calibration):
-        raise ParameterError(
-            f"coupling g = {g!r} too small: calibration kappa/(2g) = {calibration!r}"
-        )
-
     times = config.t_start + np.arange(n_steps + 1) * h
     t_k = times[:-1]
     x2_grids = [
@@ -242,7 +244,7 @@ def integrate_langevin(
 
     i0 = baseline_intensity(config)
     intensity *= i0
-    inferred = shift * -calibration if g > 0.0 else np.zeros_like(shift)
+    inferred = shift * -(config.kappa / (2.0 * g))
     if not (np.isfinite(intensity).all() and np.isfinite(inferred).all()):
         raise ParameterError("readout trace is not finite")
     return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=inferred)
@@ -255,12 +257,12 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
     The fit runs on the ``inferred_x2`` column, so its d.c. term is the
     inferred ⟨x²⟩ and its ripple, scaled back by 2g/kappa, the relative
-    intensity ripple; both need a positive coupling.
+    intensity ripple.  Raises ``ParameterError`` when the relative shift
+    2g·|dc|/kappa is not above the transient e^(-SETTLE_FACTOR) left in the
+    window, which the calibration would pass off as ⟨x²⟩.
     """
-    if omega_m <= 0.0:
-        raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
-    if config.coupling <= 0.0:
-        raise ParameterError(f"coupling must be positive, got {config.coupling!r}")
+    if not 0.0 < omega_m < math.inf:
+        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     period = math.pi / omega_m
     settle = config.t_start + SETTLE_FACTOR / config.kappa
     periods = math.floor((config.t_end - settle) / period + 1e-9)
@@ -277,6 +279,12 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     design = np.column_stack([np.ones_like(t), np.cos(phase), np.sin(phase)])
     coef, *_ = np.linalg.lstsq(design, trace.inferred_x2[sel], rcond=None)
     dc, b, c = coef.tolist()
+    shift = 2.0 * config.coupling * abs(dc) / config.kappa
+    if not shift > math.exp(-SETTLE_FACTOR):
+        raise ParameterError(
+            f"coupling g = {config.coupling!r} too small: relative shift 2g*|dc|/kappa = "
+            f"{shift!r} is not above the residual transient exp(-{SETTLE_FACTOR:g})"
+        )
     return RippleReport(
         dc_shift=dc,
         ripple_amplitude=math.hypot(b, c) * (2.0 * config.coupling / config.kappa),
@@ -301,13 +309,14 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
     """The fixed probe, on a grid resolving both the cavity and the signal.
 
     A resonant drive of DRIVE_AMPLITUDE runs SETTLE_FACTOR/kappa for the
-    transient, then N_PERIODS modulation periods π/omega_m.  A coupling
-    g <= 0 is rejected, since ``analyze_trace`` could not calibrate its trace.
+    transient, then N_PERIODS modulation periods π/omega_m.
     """
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa!r}")
+    if omega_m <= 0.0:
+        raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     context = 2.0 * omega_m
-    config = ReadoutConfig(
+    return ReadoutConfig(
         drive_amplitude=DRIVE_AMPLITUDE,
         detuning=0.0,
         kappa=kappa,
@@ -317,7 +326,3 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
         dt=1.0 / (20.0 * max(kappa, context)),
         context_frequency=context,
     )
-    # after the grid's own checks, so a bad grid is still reported first
-    if config.coupling <= 0.0:
-        raise ParameterError("trace analysis needs a positive coupling")
-    return config

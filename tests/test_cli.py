@@ -11,6 +11,8 @@ import pytest
 import quadkick
 from quadkick import cli
 from quadkick.cli import main
+from quadkick.config import KEY_TO_FIELD, load_config
+from quadkick.kicks import PhysicalParams
 
 NBAR_100UK = 12.598398495684691623
 
@@ -57,6 +59,14 @@ class TestConstants:
         assert values["t_star"] == pytest.approx(3.427758604236288e-7, rel=1e-12)
         assert values["n_bar"] == pytest.approx(NBAR_100UK, rel=1e-12)
         assert values["reduction_factor"] == pytest.approx(1 / 21.0, rel=1e-15)
+
+    def test_default_cfg_is_the_builtin_defaults(self):
+        # README: without --config, the built-in defaults are identical to default.cfg
+        path = Path(__file__).parent.parent / "default.cfg"
+        assert load_config(str(path)) == PhysicalParams()
+        lines = (ln.split("#", 1)[0] for ln in path.read_text().splitlines())
+        keys = [ln.partition("=")[0].strip() for ln in lines if ln.strip()]
+        assert keys == list(KEY_TO_FIELD)
 
     def test_config_override(self, tmp_path, capsys):
         cfg = tmp_path / "cold.cfg"
@@ -322,9 +332,11 @@ class TestReadout:
         assert captured.err == "error: trace analysis needs a positive coupling\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("g", ["1e-320", "1e-300"])
+    @pytest.mark.parametrize("g", ["1e-320", "1e-300", "1e-10"])
     def test_tiny_coupling_exit_2_or_finite_output(self, tmp_path, capsys, g, fmt):
         # kappa/(2g) overflows at g = 1e-320; at 1e-300 the calibration is finite
+        # but the shift 2g·x²/kappa = 2e-307 lies below the residual transient;
+        # at 1e-10 the shift, 2e-17, clears it
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(f"g = {g}\n")
         argv = ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1", "--format", fmt]
@@ -334,6 +346,11 @@ class TestReadout:
             assert captured.err == (
                 "error: coupling g = 1e-320 too small: calibration kappa/(2g) = inf\n"
             )
+            return
+        if g == "1e-300":
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: coupling g = 1e-300 too small: relative shift")
+            assert len(captured.err.splitlines()) == 1
             return
         assert code == 0
         if fmt == "json":

@@ -159,6 +159,11 @@ ERRORS = {
         {"c.cfg": "g = 1e-320\n"}, ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"],
         2, "error: coupling g = 1e-320 too small: calibration kappa/(2g) = inf\n",
     ),
+    "readout_below_transient": (
+        {"c.cfg": "g = 1e-300\n"}, ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"],
+        2, "error: coupling g = 1e-300 too small: relative shift 2g*|dc|/kappa = "
+        "1.6539325499080152e-20 is not above the residual transient exp(-40)\n",
+    ),
     "argparse_bad_float": (
         {}, ["readout", "--var-p", "abc"], 2,
         "error: argument --var-p: invalid float value: 'abc'\n",

@@ -123,6 +123,9 @@ class TestKickMatrix:
             kick_matrix(2.1e7, 1e6, -1e-7)
         with pytest.raises(ParameterError, match="angle"):
             kick_matrix(2.1e7, 1e6, 1e303)
+        # g_tilde/omega_m underflows to 0: the map's off-diagonal would divide by 0
+        with pytest.raises(ParameterError, match="underflows"):
+            kick_matrix(1e-320, 1e300, 0.0)
 
 
 class TestFreeMatrix:
@@ -163,6 +166,10 @@ class TestOptimalKickDuration:
     def test_overflowing_quarter_period_rejected(self):
         with pytest.raises(ParameterError, match="quarter period overflows"):
             quarter_period(1e-320)
+
+    def test_nan_quarter_period_rejected(self):
+        with pytest.raises(ParameterError, match="omega_m must be positive, got nan"):
+            quarter_period(math.nan)
 
     def test_quarter_period_where_twice_omega_overflows(self):
         # 2·omega_m is inf here; the quarter period is still a positive double
@@ -328,6 +335,11 @@ class TestTwoPulseVariance:
     def test_overflow_rejected(self):
         with pytest.raises(ParameterError, match="not finite"):
             two_pulse_variance(quarter_period(1e6), 2e296, 1e6, 12.6)
+
+    def test_underflowing_stiffness_ratio_rejected(self):
+        # (g_tilde/omega_m)² underflows to 0: var_x would divide by 0
+        with pytest.raises(ParameterError, match="underflows"):
+            two_pulse_variance(0.0, 1e-10, 1e300, 1.0)
 
     def test_negative_wait_rejected(self):
         # a wait cannot be negative, as for free_matrix

@@ -1,0 +1,139 @@
+"""Property tests over drawn states and parameters (hypothesis, derandomized).
+
+Each property is a law of the model that must hold for every drawn input;
+the draws stay inside the ranges where the law is exact up to round-off, so
+no tolerance here absorbs a modelling error.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadkick import (
+    Free,
+    GaussianState,
+    Kick,
+    PhysicalParams,
+    PulseSchedule,
+    adiabatic_intensity,
+    apply_schedule,
+    baseline_intensity,
+    default_readout_config,
+    dissipate,
+    effective_stiffness,
+    free_matrix,
+    kick_matrix,
+    optimal_kick_duration,
+    propagate,
+    ripple_report,
+    thermal_state,
+    two_pulse_variance,
+)
+
+OMEGA_M = 1e6
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=200)
+# each readout example integrates a trace of up to 1e5 RK4 steps
+READOUT = settings(derandomize=True, deadline=None, max_examples=20)
+
+
+@st.composite
+def states(draw):
+    """A zero-mean rotated squeezed thermal state: det(cov) = v² >= 1/4."""
+    v = draw(st.floats(0.5, 20.0))
+    r = draw(st.floats(0.0, 2.0))
+    theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    big, small = v * math.exp(2.0 * r), v * math.exp(-2.0 * r)
+    return GaussianState(
+        var_p=big * c * c + small * s * s,
+        var_x=big * s * s + small * c * c,
+        cross=(big - small) * c * s,
+    )
+
+
+kappas = st.floats(5e6, 1e8)
+
+
+@READOUT
+@given(state=states(), kappa=kappas)
+def test_dc_shift_is_mean_x2(state, kappa):
+    # a zero-mean state's ⟨x²(t)⟩ oscillates about (var_p + var_x)/2
+    cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+    mean_x2 = 0.5 * (state.var_p + state.var_x)
+    assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(mean_x2, rel=1e-7)
+
+
+@READOUT
+@given(state=states(), kappa=kappas)
+def test_dc_shift_has_the_sign_of_the_adiabatic_intensity(state, kappa):
+    # the intensity falls by 2g·dc_shift/kappa: below the baseline, as the closed form
+    cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+    integrated = -2.0 * cfg.coupling * ripple_report(cfg, state, OMEGA_M).dc_shift / kappa
+    mean_x2 = 0.5 * (state.var_p + state.var_x)
+    closed_form = adiabatic_intensity(mean_x2, cfg) / baseline_intensity(cfg) - 1.0
+    assert integrated < 0.0 and closed_form < 0.0
+
+
+@DERANDOMIZED
+@given(
+    state=states(),
+    ratio=st.floats(1.0, 1e3),
+    phase=st.floats(0.0, 10.0),
+    kick=st.booleans(),
+)
+def test_maps_keep_the_determinant(state, ratio, phase, kick):
+    # det = var_p·var_x - cross² is rounded relative to the var_p·var_x of the
+    # state it is taken of; a kick can stretch that product of a squeezed state
+    # 1e5-fold, so the scale is the larger of the two states' products
+    g_tilde = ratio * OMEGA_M
+    if kick:
+        smap = kick_matrix(g_tilde, OMEGA_M, phase / math.sqrt(g_tilde * OMEGA_M))
+    else:
+        smap = free_matrix(OMEGA_M, phase / OMEGA_M)
+    after = propagate(state, smap)
+    scale = max(state.var_p * state.var_x, after.var_p * after.var_x)
+    assert abs(after.det_cov - state.det_cov) <= 1e-12 * scale
+
+
+@DERANDOMIZED
+@given(tau=st.floats(0.0, 1.0), n_bar=st.floats(0.0, 200.0))
+def test_two_pulse_variance_is_the_kick_free_kick_fold(tau, n_bar):
+    params = PhysicalParams()
+    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
+    t_star = optimal_kick_duration(g_tilde, params.omega_m)
+    schedule = PulseSchedule((Kick(t_star), Free(tau), Kick(t_star)))
+    _, folded = apply_schedule(thermal_state(n_bar), schedule, params)[-1]
+    var_p, var_x = two_pulse_variance(tau, g_tilde, params.omega_m, n_bar)
+    assert var_p == pytest.approx(folded.var_p, rel=1e-12)
+    assert var_x == pytest.approx(folded.var_x, rel=1e-12)
+
+
+@DERANDOMIZED
+@given(
+    state=states(),
+    gamma=st.floats(0.0, 1e3),
+    t1=st.floats(0.0, 1e-2),
+    t2=st.floats(0.0, 1e-2),
+    n_env=st.floats(0.0, 1e3),
+)
+def test_dissipation_is_a_semigroup(state, gamma, t1, t2, n_env):
+    twice = dissipate(dissipate(state, gamma, t1, n_env), gamma, t2, n_env)
+    once = dissipate(state, gamma, t1 + t2, n_env)
+    for a, b in zip(
+        (*twice.mean, twice.var_p, twice.var_x, twice.cross),
+        (*once.mean, once.var_p, once.var_x, once.cross),
+    ):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+@DERANDOMIZED
+@given(gamma=st.floats(0.0, 1e3), tau=st.floats(0.0, 1e-2), n_env=st.floats(0.0, 1e3))
+def test_bath_thermal_state_is_fixed(gamma, tau, n_env):
+    bath = thermal_state(n_env)
+    after = dissipate(bath, gamma, tau, n_env)
+    assert after.var_p == pytest.approx(bath.var_p, rel=1e-12, abs=0.0)
+    assert after.var_x == pytest.approx(bath.var_x, rel=1e-12, abs=0.0)
+    assert (after.mean, after.cross) == ((0.0, 0.0), 0.0)
