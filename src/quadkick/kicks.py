@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .dissipation import dissipate
 from .errors import InvariantViolation, ParameterError, QuadkickError
@@ -210,13 +209,15 @@ class PulseSchedule:
                 raise ParameterError(f"unknown segment type {type(seg).__name__}")
 
 
-def fold(
-    state: GaussianState, segments: Iterable[Segment], params: PhysicalParams, n_env: float
-) -> Iterator[GaussianState]:
-    """Yield the state after each segment, folding ``state`` through ``segments``.
+def apply_schedule(
+    state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
+) -> list[tuple[int, GaussianState]]:
+    """Fold ``state`` through the schedule, returning the state after every segment.
 
-    Dissipate segments couple to a bath at occupancy ``n_env``.  The fold is
-    lazy: a consumer may stop early and later segments are never evaluated.
+    The result always starts with (0, input state); entry (i, s) for i >= 1
+    is the state after ``schedule.segments[i - 1]``.  An empty schedule
+    returns the input state alone.  Dissipate segments couple to the bath
+    at the params' temperature.
 
     Raises
     ------
@@ -224,7 +225,9 @@ def fold(
         if a segment produces an invalid state; ``segment_index`` is the
         zero-based index of the failing segment.
     """
-    for i, seg in enumerate(segments):
+    n_env = params.occupancy()
+    folded = [(0, state)]
+    for i, seg in enumerate(schedule.segments):
         try:
             if isinstance(seg, Kick):
                 n_p = params.n_p if seg.n_p is None else seg.n_p
@@ -239,20 +242,8 @@ def fold(
                 f"segment {i} ({seg.kind}) produced an invalid state: {exc}",
                 segment_index=i,
             ) from exc
-        yield state
-
-
-def apply_schedule(
-    state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
-) -> list[tuple[int, GaussianState]]:
-    """Fold ``state`` through the schedule, returning the state after every segment.
-
-    The result always starts with (0, input state); entry (i, s) for i >= 1
-    is the state after ``schedule.segments[i - 1]``.  An empty schedule
-    returns the input state alone.  Dissipate segments couple to the bath
-    at the params' temperature.  Raises ``InvariantViolation`` as ``fold``.
-    """
-    return list(enumerate([state, *fold(state, schedule.segments, params, params.occupancy())]))
+        folded.append((i + 1, state))
+    return folded
 
 
 def two_pulse_variance(

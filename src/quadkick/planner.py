@@ -17,12 +17,11 @@ from .kicks import (
     PhysicalParams,
     PulseSchedule,
     effective_stiffness,
-    fold,
     optimal_kick_duration,
     quarter_period,
     two_pulse_variance,
 )
-from .state import GaussianState, is_squeezed, thermal_state
+from .state import VACUUM_VARIANCE, thermal_state
 
 _PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
@@ -30,12 +29,10 @@ MAX_PULSES = 64
 
 
 class PlanResult(NamedTuple):
-    """Outcome of a pulse-count search: ``final_state`` is the state after
-    ``schedule``, and the target is met when ``is_squeezed(final_state)[0]``."""
+    """Outcome of a pulse-count search: the canonical protocol with ``pulses`` kicks."""
 
     pulses: int
     schedule: PulseSchedule
-    final_state: GaussianState
 
 
 def min_pulses(
@@ -43,31 +40,36 @@ def min_pulses(
 ) -> PlanResult:
     """Smallest number of pulses driving var_x strictly below the vacuum's 1/2.
 
-    Folds the canonical protocol with ``kicks.fold``: optimal-duration kicks
-    separated by quarter-period free evolutions (each followed by a
-    same-length thermal contact when ``include_dissipation``), stopping at
-    the first kick that meets the target.  ``occupancy`` overrides the
-    initial/bath occupancy otherwise derived from the params' temperature.
-    A thermal state is never squeezed, so at least one kick is made; a plan
-    that spends all MAX_PULSES kicks without reaching the target is returned,
-    not raised.
+    The canonical protocol is optimal-duration kicks separated by
+    quarter-period free evolutions (each followed by a same-length thermal
+    contact when ``include_dissipation``).  A kick scales var_p into var_x by
+    r = omega_m/g_tilde and the quarter period swaps the quadratures, so
+    var_x after kick k follows one scalar recurrence:
+
+        X_1 = (n̄ + 1/2)·r,    X_{k+1} = (e^{-γτ}·X_k + a)·r
+
+    with a = decoherence_term(γ, τ, n̄), and e^{-γτ} = 1, a = 0 without
+    dissipation.  ``occupancy`` overrides the initial/bath occupancy
+    otherwise derived from the params' temperature.  A thermal state is
+    never squeezed, so at least one kick is made; a plan that spends all
+    MAX_PULSES kicks without reaching the target is returned, not raised.
     """
     n_bar = params.occupancy() if occupancy is None else occupancy
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
     tau = quarter_period(params.omega_m)
     step = (Free(tau), Dissipate(tau), kick) if include_dissipation else (Free(tau), kick)
-    canonical = (kick,) + step * (MAX_PULSES - 1)
 
-    state = thermal_state(n_bar)
-    pulses = 0
-    # the loop rebinds ``state``: afterwards it is the last folded state
-    for segment, state in zip(canonical, fold(state, canonical, params, n_bar)):
-        if segment is kick:
-            pulses += 1
-            if is_squeezed(state)[0]:
-                break
-    return PlanResult(pulses, PulseSchedule((kick,) + step * (pulses - 1)), state)
+    r = params.omega_m / g_tilde
+    var_x = thermal_state(n_bar).var_x * r
+    decay, added = 1.0, 0.0
+    if include_dissipation:
+        decay, added = math.exp(-params.gamma * tau), decoherence_term(params.gamma, tau, n_bar)
+    pulses = 1
+    while var_x >= VACUUM_VARIANCE and pulses < MAX_PULSES:
+        var_x = (decay * var_x + added) * r
+        pulses += 1
+    return PlanResult(pulses, PulseSchedule((kick,) + step * (pulses - 1)))
 
 
 @dataclass(frozen=True)

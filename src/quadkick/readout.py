@@ -311,10 +311,16 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
     A resonant drive of DRIVE_AMPLITUDE runs SETTLE_FACTOR/kappa for the
     transient, then N_PERIODS modulation periods π/omega_m.
     """
-    if kappa <= 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    if omega_m <= 0.0:
-        raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
+    if not 0.0 < omega_m < math.inf:
+        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
+    t_end = SETTLE_FACTOR / kappa + N_PERIODS * math.pi / omega_m
+    if t_end == math.inf:
+        raise ParameterError(
+            f"probe window {SETTLE_FACTOR:g}/kappa + {N_PERIODS}*pi/omega_m overflows "
+            f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
+        )
     context = 2.0 * omega_m
     return ReadoutConfig(
         drive_amplitude=DRIVE_AMPLITUDE,
@@ -322,7 +328,7 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
         kappa=kappa,
         coupling=coupling,
         t_start=0.0,
-        t_end=SETTLE_FACTOR / kappa + N_PERIODS * math.pi / omega_m,
+        t_end=t_end,
         dt=1.0 / (20.0 * max(kappa, context)),
         context_frequency=context,
     )

@@ -156,8 +156,8 @@ def free_x2_expectation(
     reading off var_x + x̄², written in closed form so a whole numpy array
     of times is evaluated in one call.
     """
-    if omega_m <= 0.0:
-        raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
+    if not 0.0 < omega_m < math.inf:
+        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     p0, x0 = state.mean
     dc = 0.5 * (state.var_p + state.var_x + p0 * p0 + x0 * x0)
     amp_cos = 0.5 * (state.var_x - state.var_p + x0 * x0 - p0 * p0)

@@ -480,6 +480,21 @@ class TestSweep:
         assert rows[0]["status"].startswith("duration must be non-negative")
         assert rows[1]["status"] == "ok"
 
+    def test_unreachable_dissipative_cells_counted(self, tmp_path, capsys):
+        # both cells never reach the target; folding their 64-kick protocol
+        # cancels det(cov) to 0, which used to surface as an ERROR row
+        cfg = tmp_path / "lossy.cfg"
+        cfg.write_text("gamma = 3.1e4\ng = 6.99e-5\n")
+        code, captured = run(
+            ["sweep", "--config", str(cfg), "--axis", "n_p=4.05e10,1e11", "--axis", "T=0.095",
+             "--observable", "pulses_needed", "--dissipation", "on"],
+            capsys,
+        )
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[0] == "n_p,T,pulses_needed,status"
+        assert [ln.split(",", 2)[2] for ln in lines[1:]] == ["6.4000000000000000e+01,ok"] * 2
+
     def test_lambda_key_accepted_as_axis(self, capsys):
         code, captured = run(["sweep", "--axis", "lambda=532e-9,1064e-9"], capsys)
         assert code == 0

@@ -164,6 +164,12 @@ ERRORS = {
         2, "error: coupling g = 1e-300 too small: relative shift 2g*|dc|/kappa = "
         "1.6539325499080152e-20 is not above the residual transient exp(-40)\n",
     ),
+    "readout_tiny_omega_m": (
+        {"c.cfg": "omega_m = 1e-320\n"},
+        ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"], 2,
+        "error: probe window 40/kappa + 16*pi/omega_m overflows "
+        "at kappa = 10000000.0, omega_m = 1e-320\n",
+    ),
     "argparse_bad_float": (
         {}, ["readout", "--var-p", "abc"], 2,
         "error: argument --var-p: invalid float value: 'abc'\n",

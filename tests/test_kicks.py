@@ -21,7 +21,6 @@ from quadkick import (
     thermal_state,
     two_pulse_variance,
 )
-from quadkick.kicks import fold
 
 # frozen from a 50-digit evaluation of 2*hbar*omega^2/(m*omega_m*L*c)*sqrt(R/(1-R))
 # at wavelength 532 nm, m = 1e-12 kg, omega_m = 1e6, L = 0.067 m, R = 0.4
@@ -279,14 +278,6 @@ class TestApplySchedule:
             apply_schedule(thermal_state(138.0), schedule, params)
         assert excinfo.value.segment_index is not None
         assert str(excinfo.value.segment_index) in str(excinfo.value)
-
-    def test_fold_is_lazy(self):
-        # the failing second segment is never evaluated when only the first is taken
-        params = PhysicalParams()
-        states = fold(thermal_state(1.0), (Free(1e-7), Free(1e303)), params, 0.0)
-        assert next(states) == apply_schedule(
-            thermal_state(1.0), PulseSchedule((Free(1e-7),)), params
-        )[1][1]
 
     def test_dissipation_segment_uses_bath_occupancy(self):
         params = PhysicalParams(T=1e-3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadkick import (
+    InvariantViolation,
     ParameterError,
     PhysicalParams,
     SweepAxis,
@@ -24,12 +25,20 @@ from quadkick.planner import MAX_PULSES
 PARAMS = PhysicalParams()
 
 
+def fold_plan(plan, params, n_bar=None):
+    """The states after every kick of ``plan``, folded from the thermal state at ``n_bar``."""
+    n_bar = params.occupancy() if n_bar is None else n_bar
+    folded = apply_schedule(thermal_state(n_bar), plan.schedule, params)
+    return [s for seg, (_, s) in zip(plan.schedule.segments, folded[1:]) if seg.kind == "kick"]
+
+
 class TestMinPulses:
     def test_two_pulses_from_138(self):
         plan = min_pulses(PARAMS, occupancy=138.0)
         assert plan.pulses == 2
-        assert is_squeezed(plan.final_state)[0]
-        assert plan.final_state.var_x == pytest.approx(138.5 / 441.0, rel=1e-12)
+        final = fold_plan(plan, PARAMS, 138.0)[-1]
+        assert is_squeezed(final)[0]
+        assert final.var_x == pytest.approx(138.5 / 441.0, rel=1e-12)
         assert [seg.kind for seg in plan.schedule.segments] == ["kick", "free", "kick"]
 
     def test_two_pulses_at_default_temperature(self):
@@ -46,14 +55,14 @@ class TestMinPulses:
         # the target is strict: the vacuum sits exactly on the threshold
         plan = min_pulses(PARAMS, occupancy=0.0)
         assert plan.pulses == 1
-        assert plan.final_state.var_x == pytest.approx(0.5 / 21.0, rel=1e-12)
+        assert fold_plan(plan, PARAMS, 0.0)[-1].var_x == pytest.approx(0.5 / 21.0, rel=1e-12)
 
     def test_cap_reported_not_raised(self):
         # g̃/ω_m = 1.01: 64 kicks take var_x from n̄ + 1/2 ≈ 13.1 only to ≈ 6.9
         params = PhysicalParams(n_p=5e7)
         plan = min_pulses(params)
         assert plan.pulses == MAX_PULSES == 64
-        assert not is_squeezed(plan.final_state)[0]
+        assert not is_squeezed(fold_plan(plan, params)[-1])[0]
 
     def test_agrees_with_analytic_count(self):
         rng = np.random.default_rng(41)
@@ -88,15 +97,34 @@ class TestMinPulses:
         lossless = min_pulses(params, include_dissipation=False)
         lossy = min_pulses(params, include_dissipation=True)
         assert lossy.pulses == lossless.pulses == 2
-        assert lossy.final_state.var_x > lossless.final_state.var_x
+        assert fold_plan(lossy, params)[-1].var_x > fold_plan(lossless, params)[-1].var_x
         kinds = [seg.kind for seg in lossy.schedule.segments]
         assert kinds == ["kick", "free", "dissipate", "kick"]
 
     def test_occupancy_override_sets_bath_too(self):
-        lossless = min_pulses(PARAMS, include_dissipation=False, occupancy=138.0)
-        lossy = min_pulses(PARAMS, include_dissipation=True, occupancy=138.0)
-        assert lossy.pulses == 2
-        assert lossy.final_state.var_x > lossless.final_state.var_x
+        # gamma*tau = 1e-4: a bath at n̄ = 138 adds 0.014 to var_p per wait, one at
+        # 10 K (n̄ ≈ 1.3e6) adds ≈ 131, which keeps var_x above 1/2 for good
+        hot = PhysicalParams(T=10.0, gamma=1e-4 / quarter_period(1e6))
+        plan = min_pulses(hot, include_dissipation=True, occupancy=138.0)
+        assert plan.pulses == 2
+        assert min_pulses(hot, include_dissipation=True).pulses == MAX_PULSES
+        # the same schedule folded with the bath at the params' temperature squeezes nothing
+        assert fold_plan(plan, hot, 138.0)[-1].var_x > 0.5
+
+    @pytest.mark.parametrize("occupancy", [-1.0, math.nan, math.inf])
+    def test_invalid_occupancy_override(self, occupancy):
+        with pytest.raises(ParameterError):
+            min_pulses(PARAMS, occupancy=occupancy)
+
+    def test_cancelling_fold_still_counted(self):
+        # g̃/ω_m ≈ 6.7 but the 95 mK bath refills var_p faster than the kicks
+        # drain it: the target is never met.  Folding the 64-kick schedule
+        # cancels var_p·var_x − cross² to 0, so only the recurrence can count it.
+        params = PhysicalParams(gamma=3.1e4, g=6.99e-5, n_p=4.05e10, T=0.095)
+        plan = min_pulses(params, include_dissipation=True)
+        assert plan.pulses == MAX_PULSES
+        with pytest.raises(InvariantViolation, match="det = 0.0"):
+            apply_schedule(thermal_state(params.occupancy()), plan.schedule, params)
 
 
 ONE_FOLD_PARAMS = [
@@ -110,15 +138,12 @@ ONE_FOLD_PARAMS = [
 @pytest.mark.parametrize("include_dissipation", [False, True])
 @pytest.mark.parametrize("params", ONE_FOLD_PARAMS, ids=lambda p: f"T={p.T:g},n_p={p.n_p:g}")
 def test_min_pulses_is_the_schedule_fold(params, include_dissipation):
-    # min_pulses and apply_schedule share one fold: their states agree bit for bit
+    # the recurrence's count is the fold's: the first kick to meet the target ends the plan
     plan = min_pulses(params, include_dissipation=include_dissipation)
-    folded = apply_schedule(thermal_state(params.occupancy()), plan.schedule, params)
-    assert plan.final_state == folded[-1][1]
-    # the search stops at the first kick that meets the target, and not before
-    kicks_before_last = [
-        s for seg, (_, s) in zip(plan.schedule.segments[:-1], folded[1:]) if seg.kind == "kick"
-    ]
-    assert all(s.var_x >= 0.5 for s in kicks_before_last)
+    *before_last, last = fold_plan(plan, params)
+    assert len(before_last) == plan.pulses - 1
+    assert all(s.var_x >= 0.5 for s in before_last)
+    assert (last.var_x < 0.5) == (plan.pulses < MAX_PULSES)
 
 
 def _jitter(delta_tau, observable="var_x"):

@@ -6,14 +6,16 @@ no tolerance here absorbs a modelling error.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadkick import (
     Free,
     GaussianState,
+    InvariantViolation,
     Kick,
     PhysicalParams,
     PulseSchedule,
@@ -25,12 +27,14 @@ from quadkick import (
     effective_stiffness,
     free_matrix,
     kick_matrix,
+    min_pulses,
     optimal_kick_duration,
     propagate,
     ripple_report,
     thermal_state,
     two_pulse_variance,
 )
+from quadkick.planner import MAX_PULSES
 
 OMEGA_M = 1e6
 
@@ -137,3 +141,45 @@ def test_bath_thermal_state_is_fixed(gamma, tau, n_env):
     assert after.var_p == pytest.approx(bath.var_p, rel=1e-12, abs=0.0)
     assert after.var_x == pytest.approx(bath.var_x, rel=1e-12, abs=0.0)
     assert (after.mean, after.cross) == ((0.0, 0.0), 0.0)
+
+
+def decades(lo, hi):
+    """Floats spread evenly over the decades 10**lo … 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def cells(draw):
+    """Planner cells over the ranges of a dissipative sweep, n_p down to 1e6."""
+    return PhysicalParams(
+        n_p=draw(decades(6, 12)), T=draw(decades(-6, 1)),
+        gamma=draw(decades(-3, 5)), g=draw(decades(-5, -3)),
+    )
+
+
+@DERANDOMIZED
+@given(params=cells(), include_dissipation=st.booleans())
+def test_pulse_count_is_the_first_kick_below_vacuum(params, include_dissipation):
+    # the fold of the plan is an independent oracle for the recurrence's count
+    plan = min_pulses(params, include_dissipation=include_dissipation)
+    try:
+        folded = apply_schedule(thermal_state(params.occupancy()), plan.schedule, params)
+    except InvariantViolation:
+        assume(False)  # the fold cancels det(cov) to 0 on some unreachable cells
+    kicks = [s for seg, (_, s) in zip(plan.schedule.segments, folded[1:]) if seg.kind == "kick"]
+    assert len(kicks) == plan.pulses
+    assert all(s.var_x >= 0.5 for s in kicks[:-1])
+    assert kicks[-1].var_x < 0.5 or plan.pulses == MAX_PULSES
+
+
+@DERANDOMIZED
+@given(params=cells(), include_dissipation=st.booleans(), hotter=decades(-6, 1),
+       brighter=decades(6, 12))
+def test_pulse_count_is_monotone(params, include_dissipation, hotter, brighter):
+    # a hotter start and bath never need fewer kicks, a brighter pulse never more
+    def count(**change):
+        return min_pulses(replace(params, **change), include_dissipation).pulses
+
+    base = count()
+    assert count(T=max(params.T, hotter)) >= base
+    assert count(n_p=max(params.n_p, brighter)) <= base

@@ -83,10 +83,24 @@ class TestReadoutConfig:
         with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
             default_readout_config(kappa=1e7, coupling=0.0, omega_m=OMEGA_M)
 
-    @pytest.mark.parametrize("omega_m", [0.0, -1e6])
+    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan])
     def test_default_needs_positive_omega_m(self, omega_m):
         with pytest.raises(ParameterError, match="omega_m must be positive"):
             default_readout_config(kappa=1e7, coupling=1e-4, omega_m=omega_m)
+
+    @pytest.mark.parametrize(
+        "kappa, omega_m, message",
+        [
+            (math.nan, OMEGA_M, "kappa must be positive and finite, got nan"),
+            (1e7, 1e-320, "overflows at kappa = 10000000.0, omega_m = 1e-320"),
+            (1e-320, OMEGA_M, "overflows at kappa = 1e-320, omega_m = 1000000.0"),
+        ],
+    )
+    def test_default_names_the_bad_input(self, kappa, omega_m, message):
+        # the probe window SETTLE_FACTOR/kappa + N_PERIODS*pi/omega_m is derived:
+        # an error about it names the inputs, not the field t_end
+        with pytest.raises(ParameterError, match=message):
+            default_readout_config(kappa=kappa, coupling=1e-4, omega_m=omega_m)
 
     def test_tiny_coupling_calibration_rejected(self):
         with pytest.raises(ParameterError, match=r"calibration kappa/\(2g\) = inf"):
@@ -360,6 +374,13 @@ class TestRippleReport:
         assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(1.6, rel=1e-7)
         snapshot = integrate_langevin(cfg, lambda t: 0.314)
         assert analyze_trace(snapshot, cfg, OMEGA_M).dc_shift == pytest.approx(0.314, rel=1e-7)
+
+    @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
+    def test_ripple_report_blames_omega_m(self, omega_m):
+        # not the coupling: the x² of a free evolution at a bad omega_m is nan
+        cfg = reference_config(context_frequency=2.0 * OMEGA_M)
+        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
+            ripple_report(cfg, thermal_state(13.0), omega_m)
 
     @pytest.mark.parametrize("omega_m", [0.0, math.nan, math.inf])
     def test_omega_m_must_be_positive_and_finite(self, omega_m):

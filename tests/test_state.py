@@ -262,6 +262,11 @@ class TestFreeX2Expectation:
                 free_x2_expectation(state, omega, t + period), rel=1e-10
             )
 
+    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan, math.inf])
+    def test_omega_m_must_be_positive_and_finite(self, omega_m):
+        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
+            free_x2_expectation(thermal_state(1.0), omega_m, 0.0)
+
     def test_isotropic_state_rotation_invariant(self):
         state = thermal_state(7.0)
         for tau in (0.0, 1.3e-7, 2.2e-6, 5e-5):
