@@ -221,7 +221,7 @@ def _state_from_simulation(ref: str) -> GaussianState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read simulation output {path!r}: {exc}")
     try:
         if text.lstrip().startswith(("[", "{")):
@@ -233,7 +233,8 @@ def _state_from_simulation(ref: str) -> GaussianState:
             header = lines[0].split(",")
             cells = lines[1:][row].split(",")
             moments = {k: float(cells[header.index(k)]) for k in ("var_p", "var_x", "cross")}
-    except (IndexError, KeyError, ValueError) as exc:
+    # a row that is not an object, a null or huge moment, or JSON nested too deep
+    except (IndexError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ParameterError(f"cannot extract row {row} from {path!r}: {exc}")
     try:
         return GaussianState(**moments)
@@ -251,7 +252,7 @@ def _cmd_readout(args) -> str:
         kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
     )
     if args.free_evolution == "on":
-        x2_of_t = lambda t: free_x2_expectation(state, params.omega_m, t - cfg.t_start)
+        x2_of_t = lambda t: free_x2_expectation(state, params.omega_m, t)
     else:
         # snapshot probe: x² held at the state's position variance
         x2_of_t = lambda t: state.var_x

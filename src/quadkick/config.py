@@ -53,6 +53,6 @@ def load_config(path: str | None) -> PhysicalParams:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}")
     return parse_config(text)

@@ -1,19 +1,20 @@
 """Weak-probe readout of the oscillator's position variance.
 
-The cavity amplitude obeys dc/dt = -(kappa + i·detuning + g·x²(t))·c + drive.
-In the large-kappa regime the output intensity tracks x²(t) instantaneously
-and the mean intensity falls by (2g/kappa)·⟨x²⟩ of the baseline; the module
-provides both that closed form and a brute-force fixed-step RK4 integration
-of the amplitude equation that validates it and quantifies the residual
-ripple at twice the mechanical frequency.
+The probe is resonant: the cavity amplitude obeys
+dc/dt = -(kappa + g·x²(t))·c + drive, switched on at t = 0.  In the
+large-kappa regime the output intensity tracks x²(t) instantaneously and the
+mean intensity falls by (2g/kappa)·⟨x²⟩ of the baseline; the module provides
+both that closed form and a brute-force fixed-step RK4 integration of the
+amplitude equation that validates it and quantifies the residual ripple at
+twice the mechanical frequency.
 
-The integration runs in the deviation u = c/c0 - 1 from the uncoupled steady
-field c0 = drive/(kappa + i·detuning), so the tiny shift is carried by u
-itself rather than left as the difference of two nearly equal intensities.
-Each RK4 step of du/dt = -(kappa + i·detuning + g·x²)·u - g·x² is exactly
-u' = a·u + b; the a and b of all steps are built with numpy and the
-recurrence is solved as a blocked prefix scan (G. Blelloch, "Prefix sums and
-their applications", CMU-CS-90-190, 1990).
+The integration runs in the real deviation u = c/c0 - 1 from the uncoupled
+steady field c0 = drive/kappa, so the tiny shift is carried by u itself
+rather than left as the difference of two nearly equal intensities.  Each
+RK4 step of du/dt = -(kappa + g·x²)·u - g·x² is exactly u' = a·u + b; the a
+and b of all steps are built with numpy and the recurrence is solved as a
+blocked prefix scan (G. Blelloch, "Prefix sums and their applications",
+CMU-CS-90-190, 1990).
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from .state import GaussianState, free_x2_expectation
 # is allocated.
 MAX_STEPS = 10**7
 # Steps whose step coefficients are held as numpy arrays at one time, which
-# keeps the complex temporaries of a long trace small.
+# keeps the temporaries of a long trace small.
 CHUNK_STEPS = 8192
 # Steps of one run of the scan: the running product of the step factors a,
 # each about e^(-h·kappa) >= e^(-1/10), stays far from underflow over a run.
 RUN_STEPS = 64
-# The fixed probe of ``default_readout_config``: a resonant drive, a settle of
-# SETTLE_FACTOR/kappa, then N_PERIODS modulation periods π/omega_m.
+# The fixed probe: a resonant drive of DRIVE_AMPLITUDE switched on at t = 0, a
+# settle of SETTLE_FACTOR/kappa, then (``default_readout_config``) N_PERIODS
+# modulation periods π/omega_m.
 DRIVE_AMPLITUDE = 1e5   # s^-1
 SETTLE_FACTOR = 40.0
 N_PERIODS = 16
@@ -45,7 +47,7 @@ N_PERIODS = 16
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Probe drive, cavity, and integration-grid settings.
+    """Cavity and integration-grid settings of the resonant probe, run from 0 to ``t_end``.
 
     ``context_frequency`` is the fastest angular frequency present in the
     x²(t) signal being probed (2·omega_m for a freely evolving state, 0 for
@@ -55,11 +57,8 @@ class ReadoutConfig:
     intensity shift that carries ⟨x²⟩ exists only through it.
     """
 
-    drive_amplitude: float   # s^-1
-    detuning: float          # omega_c - omega_p, rad/s
     kappa: float             # s^-1
     coupling: float          # quadratic coupling g, s^-1
-    t_start: float
     t_end: float
     dt: float
     context_frequency: float = 0.0
@@ -73,15 +72,15 @@ class ReadoutConfig:
             raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
         if self.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not self.t_end > self.t_start:
-            raise ParameterError("t_end must exceed t_start")
+        if not self.t_end > 0.0:
+            raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
         limit = 1.0 / (20.0 * max(self.kappa, self.context_frequency))
         if self.dt > limit * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt = {self.dt!r} too coarse: must be <= {limit!r} "
                 "(20 points per fastest timescale)"
             )
-        steps = (self.t_end - self.t_start) / self.dt
+        steps = self.t_end / self.dt
         if not steps <= MAX_STEPS:
             need = math.ceil(steps - 1e-9) if math.isfinite(steps) else steps
             raise ParameterError(
@@ -99,8 +98,8 @@ class ReadoutConfig:
 
     @property
     def n_steps(self) -> int:
-        """Number of RK4 steps covering [t_start, t_end] at no more than ``dt`` each."""
-        return max(1, math.ceil((self.t_end - self.t_start) / self.dt - 1e-9))
+        """Number of RK4 steps covering [0, t_end] at no more than ``dt`` each."""
+        return max(1, math.ceil(self.t_end / self.dt - 1e-9))
 
 
 class ReadoutTrace(NamedTuple):
@@ -128,15 +127,15 @@ class RippleReport(NamedTuple):
 
 
 def baseline_intensity(config: ReadoutConfig) -> float:
-    """Reference intensity |drive/(kappa + i·detuning)|² of the steady uncoupled field."""
-    return abs(config.drive_amplitude / complex(config.kappa, config.detuning)) ** 2
+    """Reference intensity (drive/kappa)² of the steady uncoupled field."""
+    return (DRIVE_AMPLITUDE / config.kappa) ** 2
 
 
 def adiabatic_intensity(x2: float, config: ReadoutConfig) -> float:
     """Steady output intensity to first order: I0·(1 - (2g/kappa)·x²).
 
-    The coupling g·x² adds to the cavity damping, so the steady intensity
-    I0·(kappa² + detuning²)/((kappa + g·x²)² + detuning²) lies below I0.
+    The coupling g·x² adds to the cavity damping of the resonant probe, so
+    the steady intensity I0·kappa²/(kappa + g·x²)² lies below I0.
     """
     return baseline_intensity(config) * (1.0 - 2.0 * config.coupling / config.kappa * x2)
 
@@ -153,16 +152,16 @@ def infer_x2(intensity: float, baseline: float, g: float, kappa: float) -> float
 
 
 def _step_coefficients(
-    s1: np.ndarray, s2: np.ndarray, s4: np.ndarray, pole: complex, h: float
+    s1: np.ndarray, s2: np.ndarray, s4: np.ndarray, kappa: float, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of each RK4 step u' = a·u + b of du/dt = (s - pole)·u + s.
+    """a and b of each RK4 step u' = a·u + b of du/dt = (s - kappa)·u + s.
 
     ``s1``, ``s2`` and ``s4`` hold s = -g·x² at the start, the middle and
     the end of each step.  The RK4 stages are linear in u: the stages of
     u = 1 without the source give a, those of u = 0 give b.
     """
     half = 0.5 * h
-    r1, r2, r4 = s1 - pole, s2 - pole, s4 - pole
+    r1, r2, r4 = s1 - kappa, s2 - kappa, s4 - kappa
     a2 = r2 * (1.0 + half * r1)
     a3 = r2 * (1.0 + half * a2)
     a4 = r4 * (1.0 + h * a3)
@@ -173,7 +172,7 @@ def _step_coefficients(
     return 1.0 + sixth * (r1 + 2.0 * a2 + 2.0 * a3 + a4), sixth * (s1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
-def _scan(a: np.ndarray, b: np.ndarray, u0: complex) -> np.ndarray:
+def _scan(a: np.ndarray, b: np.ndarray, u0: float) -> np.ndarray:
     """u_1 … u_n of the recurrence u_{k+1} = a_k·u_k + b_k from u_0 = ``u0``.
 
     Inside each run of RUN_STEPS steps, u_{k+1} = P_k·(u_start + Σ_{j<=k} b_j/P_j)
@@ -186,7 +185,8 @@ def _scan(a: np.ndarray, b: np.ndarray, u0: complex) -> np.ndarray:
         a = np.concatenate((a, np.ones(pad)))
         b = np.concatenate((b, np.zeros(pad)))
     prod = np.cumprod(a.reshape(-1, RUN_STEPS), axis=1)
-    acc = np.cumsum(b.reshape(-1, RUN_STEPS) / prod, axis=1)
+    # b·(1/P), not b/P: the two round differently, and the trace goldens hold b·(1/P)
+    acc = np.cumsum(b.reshape(-1, RUN_STEPS) * (1.0 / prod), axis=1)
     starts = []
     u = u0
     for p, s in zip(prod[:, -1].tolist(), acc[:, -1].tolist()):
@@ -200,14 +200,14 @@ def integrate_langevin(
 ) -> ReadoutTrace:
     """Integrate the cavity amplitude equation with a fixed-step RK4 scheme.
 
-    dc/dt = -(kappa + i·detuning + g·x²(t))·c + drive, starting from an
-    empty cavity at t_start, integrated as the deviation u = c/c0 - 1 from
-    the uncoupled steady field (u = -1 at t_start).  ``x2_of_t`` is called
+    dc/dt = -(kappa + g·x²(t))·c + drive, starting from an empty cavity at
+    t = 0, integrated as the real deviation u = c/c0 - 1 from the uncoupled
+    steady field c0 = drive/kappa (u = -1 at t = 0).  ``x2_of_t`` is called
     once for each of the three RK4 stage grids, with the numpy array of
     times t_k, t_k + h/2 and t_k + h (k = 0 … n_steps - 1); it returns x²
     there as an array or as a scalar that holds for every time.  The trace's
     ``inferred_x2`` column is the literal steady-state expansion
-    (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·Re u + |u|² without
+    (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·u + u² without
     cancellation.  Deterministic given the config.
 
     Raises ``ParameterError`` when the step does not resolve the coupling
@@ -215,10 +215,9 @@ def integrate_langevin(
     and when any trace value is not finite.
     """
     n_steps = config.n_steps
-    h = (config.t_end - config.t_start) / n_steps
-    pole = complex(config.kappa, config.detuning)
+    h = config.t_end / n_steps
     g = config.coupling
-    times = config.t_start + np.arange(n_steps + 1) * h
+    times = np.arange(n_steps + 1) * h
     t_k = times[:-1]
     x2_grids = [
         np.broadcast_to(np.asarray(x2_of_t(t), dtype=float), t.shape)
@@ -228,19 +227,18 @@ def integrate_langevin(
     if not rate <= 0.05:
         raise ParameterError(f"step too coarse for the coupling: h*g*max(x^2) = {rate!r} > 1/20")
 
-    # I/I0 = |1 + u|², and I/I0 - 1 = 2·Re u + |u|² keeps the digits of a small u
+    # I/I0 = (1 + u)², and I/I0 - 1 = 2·u + u² keeps the digits of a small u
     intensity = np.empty(n_steps + 1)
     shift = np.empty(n_steps + 1)
     intensity[0], shift[0] = 0.0, -1.0
-    u = -1.0 + 0.0j
+    u = -1.0
     for start in range(0, n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, n_steps)
-        a, b = _step_coefficients(*(-g * x2[start:stop] for x2 in x2_grids), pole, h)
+        a, b = _step_coefficients(*(-g * x2[start:stop] for x2 in x2_grids), config.kappa, h)
         block = _scan(a, b, u)
-        u = complex(block[-1])
-        re, im = block.real, block.imag
-        intensity[start + 1 : stop + 1] = (1.0 + re) ** 2 + im * im
-        shift[start + 1 : stop + 1] = 2.0 * re + (re * re + im * im)
+        u = float(block[-1])
+        intensity[start + 1 : stop + 1] = (1.0 + block) ** 2
+        shift[start + 1 : stop + 1] = 2.0 * block + block * block
 
     i0 = baseline_intensity(config)
     intensity *= i0
@@ -264,7 +262,7 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     if not 0.0 < omega_m < math.inf:
         raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     period = math.pi / omega_m
-    settle = config.t_start + SETTLE_FACTOR / config.kappa
+    settle = SETTLE_FACTOR / config.kappa
     periods = math.floor((config.t_end - settle) / period + 1e-9)
     if periods < 1:
         raise ParameterError(
@@ -299,9 +297,7 @@ def ripple_report(config: ReadoutConfig, state: GaussianState, omega_m: float) -
     evolution from the probe switch-on, then extracts the mean shift (as
     inferred ⟨x²⟩) and the relative 2·omega_m ripple of the steady trace.
     """
-    trace = integrate_langevin(
-        config, lambda t: free_x2_expectation(state, omega_m, t - config.t_start)
-    )
+    trace = integrate_langevin(config, lambda t: free_x2_expectation(state, omega_m, t))
     return analyze_trace(trace, config, omega_m)
 
 
@@ -323,11 +319,8 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
         )
     context = 2.0 * omega_m
     return ReadoutConfig(
-        drive_amplitude=DRIVE_AMPLITUDE,
-        detuning=0.0,
         kappa=kappa,
         coupling=coupling,
-        t_start=0.0,
         t_end=t_end,
         dt=1.0 / (20.0 * max(kappa, context)),
         context_frequency=context,

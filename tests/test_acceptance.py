@@ -165,8 +165,8 @@ def test_criterion_08_thermal_channel_fixed_point():
 
 def test_criterion_09_readout_magnitude():
     cfg = ReadoutConfig(
-        drive_amplitude=1e5, detuning=0.0, kappa=1e7, coupling=1e-4,
-        t_start=0.0, t_end=5e-6, dt=5e-9,
+        kappa=1e7, coupling=1e-4,
+        t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.5, 13.5, 138.5):
         trace = integrate_langevin(cfg, lambda t: x2)
@@ -176,8 +176,8 @@ def test_criterion_09_readout_magnitude():
     # algebraic inversion: exercised at an order-one fractional shift, where
     # the identity is not drowned by float cancellation
     strong = ReadoutConfig(
-        drive_amplitude=1e5, detuning=0.0, kappa=1e7, coupling=1e6,
-        t_start=0.0, t_end=5e-6, dt=5e-9,
+        kappa=1e7, coupling=1e6,
+        t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.1, 1.0, 10.0, 100.0, 1e3):
         back = infer_x2(

@@ -6,7 +6,9 @@ exit 0, 2 or 4; a failing run writes exactly one ``error:`` line and no
 traceback; a successful run writes strict JSON (no NaN or Infinity).
 A second test feeds text drawn from the grammars' own alphabet through the
 ``--schedule=``, ``--axis=`` and config-file channels under the same contract.
-``readout`` is covered by explicit cases in ``test_cli.py`` instead: a
+A third writes drawn bytes (raw, UTF-8 text or JSON) as a config file and as
+the ``readout --from-simulation`` input: each run exits 0 or 2.
+``readout`` is otherwise covered by explicit cases in ``test_cli.py``: a
 drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
 """
 
@@ -37,6 +39,17 @@ ALPHABET = (
     + ("delta_tau",)
 )
 TEXT = st.lists(st.sampled_from(ALPHABET), max_size=12).map("".join)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("var_p", "var_x", "cross")) | st.text(max_size=4), inner),
+    max_leaves=8,
+)
+FILE_BYTES = (
+    st.binary(max_size=64)
+    | st.text(max_size=64).map(str.encode)
+    | JSON.map(lambda v: json.dumps(v).encode())
+)
 TOKEN = st.tuples(st.sampled_from(("kick", "free", "diss")), st.none() | VALUE).map(
     lambda t: t[0] if t[1] is None else f"{t[0]}:{t[1]!r}"
 )
@@ -62,6 +75,7 @@ def check_contract(argv):
         assert "Traceback" not in err
     else:
         json.loads(out, parse_constant=_reject_constant)
+    return code
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -96,3 +110,15 @@ def test_argv_text_contract(tmp_path_factory, schedule, axis, config_lines):
     check_contract(["simulate", f"--schedule={schedule}", "--format", "json"])
     check_contract(["sweep", f"--axis={axis}", "--format", "json"])
     check_contract(["constants", "--config", str(config), "--format", "json"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=FILE_BYTES)
+def test_input_file_bytes_contract(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "input.dat"
+    path.write_bytes(data)
+    for argv in (
+        ["constants", "--config", str(path), "--format", "json"],
+        ["readout", "--from-simulation", str(path), "--format", "json"],
+    ):
+        assert check_contract(argv) in (0, 2), (data, argv)

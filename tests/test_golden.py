@@ -9,7 +9,8 @@ Regenerate the files (only when an output change is intended and explained)
 with ``PYTHONPATH=src python tests/test_golden.py``.
 
 ``ERRORS`` pins the failing runs: each entry is the files to write into a
-scratch working directory, the argv, the exit code and the exact stderr.
+scratch working directory (text, or bytes written as they are), the argv, the
+exit code and the exact stderr.
 Paths in argv are relative, so no temporary directory reaches a message.
 """
 
@@ -59,6 +60,7 @@ CASES = {
 
 SIM_CSV = "index,var_p,var_x,cross\n0,1.5,1.5,0.0\n"
 BAD_STATE_CSV = "index,var_p,var_x,cross\n0,0.1,0.1,0.0\n"
+NOT_UTF8 = b"g = 1e-4 \xff\n"
 
 # name -> (files, argv, exit code, stderr)
 ERRORS = {
@@ -145,6 +147,36 @@ ERRORS = {
         {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:5"], 2,
         "error: cannot extract row 5 from 'sim.csv': list index out of range\n",
     ),
+    "from_simulation_row_not_object": (
+        {"sim.json": "[1]"}, ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': 'int' object is not subscriptable\n",
+    ),
+    "from_simulation_null_moment": (
+        {"sim.json": '[{"var_p": null, "var_x": 1, "cross": 0}]'},
+        ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': "
+        "float() argument must be a string or a real number, not 'NoneType'\n",
+    ),
+    "from_simulation_huge_moment": (
+        {"sim.json": '[{"var_p": 1' + "0" * 400 + ', "var_x": 1, "cross": 0}]'},
+        ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': int too large to convert to float\n",
+    ),
+    "from_simulation_deep_json": (
+        {"sim.json": "[" * 100000}, ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': "
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string\n",
+    ),
+    "from_simulation_not_utf8": (
+        {"sim.csv": NOT_UTF8}, ["readout", "--from-simulation", "sim.csv"], 2,
+        "error: cannot read simulation output 'sim.csv': "
+        "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n",
+    ),
+    "config_not_utf8": (
+        {"c.cfg": NOT_UTF8}, ["constants", "--config", "c.cfg"], 2,
+        "error: cannot read config 'c.cfg': "
+        "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n",
+    ),
     "from_simulation_invalid_state": (
         {"sim.csv": BAD_STATE_CSV}, ["readout", "--from-simulation", "sim.csv"], 2,
         "error: row -1 of 'sim.csv' is not a valid state: covariance violates the "
@@ -196,8 +228,11 @@ ERRORS = {
 
 def run_error(files: dict, argv: list[str], cwd: Path, capsys) -> tuple[int, str, str]:
     """Run one failing command in ``cwd``; return (exit code, stdout, stderr)."""
-    for name, text in files.items():
-        (cwd / name).write_text(text)
+    for name, data in files.items():
+        if isinstance(data, bytes):
+            (cwd / name).write_bytes(data)
+        else:
+            (cwd / name).write_text(data)
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err

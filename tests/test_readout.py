@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,11 +25,8 @@ OMEGA_M = 1e6
 
 def reference_config(**overrides):
     settings = dict(
-        drive_amplitude=1e5,
-        detuning=0.0,
         kappa=1e7,
         coupling=1e-4,
-        t_start=0.0,
         t_end=5e-6,   # 50 cavity lifetimes
         dt=5e-9,
     )
@@ -47,8 +45,9 @@ class TestReadoutConfig:
             reference_config(kappa=1e5, dt=5e-7, context_frequency=2 * OMEGA_M)
 
     def test_time_window(self):
-        with pytest.raises(ParameterError):
-            reference_config(t_end=0.0)
+        for t_end in (0.0, -5e-6):
+            with pytest.raises(ParameterError, match="t_end must be positive"):
+                reference_config(t_end=t_end)
 
     def test_positive_rates(self):
         with pytest.raises(ParameterError):
@@ -62,9 +61,6 @@ class TestReadoutConfig:
             ("kappa", math.nan),
             ("coupling", math.inf),
             ("dt", math.nan),
-            ("drive_amplitude", math.inf),
-            ("detuning", math.nan),
-            ("t_start", -math.inf),
             ("t_end", math.inf),
             ("context_frequency", math.nan),
         ],
@@ -112,7 +108,10 @@ class TestReadoutConfig:
 
     def test_default_is_the_fixed_probe(self):
         cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        assert (cfg.drive_amplitude, cfg.detuning, cfg.t_start) == (DRIVE_AMPLITUDE, 0.0, 0.0)
+        assert [f.name for f in fields(cfg)] == [
+            "kappa", "coupling", "t_end", "dt", "context_frequency"
+        ]
+        assert baseline_intensity(cfg) == (DRIVE_AMPLITUDE / 1e7) ** 2
         assert cfg.t_end == SETTLE_FACTOR / 1e7 + N_PERIODS * math.pi / OMEGA_M
         assert cfg.dt == 1.0 / (20.0 * 1e7)
         assert cfg.context_frequency == 2 * OMEGA_M
@@ -185,14 +184,14 @@ class TestIntegrateLangevin:
         trace = integrate_langevin(cfg, lambda t: 13.5)
         assert len(trace.times) == len(trace.intensity) == len(trace.inferred_x2)
         assert np.all(trace.intensity >= 0.0)
-        assert trace.times[0] == cfg.t_start
+        assert trace.times[0] == 0.0
         assert trace.times[-1] == pytest.approx(cfg.t_end, rel=1e-12)
 
     @pytest.mark.parametrize("x2", [0.5, 13.5, 138.5])
     def test_constant_x2_steady_state(self, x2):
         cfg = reference_config()
         trace = integrate_langevin(cfg, lambda t: x2)
-        closed_form = (cfg.drive_amplitude / (cfg.kappa + cfg.coupling * x2)) ** 2
+        closed_form = (DRIVE_AMPLITUDE / (cfg.kappa + cfg.coupling * x2)) ** 2
         assert trace.intensity[-1] == pytest.approx(closed_form, rel=1e-10)
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
         assert shift == pytest.approx(2 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
@@ -243,53 +242,49 @@ class TestIntegrateLangevin:
 def per_step_rk4(config, x2_of_t, rate, y0):
     """The per-step RK4 loop of dy/dt = rate(y, g·x²(t)) from y0, evaluating
     x²(t) at every stage of every step; returns the times and y after each step."""
-    span = config.t_end - config.t_start
-    n_steps = max(1, math.ceil(span / config.dt - 1e-9))
-    h = span / n_steps
+    n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-9))
+    h = config.t_end / n_steps
 
     def deriv(t, y):
         return rate(y, config.coupling * float(x2_of_t(t)))
 
     y, ys = y0, [y0]
     for k in range(n_steps):
-        t = config.t_start + k * h
+        t = k * h
         k1 = deriv(t, y)
         k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = deriv(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ys.append(y)
-    return np.array([config.t_start + k * h for k in range(n_steps + 1)]), np.array(ys)
+    return np.array([k * h for k in range(n_steps + 1)]), np.array(ys)
 
 
 def deviation_loop(config, x2_of_t):
-    """Sequential RK4 of du/dt = -(pole + g·x²)·u - g·x² from u = -1."""
-    pole = complex(config.kappa, config.detuning)
-    return per_step_rk4(config, x2_of_t, lambda u, gx2: -(pole + gx2) * u - gx2, -1.0 + 0.0j)
+    """Sequential RK4 of du/dt = -(kappa + g·x²)·u - g·x² from u = -1."""
+    return per_step_rk4(config, x2_of_t, lambda u, gx2: -(config.kappa + gx2) * u - gx2, -1.0)
 
 
 def amplitude_loop(config, x2_of_t):
-    """Sequential RK4 of the amplitude itself, dc/dt = -(pole + g·x²)·c + drive, from c = 0."""
-    pole, drive = complex(config.kappa, config.detuning), complex(config.drive_amplitude)
-    return per_step_rk4(config, x2_of_t, lambda c, gx2: -(pole + gx2) * c + drive, 0.0j)
+    """Sequential RK4 of the amplitude itself, dc/dt = -(kappa + g·x²)·c + drive, from c = 0."""
+    rate = lambda c, gx2: -(config.kappa + gx2) * c + DRIVE_AMPLITUDE
+    return per_step_rk4(config, x2_of_t, rate, 0.0)
 
 
 SQUEEZED = GaussianState(mean=(0.3, -1.2), var_p=275.1, var_x=0.624, cross=3.1)
 
 
-def free_x2(cfg):
-    return lambda t: free_x2_expectation(SQUEEZED, OMEGA_M, t - cfg.t_start)
+def free_x2(t):
+    return free_x2_expectation(SQUEEZED, OMEGA_M, t)
 
 
 ORACLE_CASES = pytest.mark.parametrize(
     "overrides, free",
     [
         ({}, False),
-        ({"t_start": 2.5e-6, "t_end": 7.5e-6}, True),
-        ({"detuning": 3e6}, True),
         ({"t_end": 5.1e-5}, True),  # 10,200 steps: more than one chunk
     ],
-    ids=["constant", "free_t_start", "detuning", "multi_chunk"],
+    ids=["constant", "multi_chunk"],
 )
 
 
@@ -303,15 +298,14 @@ class TestIntegratorOracle:
         # the scan reorders the arithmetic of the sequential deviation loop:
         # equal to a few units of 1e-16, relative to each value
         cfg = oracle_config(overrides)
-        x2_of_t = free_x2(cfg) if free else (lambda t: 13.5)
+        x2_of_t = free_x2 if free else (lambda t: 13.5)
         times, u = deviation_loop(cfg, x2_of_t)
         trace = integrate_langevin(cfg, x2_of_t)
         assert np.array_equal(trace.times, times)
-        intensity = trace.baseline * np.abs(1.0 + u) ** 2
+        intensity = trace.baseline * (1.0 + u) ** 2
         assert np.allclose(trace.intensity, intensity, rtol=1e-14, atol=0.0)
-        if cfg.coupling > 0.0:
-            inferred = -(2.0 * u.real + np.abs(u) ** 2) * cfg.kappa / (2.0 * cfg.coupling)
-            assert np.allclose(trace.inferred_x2, inferred, rtol=1e-14, atol=0.0)
+        inferred = -(2.0 * u + u * u) * cfg.kappa / (2.0 * cfg.coupling)
+        assert np.allclose(trace.inferred_x2, inferred, rtol=1e-14, atol=0.0)
 
     @ORACLE_CASES
     def test_amplitude_loop_agrees_within_its_cancellation(self, overrides, free):
@@ -319,11 +313,11 @@ class TestIntegratorOracle:
         # I/I0 - 1 only to a few units of eps absolute (its inferred x² to
         # eps·kappa/(2g)): the two intensities agree to that, not better
         cfg = oracle_config(overrides)
-        x2_of_t = free_x2(cfg) if free else (lambda t: 13.5)
+        x2_of_t = free_x2 if free else (lambda t: 13.5)
         _, c = amplitude_loop(cfg, x2_of_t)
         trace = integrate_langevin(cfg, x2_of_t)
         tolerance = 64 * np.finfo(float).eps * trace.baseline
-        assert np.max(np.abs(np.abs(c) ** 2 - trace.intensity)) <= tolerance
+        assert np.max(np.abs(c**2 - trace.intensity)) <= tolerance
 
     def test_multi_chunk_case_spans_chunks(self):
         assert CHUNK_STEPS < reference_config(t_end=5.1e-5).n_steps < 2 * CHUNK_STEPS
@@ -337,10 +331,10 @@ class TestIntegratorOracle:
             return np.full(t.shape, 13.5)
 
         integrate_langevin(cfg, x2_of_t)
-        h = (cfg.t_end - cfg.t_start) / cfg.n_steps
+        h = cfg.t_end / cfg.n_steps
         assert len(calls) == 3
         assert all(t.shape == (cfg.n_steps,) for t in calls)
-        assert calls[0][0] == cfg.t_start
+        assert calls[0][0] == 0.0
         assert np.array_equal(calls[2], calls[0] + h)
 
 
