@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
+from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config, read_text
 from .errors import InvariantViolation, ParameterError
 from .kicks import (
     Dissipate,
@@ -161,8 +161,7 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
     return PulseSchedule(tuple(segments))
 
 
-def _cmd_constants(args) -> str:
-    params = load_config(args.config)
+def _cmd_constants(args, params: PhysicalParams) -> str:
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     rows = [(key, getattr(params, field)) for key, field in KEY_TO_FIELD.items()]
     rows += [
@@ -178,8 +177,7 @@ def _cmd_constants(args) -> str:
     return "key,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
 
 
-def _cmd_simulate(args) -> str:
-    params = load_config(args.config)
+def _cmd_simulate(args, params: PhysicalParams) -> str:
     schedule = parse_schedule(args.schedule, params, args.dissipation == "on")
     initial = thermal_state(params.occupancy())
     folded = apply_schedule(initial, schedule, params)
@@ -218,18 +216,14 @@ def _state_from_simulation(ref: str) -> GaussianState:
     head, sep, tail = ref.rpartition(":")
     if sep and tail.lstrip("-").isdigit():
         path, row = head, int(tail)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read simulation output {path!r}: {exc}")
+    text = read_text(path, "simulation output")
     try:
         if text.lstrip().startswith(("[", "{")):
             rows = json.loads(text)
             record = rows[row]
             moments = {k: float(record[k]) for k in ("var_p", "var_x", "cross")}
         else:
-            lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+            lines = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
             header = lines[0].split(",")
             cells = lines[1:][row].split(",")
             moments = {k: float(cells[header.index(k)]) for k in ("var_p", "var_x", "cross")}
@@ -245,8 +239,7 @@ def _state_from_simulation(ref: str) -> GaussianState:
 _JSON_TRACE_ROW = '    {\n      "t": %r,\n      "intensity": %r,\n      "inferred_x2": %r\n    }'
 
 
-def _cmd_readout(args) -> str:
-    params = load_config(args.config)
+def _cmd_readout(args, params: PhysicalParams) -> str:
     state = _state_from_args(args)
     cfg = default_readout_config(
         kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
@@ -291,8 +284,7 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(field, values)
 
 
-def _cmd_sweep(args) -> str:
-    params = load_config(args.config)
+def _cmd_sweep(args, params: PhysicalParams) -> str:
     axes = tuple(_parse_axis(a) for a in args.axis)
     spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
     cells = sweep(spec)
@@ -402,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command](args, load_config(args.config))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

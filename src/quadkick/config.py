@@ -25,7 +25,7 @@ def parse_config(text: str) -> PhysicalParams:
     Raises ParameterError with a line/field diagnostic on malformed input.
     """
     overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -46,13 +46,17 @@ def parse_config(text: str) -> PhysicalParams:
     return PhysicalParams(**overrides)
 
 
+def read_text(path: str, what: str) -> str:
+    r"""The UTF-8 text of an input file; split it at "\n" only, as editors count lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {what} {path!r}: {exc}")
+
+
 def load_config(path: str | None) -> PhysicalParams:
     """Read a config file, or return the built-in defaults when path is None."""
     if path is None:
         return PhysicalParams()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read config {path!r}: {exc}")
-    return parse_config(text)
+    return parse_config(read_text(path, "config"))

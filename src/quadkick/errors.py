@@ -10,13 +10,5 @@ class ParameterError(QuadkickError, ValueError):
 
 
 class InvariantViolation(QuadkickError):
-    """A runtime operation produced a state that breaks its invariants.
-
-    ``segment_index`` is set when the violation occurred while folding a
-    pulse schedule; it is the zero-based index of the failing segment.
-    """
-
-    def __init__(self, message, segment_index=None):
-        super().__init__(message)
-        self.segment_index = segment_index
+    """A runtime operation produced a state that breaks its invariants."""
 

@@ -222,8 +222,8 @@ def apply_schedule(
     Raises
     ------
     InvariantViolation
-        if a segment produces an invalid state; ``segment_index`` is the
-        zero-based index of the failing segment.
+        if a segment produces an invalid state; the message names the
+        zero-based index and kind of the failing segment.
     """
     n_env = params.occupancy()
     folded = [(0, state)]
@@ -239,8 +239,7 @@ def apply_schedule(
                 state = dissipate(state, params.gamma, seg.duration, n_env)
         except QuadkickError as exc:
             raise InvariantViolation(
-                f"segment {i} ({seg.kind}) produced an invalid state: {exc}",
-                segment_index=i,
+                f"segment {i} ({seg.kind}) produced an invalid state: {exc}"
             ) from exc
         folded.append((i + 1, state))
     return folded

@@ -49,11 +49,9 @@ N_PERIODS = 16
 class ReadoutConfig:
     """Cavity and integration-grid settings of the resonant probe, run from 0 to ``t_end``.
 
-    ``context_frequency`` is the fastest angular frequency present in the
-    x²(t) signal being probed (2·omega_m for a freely evolving state, 0 for
-    a constant signal); the step size must resolve both it and the cavity
-    relaxation with at least 20 points per characteristic time.  The
-    coupling must be positive with a finite calibration kappa/(2g): the
+    The step size must resolve the cavity relaxation with at least 20 points
+    per 1/kappa; ``default_readout_config`` also resolves the x²(t) signal.
+    The coupling must be positive with a finite calibration kappa/(2g): the
     intensity shift that carries ⟨x²⟩ exists only through it.
     """
 
@@ -61,7 +59,6 @@ class ReadoutConfig:
     coupling: float          # quadratic coupling g, s^-1
     t_end: float
     dt: float
-    context_frequency: float = 0.0
 
     def __post_init__(self):
         for field in fields(self):
@@ -74,7 +71,7 @@ class ReadoutConfig:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not self.t_end > 0.0:
             raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
-        limit = 1.0 / (20.0 * max(self.kappa, self.context_frequency))
+        limit = 1.0 / (20.0 * self.kappa)
         if self.dt > limit * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt = {self.dt!r} too coarse: must be <= {limit!r} "
@@ -317,11 +314,9 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
             f"probe window {SETTLE_FACTOR:g}/kappa + {N_PERIODS}*pi/omega_m overflows "
             f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
         )
-    context = 2.0 * omega_m
     return ReadoutConfig(
         kappa=kappa,
         coupling=coupling,
         t_end=t_end,
-        dt=1.0 / (20.0 * max(kappa, context)),
-        context_frequency=context,
+        dt=1.0 / (20.0 * max(kappa, 2.0 * omega_m)),
     )

@@ -12,6 +12,7 @@ import quadkick
 from quadkick import cli
 from quadkick.cli import main
 from quadkick.config import KEY_TO_FIELD, load_config
+from quadkick.errors import ParameterError
 from quadkick.kicks import PhysicalParams
 
 NBAR_100UK = 12.598398495684691623
@@ -95,6 +96,15 @@ class TestConstants:
         code, captured = run(["constants", "--config", str(cfg)], capsys)
         assert code == 2
         assert "line 2" in captured.err and "boost" in captured.err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_parse(self, tmp_path, end):
+        cfg = tmp_path / "dos.cfg"
+        cfg.write_bytes(f"T = 1e-3{end}g = 2e-4{end}".encode())
+        assert load_config(str(cfg)) == PhysicalParams(T=1e-3, g=2e-4)
+        cfg.write_bytes(f"T = 1e-3{end}boost = 3{end}".encode())
+        with pytest.raises(ParameterError, match="line 2: unknown key 'boost'"):
+            load_config(str(cfg))
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

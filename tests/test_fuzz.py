@@ -7,7 +7,8 @@ traceback; a successful run writes strict JSON (no NaN or Infinity).
 A second test feeds text drawn from the grammars' own alphabet through the
 ``--schedule=``, ``--axis=`` and config-file channels under the same contract.
 A third writes drawn bytes (raw, UTF-8 text or JSON) as a config file and as
-the ``readout --from-simulation`` input: each run exits 0 or 2.
+the ``readout --from-simulation`` input: each run exits 0 or 2, and a config
+error's line number is no larger than the file's line count.
 ``readout`` is otherwise covered by explicit cases in ``test_cli.py``: a
 drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
 """
@@ -15,6 +16,7 @@ drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
 import contextlib
 import io
 import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,7 +77,7 @@ def check_contract(argv):
         assert "Traceback" not in err
     else:
         json.loads(out, parse_constant=_reject_constant)
-    return code
+    return code, err
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -121,4 +123,10 @@ def test_input_file_bytes_contract(tmp_path_factory, data):
         ["constants", "--config", str(path), "--format", "json"],
         ["readout", "--from-simulation", str(path), "--format", "json"],
     ):
-        assert check_contract(argv) in (0, 2), (data, argv)
+        code, err = check_contract(argv)
+        assert code in (0, 2), (data, argv)
+        # a config error names a line of the file as open() reads it
+        line = re.match(r"error: line (\d+):", err)
+        if line:
+            with open(path, encoding="utf-8") as fh:
+                assert int(line[1]) <= len(fh.readlines()), (data, err)

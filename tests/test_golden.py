@@ -177,6 +177,17 @@ ERRORS = {
         "error: cannot read config 'c.cfg': "
         "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n",
     ),
+    # a form feed is no line end: the file has one line, and the cell holds '0\x0c2'
+    "config_form_feed": (
+        {"c.cfg": "g = 1e-4\x0cboost = 3"}, ["constants", "--config", "c.cfg"], 2,
+        "error: line 1: field g: cannot parse '1e-4\\x0cboost = 3' as a number\n",
+    ),
+    "from_simulation_form_feed": (
+        {"sim.csv": "var_p,var_x,cross\n1,1,0\x0c2,2,0\n"},
+        ["readout", "--from-simulation", "sim.csv"], 2,
+        "error: cannot extract row -1 from 'sim.csv': "
+        "could not convert string to float: '0\\x0c2'\n",
+    ),
     "from_simulation_invalid_state": (
         {"sim.csv": BAD_STATE_CSV}, ["readout", "--from-simulation", "sim.csv"], 2,
         "error: row -1 of 'sim.csv' is not a valid state: covariance violates the "

@@ -274,10 +274,8 @@ class TestApplySchedule:
         schedule = PulseSchedule(
             (Kick(t_big, n_p=1e300), Free(quarter_period(params.omega_m)), Kick(t_big, n_p=1e300))
         )
-        with pytest.raises(InvariantViolation) as excinfo:
+        with pytest.raises(InvariantViolation, match=r"segment 1 \(free\) produced an invalid state"):
             apply_schedule(thermal_state(138.0), schedule, params)
-        assert excinfo.value.segment_index is not None
-        assert str(excinfo.value.segment_index) in str(excinfo.value)
 
     def test_dissipation_segment_uses_bath_occupancy(self):
         params = PhysicalParams(T=1e-3)

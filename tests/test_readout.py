@@ -39,10 +39,10 @@ class TestReadoutConfig:
         with pytest.raises(ParameterError):
             reference_config(dt=1e-7)  # only 1 point per cavity lifetime
 
-    def test_context_frequency_tightens_bound(self):
-        reference_config(dt=5e-9, context_frequency=2 * OMEGA_M)  # kappa still dominates
-        with pytest.raises(ParameterError):
-            reference_config(kappa=1e5, dt=5e-7, context_frequency=2 * OMEGA_M)
+    def test_default_step_resolves_the_signal(self):
+        # 2·omega_m = 2e6 is faster than kappa = 1e5: the signal sets the step
+        cfg = default_readout_config(kappa=1e5, coupling=1e-4, omega_m=1e6)
+        assert cfg.dt == 1.0 / (20.0 * 2e6)
 
     def test_time_window(self):
         for t_end in (0.0, -5e-6):
@@ -62,7 +62,6 @@ class TestReadoutConfig:
             ("coupling", math.inf),
             ("dt", math.nan),
             ("t_end", math.inf),
-            ("context_frequency", math.nan),
         ],
     )
     def test_non_finite_field_rejected(self, field, value):
@@ -108,13 +107,10 @@ class TestReadoutConfig:
 
     def test_default_is_the_fixed_probe(self):
         cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        assert [f.name for f in fields(cfg)] == [
-            "kappa", "coupling", "t_end", "dt", "context_frequency"
-        ]
+        assert [f.name for f in fields(cfg)] == ["kappa", "coupling", "t_end", "dt"]
         assert baseline_intensity(cfg) == (DRIVE_AMPLITUDE / 1e7) ** 2
         assert cfg.t_end == SETTLE_FACTOR / 1e7 + N_PERIODS * math.pi / OMEGA_M
         assert cfg.dt == 1.0 / (20.0 * 1e7)
-        assert cfg.context_frequency == 2 * OMEGA_M
 
 
 class TestAdiabaticIntensity:
@@ -289,7 +285,7 @@ ORACLE_CASES = pytest.mark.parametrize(
 
 
 def oracle_config(overrides):
-    return reference_config(**{"context_frequency": 2 * OMEGA_M, "coupling": 1e4, **overrides})
+    return reference_config(**{"coupling": 1e4, **overrides})
 
 
 class TestIntegratorOracle:
@@ -372,7 +368,7 @@ class TestRippleReport:
     @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
     def test_ripple_report_blames_omega_m(self, omega_m):
         # not the coupling: the x² of a free evolution at a bad omega_m is nan
-        cfg = reference_config(context_frequency=2.0 * OMEGA_M)
+        cfg = reference_config()
         with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
             ripple_report(cfg, thermal_state(13.0), omega_m)
 
