@@ -69,13 +69,89 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
     )
 
 
+# Source bytes of a value in _repr_block: "000" and its 17 digits (words of
+# the _sci_tables quads), then these 16 bytes (4 words) of constants
+_REPR_CONST = ".-e+0123456789\0\0"
+
+
+def _repr_layout(digits: str, decpt: int) -> str:
+    """``repr``'s layout of the significant digits 0.ddd × 10**decpt."""
+    if -4 < decpt <= 16:
+        if decpt <= 0:
+            return "0." + "0" * -decpt + digits
+        if len(digits) <= decpt:
+            return digits + "0" * (decpt - len(digits)) + ".0"
+        return digits[:decpt] + "." + digits[decpt:]
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{mantissa}e{decpt - 1:+03d}"
+
+
+@functools.cache
+def _repr_tables() -> np.ndarray:
+    """Gather table of ``_repr_block``, built on first use like ``_sci_tables``.
+
+    Row ((exp - (16 - _MAX_POW))·17 + digits - 1)·2 + negative lists, for
+    each of the _SCI_WIDTH output bytes, its source byte.
+    """
+    letters = "ABCDEFGHIJKLMNOPQ"
+    source = {c: 3 + k for k, c in enumerate(letters)}
+    source.update((c, 20 + k) for k, c in enumerate(_REPR_CONST))
+    rows = [
+        [source[c] for c in (sign + _repr_layout(letters[:n], exp + 1)).ljust(_SCI_WIDTH, "\0")]
+        for exp in range(16 - _MAX_POW, 17)
+        for n in range(1, 18)
+        for sign in ("", "-")
+    ]
+    return np.array(rows, dtype=np.intp)
+
+
+def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The correctly rounded 17 significant digits of each value of ``x``.
+
+    Returns (N, r, exp, fast): |x| = (N + r)·10**(exp - 16), with N the
+    int64 in [1e16, 1e17) and r in [-0.5, 0.5] to within 0.0055. Where
+    ``fast`` is False (x outside [1e-11, 1e17), within 0.006 of a tie, or
+    every value where ``_FAST_SCI`` is False) N, r and exp are fillers.
+    """
+    pow10 = _sci_tables()[0]
+    fast = np.zeros(x.size, dtype=bool)
+    if not _FAST_SCI:
+        return np.full(x.size, 10**16), np.zeros(x.size), np.zeros(x.size, np.int64), fast
+    with np.errstate(all="ignore"):
+        mag = np.abs(x)
+        est = np.floor(np.log10(mag))
+        ok = (est >= 16 - _MAX_POW) & (est <= 16)
+        exp = np.where(ok, est, 0.0).astype(np.int64)
+        # mag·10**(16 - exp) to 64 bits is off by at most 1e17·2**-64 < 0.0055,
+        # so rint gives the correctly rounded 17 digits unless near a tie
+        scaled = mag * pow10[16 - exp]
+        nearest = np.rint(scaled)
+        r = (scaled - nearest).astype(np.float64)
+        # log10 can miss the decade next to a power of ten: such values,
+        # like near-ties, take the slow path
+        fast = ok & (scaled >= 1e16) & (nearest < 1e17) & (np.abs(r) < 0.494)
+    return np.where(fast, nearest, 1e16).astype(np.int64), r, exp, fast
+
+
+def _put_digits(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Write the last 16 of each value's 17 digits into ``words[:, 1:5]``, as
+    four 4-digit words; return the leading digit."""
+    quads = _sci_tables()[1]
+    lead, rest = np.divmod(digits, 10**16)
+    for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
+        quad, rest = np.divmod(rest, scale)
+        words[:, col] = quads[quad]
+    words[:, 4] = quads[rest]
+    return lead
+
+
 def _fmt_rows(*columns: np.ndarray) -> list[str]:
     """CSV rows of float columns, one string per block of rows; joined, they
     are the same bytes as joining ``_fmt`` of each value.
 
     Values in [1e-11, 1e17) are rounded to 17 digits with numpy, a block at
-    a time; the rest, and any value within 0.006 units of the 17th digit of
-    a tie, go through ``_fmt`` one by one.
+    a time (``_sci_digits``); the rest, and any value within 0.006 units of
+    the 17th digit of a tie, go through ``_fmt`` one by one.
     """
     table = np.column_stack(columns)
     return [
@@ -85,36 +161,16 @@ def _fmt_rows(*columns: np.ndarray) -> list[str]:
 
 
 def _fmt_block(x: np.ndarray) -> str:
-    pow10, quads, exps, heads, seps = _sci_tables()
+    exps, heads, seps = _sci_tables()[2:]
     n_rows, n_cols = x.shape
     x = x.ravel()
     # 28 bytes per value: [sign, NUL, lead digit, '.'], 16 digits, "e±XX", separator;
     # the fast path or the slow path below writes the first 24 of every slot
     words = np.empty((x.size, 7), dtype=np.uint32)
     words[:, 6] = np.tile(seps[[0] * (n_cols - 1) + [1]], n_rows)
-    fast = np.zeros(x.size, dtype=bool)
-    if _FAST_SCI:
-        with np.errstate(all="ignore"):
-            mag = np.abs(x)
-            est = np.floor(np.log10(mag))
-            ok = (est >= 16 - _MAX_POW) & (est <= 16)
-            exp = np.where(ok, est, 0.0).astype(np.int64)
-            # mag·10**(16 - exp) to 64 bits is off by at most 1e17·2**-64 < 0.0055,
-            # so rint gives the correctly rounded 17 digits unless near a tie
-            scaled = mag * pow10[16 - exp]
-            nearest = np.rint(scaled)
-            off = np.abs((scaled - nearest).astype(np.float64))
-            # log10 can miss the decade next to a power of ten: such values,
-            # like near-ties, take the slow path
-            fast = ok & (scaled >= 1e16) & (nearest < 1e17) & (off < 0.494)
-        digits = np.where(fast, nearest, 1e16).astype(np.int64)
-        lead, rest = np.divmod(digits, 10**16)
-        words[:, 0] = heads[lead + 10 * (x < 0)]
-        for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
-            quad, rest = np.divmod(rest, scale)
-            words[:, col] = quads[quad]
-        words[:, 4] = quads[rest]
-        words[:, 5] = exps[exp - (16 - _MAX_POW)]
+    digits, _, exp, fast = _sci_digits(x)
+    words[:, 0] = heads[_put_digits(words, digits) + 10 * (x < 0)]
+    words[:, 5] = exps[exp - (16 - _MAX_POW)]
     buf = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -123,6 +179,72 @@ def _fmt_block(x: np.ndarray) -> str:
             -1, _SCI_WIDTH
         )
     flat = buf.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _repr_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
+    """Rows ``parts[0] + repr(a) + parts[1] + repr(b) + … + parts[-1]`` of
+    float columns, one string per block of rows, like ``_fmt_rows``.
+
+    The shortest digits that ``repr`` prints are derived from the 17 digits
+    of ``_sci_digits``; values it cannot settle go through ``repr``.
+    """
+    table = np.column_stack(columns)
+    return [
+        _repr_block(parts, table[i : i + _FMT_BLOCK_ROWS])
+        for i in range(0, len(table), _FMT_BLOCK_ROWS)
+    ]
+
+
+def _repr_block(parts: tuple[str, ...], x: np.ndarray) -> str:
+    n_rows, n_cols = x.shape
+    x = x.ravel()
+    digits, r, exp, fast = _sci_digits(x)
+    with np.errstate(all="ignore"):
+        mag = np.abs(x)
+        # half the gap to the neighbouring doubles, in units of the 17th digit
+        half_ulp = 0.5 * np.spacing(mag) / mag * (digits + r)
+    # At most one 15-digit decimal lies within half_ulp of the value, and repr
+    # takes the nearest 16-digit one that does; else all 17 digits (they always
+    # do: half_ulp > 0.55 > |r|). The first that does, without its trailing
+    # zeros, is repr's. A value within 0.0055 of a tie or of the interval's
+    # edge, a power of two (whose lower gap is half the upper) or a carry
+    # into the next decade takes the slow path.
+    chosen = digits
+    settled = np.zeros(x.size, dtype=bool)
+    for step in (100, 10):
+        quotient, rem = np.divmod(digits, step)
+        off = rem + r
+        up = off > step / 2
+        dist = np.where(up, step - off, off)
+        fast &= (np.abs(off - step / 2) > 0.0055) & (np.abs(dist - half_ulp) > 0.0055)
+        take = ~settled & (dist < half_ulp)
+        chosen = np.where(take, (quotient + up) * step, chosen)
+        settled |= take
+    fast &= (chosen < 10**17) & ((x.view(np.int64) & (2**52 - 1)) != 0)
+    chosen[~fast] = 10**16
+
+    # 36 source bytes per value: "000", the 17 digits, then _REPR_CONST
+    src = np.empty((x.size, 9), dtype=np.uint32)
+    src[:, 0] = _sci_tables()[1][_put_digits(src, chosen)]
+    src[:, 5:] = np.frombuffer(_REPR_CONST.encode("ascii"), np.uint32)
+    src = src.view(np.uint8)
+    n_digits = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
+    layout = ((exp - (16 - _MAX_POW)) * 17 + n_digits - 1) * 2 + (x < 0)
+    gather = np.take(_repr_tables(), layout, axis=0)
+    gather += np.arange(0, src.size, src.shape[1])[:, None]
+    slots = np.take(src.ravel(), gather)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([repr(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
+        slots[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SCI_WIDTH)
+
+    slots = slots.reshape(n_rows, n_cols, _SCI_WIDTH)
+    fixed = [np.frombuffer(p.encode("ascii"), np.uint8) for p in parts]
+    pieces = [np.broadcast_to(fixed[0], (n_rows, fixed[0].size))]
+    for col, text in enumerate(fixed[1:]):
+        pieces += [slots[:, col], np.broadcast_to(text, (n_rows, text.size))]
+    flat = np.concatenate(pieces, axis=1).ravel()
     return flat[flat != 0].tobytes().decode("ascii")
 
 
@@ -236,7 +358,8 @@ def _state_from_simulation(ref: str) -> GaussianState:
         raise ParameterError(f"row {row} of {path!r} is not a valid state: {exc}")
 
 
-_JSON_TRACE_ROW = '    {\n      "t": %r,\n      "intensity": %r,\n      "inferred_x2": %r\n    }'
+# a trace row of json.dumps(…, indent=2), and the ",\n" that joins it to the next
+_JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    },\n")
 
 
 def _cmd_readout(args, params: PhysicalParams) -> str:
@@ -259,12 +382,13 @@ def _cmd_readout(args, params: PhysicalParams) -> str:
         "baseline": trace.baseline,
     }
     if args.format == "json":
-        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): "%r" of a
-        # finite float is its JSON text, and integrate_langevin rejects non-finite ones
+        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): _repr_rows
+        # writes repr's digits, which are a finite float's JSON text, and
+        # integrate_langevin rejects non-finite ones
         head = json.dumps({"summary": summary}, indent=2)[: -len("\n}")]
-        rows = zip(trace.times.tolist(), trace.intensity.tolist(), trace.inferred_x2.tolist())
-        body = ",\n".join([_JSON_TRACE_ROW % row for row in rows])
-        return head + ',\n  "trace": [\n' + body + "\n  ]\n}\n"
+        body = _repr_rows(_JSON_TRACE_ROW, trace.times, trace.intensity, trace.inferred_x2)
+        body[-1] = body[-1][: -len(",\n")]
+        return "".join([head, ',\n  "trace": [\n', *body, "\n  ]\n}\n"])
     out = [f"# {k} = {_fmt(v)}\n" for k, v in summary.items()]
     out.append("t,intensity,inferred_x2\n")
     out += _fmt_rows(trace.times, trace.intensity, trace.inferred_x2)

@@ -37,6 +37,14 @@ def parse_table_csv(text):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def assert_same_text(got, want):
+    """``got == want``, compared line by line, so that a failure names a few
+    lines instead of diffing megabytes."""
+    pairs = zip(got.split("\n"), want.split("\n"))
+    wrong = [(i, g, w) for i, (g, w) in enumerate(pairs) if g != w]
+    assert not wrong and len(got) == len(want), f"{len(wrong)} lines differ, e.g. {wrong[:3]}"
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -269,6 +277,25 @@ class TestReadout:
             v_after_one_kick, rel=1e-2
         )
 
+    @pytest.mark.parametrize("source", ["kappa_1e8", "from_simulation"])
+    def test_json_trace_is_json_dumps(self, tmp_path, source):
+        # the trace writer's bytes are those of json.dumps(…, indent=2)
+        if source == "kappa_1e8":
+            cfg = tmp_path / "fast_cavity.cfg"
+            cfg.write_text("kappa = 1e8\n")
+            argv = ["--config", str(cfg), "--var-p", "3", "--var-x", "0.2", "--cross", "0.1"]
+        else:
+            sim = tmp_path / "sim.csv"
+            assert run(["simulate", "--schedule", "kick;free;kick;diss", "--out", str(sim)]) == 0
+            argv = ["--from-simulation", f"{sim}:2"]
+        out = tmp_path / "trace.json"
+        code = run(["readout", *argv, "--free-evolution", "on", "--format", "json", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert len(payload["trace"]) > 10**4
+        assert_same_text(text, json.dumps(payload, indent=2) + "\n")
+
     def test_free_evolution_mode_reports_ripple(self, tmp_path):
         sim = tmp_path / "sim.csv"
         assert run(["simulate", "--out", str(sim)]) == 0
@@ -412,12 +439,67 @@ class TestFmtRows:
 
     def test_matches_fmt(self):
         columns = self.columns()
-        assert "".join(cli._fmt_rows(*columns)) == self.expected(columns)
+        assert_same_text("".join(cli._fmt_rows(*columns)), self.expected(columns))
 
     def test_fallback_path_matches_fmt(self, monkeypatch):
         monkeypatch.setattr(cli, "_FAST_SCI", False)
         columns = tuple(c[:2000] for c in self.columns())
-        assert "".join(cli._fmt_rows(*columns)) == self.expected(columns)
+        assert_same_text("".join(cli._fmt_rows(*columns)), self.expected(columns))
+
+
+class TestReprRows:
+    """The vectorised JSON value writer writes exactly the bytes of ``repr``."""
+
+    PARTS = ("[", ", ", "; ", "]\n")
+
+    @staticmethod
+    def decimals(rng, n, digits, tail=""):
+        """``n`` decimals of ``digits`` significant digits (then ``tail``), as doubles."""
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, n)
+        exponents = rng.integers(-30, 20, n)
+        return [float(f"{m}{tail}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+
+    @classmethod
+    def columns(cls):
+        rng = np.random.default_rng(12)
+        n = 30000
+        up, down = (lambda v: math.nextafter(v, math.inf)), (lambda v: math.nextafter(v, -math.inf))
+        edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+                1e-310, 1.7976931348623157e308, 0.1, 1 / 3, 0.5, 1e-11, 1e17, 2.0**53,
+                1234567890123456.5, 123456789012345.25]
+        powers = [10.0**k for k in range(-16, 20)] + [2.0**k for k in range(-64, 80)]
+        near_pow = [s * f(v) for v in powers for s in (1, -1) for f in (up, down, float)]
+        # notation switches: repr's e-notation below decpt -3 and above 16
+        switch = [s * v * 10.0**k for k in (-6, -5, -4, -3, 14, 15, 16, 17) for s in (1, -1)
+                  for v in rng.uniform(1, 10, 200)]
+        # decimals of 1-17 digits, and halfway cases at 15, 16 and 17 digits
+        short = [v for d in range(1, 18) for v in cls.decimals(rng, 600, d)]
+        halfway = [v for d in (15, 16, 17) for v in cls.decimals(rng, 3000, d, "5")]
+        # odd multiples of powers of two: exact decimals, some of them exact ties
+        dyadic = (rng.integers(1, 2**20, n // 4) * 2 + 1) * 2.0 ** rng.integers(-80, 40, n // 4)
+        values = np.concatenate([
+            edge, near_pow, switch, short, halfway, dyadic,
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+            rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-13, 18, n),
+        ])
+        values = values[: len(values) // 3 * 3]
+        return values[0::3], values[1::3], values[2::3]
+
+    @classmethod
+    def expected(cls, columns):
+        head, sep1, sep2, tail = cls.PARTS
+        return "".join(
+            f"{head}{a!r}{sep1}{b!r}{sep2}{c!r}{tail}" for a, b, c in zip(*(c.tolist() for c in columns))
+        )
+
+    def test_matches_repr(self):
+        columns = self.columns()
+        assert_same_text("".join(cli._repr_rows(self.PARTS, *columns)), self.expected(columns))
+
+    def test_fallback_path_matches_repr(self, monkeypatch):
+        monkeypatch.setattr(cli, "_FAST_SCI", False)
+        columns = tuple(c[::20] for c in self.columns())
+        assert_same_text("".join(cli._repr_rows(self.PARTS, *columns)), self.expected(columns))
 
 
 class TestSweep:
