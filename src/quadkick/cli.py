@@ -43,15 +43,15 @@ def _fmt(x: float) -> str:
 _SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
 _FMT_BLOCK_ROWS = 8192
 _MAX_POW = 27     # 10**k is exact in a 64-bit significand up to k = 27 (5**27 < 2**63)
-# The vectorised path of _fmt_rows scales by 10**k in a long double with at
+# The vectorised digits of _sci_digits scale by 10**k in a long double with at
 # least a 64-bit significand (x87 extended on x86-64); where long double is
-# narrower, every value goes through "%.16e".
+# narrower, every value goes through the writers' fallback text.
 _FAST_SCI = np.finfo(np.longdouble).nmant >= 63 and np.longdouble(1) + np.longdouble(2.0**-63) > 1
 
 
 @functools.cache
 def _sci_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables of ``_fmt_block``, built on first use to keep start-up short.
+    """Lookup tables of ``_digit_words``, built on first use to keep start-up short.
 
     Each entry is the native uint32 view of a 4-byte ASCII string; NUL
     bytes are dropped from the output.
@@ -65,13 +65,7 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
         words(f"{i:04d}" for i in range(10000)),
         words(f"e{e:+03d}" for e in range(16 - _MAX_POW, 17)),
         words(f"{s}\0{d}." for s in ("\0", "-") for d in range(10)),
-        words((",\0\0\0", "\n\0\0\0")),
     )
-
-
-# Source bytes of a value in _repr_block: "000" and its 17 digits (words of
-# the _sci_tables quads), then these 16 bytes (4 words) of constants
-_REPR_CONST = ".-e+0123456789\0\0"
 
 
 def _repr_layout(digits: str, decpt: int) -> str:
@@ -88,30 +82,34 @@ def _repr_layout(digits: str, decpt: int) -> str:
 
 @functools.cache
 def _repr_tables() -> np.ndarray:
-    """Gather table of ``_repr_block``, built on first use like ``_sci_tables``.
+    """Gather table of ``_repr_slots``, built on first use like ``_sci_tables``.
 
-    Row ((exp - (16 - _MAX_POW))·17 + digits - 1)·2 + negative lists, for
-    each of the _SCI_WIDTH output bytes, its source byte.
+    Row (exp - (16 - _MAX_POW))·17 + digits - 1 lists, for each of the
+    _SCI_WIDTH output bytes, its byte in the source of the gather.
     """
     letters = "ABCDEFGHIJKLMNOPQ"
-    source = {c: 3 + k for k, c in enumerate(letters)}
-    source.update((c, 20 + k) for k, c in enumerate(_REPR_CONST))
-    rows = [
-        [source[c] for c in (sign + _repr_layout(letters[:n], exp + 1)).ljust(_SCI_WIDTH, "\0")]
-        for exp in range(16 - _MAX_POW, 17)
-        for n in range(1, 18)
-        for sign in ("", "-")
-    ]
+    # the source: sign, NUL, lead digit, '.', 16 digits, "e±XX" (repr's exponent
+    # too), "0000"
+    source = {"-": 0, "\0": 1, "A": 2, ".": 3, "0": 24}
+    source.update((c, 3 + k) for k, c in enumerate(letters) if k)
+    rows = []
+    for exp in range(16 - _MAX_POW, 17):
+        for n in range(1, 18):
+            mantissa, e, _ = _repr_layout(letters[:n], exp + 1).partition("e")
+            row = [source[c] for c in "-" + mantissa] + ([20, 21, 22, 23] if e else [])
+            rows.append(row + [1] * (_SCI_WIDTH - len(row)))
     return np.array(rows, dtype=np.intp)
 
 
 def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The correctly rounded 17 significant digits of each value of ``x``.
+    """The 17 significant digits of each value of ``x``.
 
-    Returns (N, r, exp, fast): |x| = (N + r)·10**(exp - 16), with N the
-    int64 in [1e16, 1e17) and r in [-0.5, 0.5] to within 0.0055. Where
-    ``fast`` is False (x outside [1e-11, 1e17), within 0.006 of a tie, or
-    every value where ``_FAST_SCI`` is False) N, r and exp are fillers.
+    Returns (N, r, exp, fast): |x| = (N + r)·10**(exp - 16) to within
+    0.0055 of the 17th digit, with N the int64 in [1e16, 1e17) and r in
+    [-0.5, 0.5]. N is the correctly rounded 17 digits where |r| < 0.494,
+    away from a tie; a writer that prints N checks that. Where ``fast`` is
+    False (x outside [1e-11, 1e17), or every value where ``_FAST_SCI`` is
+    False) N, r and exp are fillers.
     """
     pow10 = _sci_tables()[0]
     fast = np.zeros(x.size, dtype=bool)
@@ -122,83 +120,53 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
         est = np.floor(np.log10(mag))
         ok = (est >= 16 - _MAX_POW) & (est <= 16)
         exp = np.where(ok, est, 0.0).astype(np.int64)
-        # mag·10**(16 - exp) to 64 bits is off by at most 1e17·2**-64 < 0.0055,
-        # so rint gives the correctly rounded 17 digits unless near a tie
+        # mag·10**(16 - exp) to 64 bits is off by at most 1e17·2**-64 < 0.0055
         scaled = mag * pow10[16 - exp]
         nearest = np.rint(scaled)
         r = (scaled - nearest).astype(np.float64)
-        # log10 can miss the decade next to a power of ten: such values,
-        # like near-ties, take the slow path
-        fast = ok & (scaled >= 1e16) & (nearest < 1e17) & (np.abs(r) < 0.494)
+        # log10 can miss the decade next to a power of ten: such values take
+        # the slow path
+        fast = ok & (scaled >= 1e16) & (nearest < 1e17)
     return np.where(fast, nearest, 1e16).astype(np.int64), r, exp, fast
 
 
-def _put_digits(words: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Write the last 16 of each value's 17 digits into ``words[:, 1:5]``, as
-    four 4-digit words; return the leading digit."""
-    quads = _sci_tables()[1]
+def _digit_words(x: np.ndarray, digits: np.ndarray, exp: np.ndarray, words: np.ndarray) -> None:
+    """Write ``_fmt`` of each value of ``x``, given its 17 ``digits`` and
+    ``exp``, into ``words[:, :6]``: [sign, NUL, lead digit, '.'], the other
+    16 digits, "e±XX"."""
+    quads, exps, heads = _sci_tables()[1:]
     lead, rest = np.divmod(digits, 10**16)
     for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
         quad, rest = np.divmod(rest, scale)
         words[:, col] = quads[quad]
     words[:, 4] = quads[rest]
-    return lead
-
-
-def _fmt_rows(*columns: np.ndarray) -> list[str]:
-    """CSV rows of float columns, one string per block of rows; joined, they
-    are the same bytes as joining ``_fmt`` of each value.
-
-    Values in [1e-11, 1e17) are rounded to 17 digits with numpy, a block at
-    a time (``_sci_digits``); the rest, and any value within 0.006 units of
-    the 17th digit of a tie, go through ``_fmt`` one by one.
-    """
-    table = np.column_stack(columns)
-    return [
-        _fmt_block(table[i : i + _FMT_BLOCK_ROWS])
-        for i in range(0, len(table), _FMT_BLOCK_ROWS)
-    ]
-
-
-def _fmt_block(x: np.ndarray) -> str:
-    exps, heads, seps = _sci_tables()[2:]
-    n_rows, n_cols = x.shape
-    x = x.ravel()
-    # 28 bytes per value: [sign, NUL, lead digit, '.'], 16 digits, "e±XX", separator;
-    # the fast path or the slow path below writes the first 24 of every slot
-    words = np.empty((x.size, 7), dtype=np.uint32)
-    words[:, 6] = np.tile(seps[[0] * (n_cols - 1) + [1]], n_rows)
-    digits, _, exp, fast = _sci_digits(x)
-    words[:, 0] = heads[_put_digits(words, digits) + 10 * (x < 0)]
+    words[:, 0] = heads[lead + 10 * (x < 0)]
     words[:, 5] = exps[exp - (16 - _MAX_POW)]
-    buf = words.view(np.uint8)
+
+
+def _splice(slots: np.ndarray, x: np.ndarray, fast: np.ndarray, text_of) -> None:
+    """Write ``text_of(v)`` over the slot of each value of ``x`` that is not ``fast``."""
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = "".join([_fmt(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
-        buf[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
+        text = "".join([text_of(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
+        slots[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
             -1, _SCI_WIDTH
         )
-    flat = buf.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _repr_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
-    """Rows ``parts[0] + repr(a) + parts[1] + repr(b) + … + parts[-1]`` of
-    float columns, one string per block of rows, like ``_fmt_rows``.
+def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded."""
+    digits, r, exp, fast = _sci_digits(x)
+    _digit_words(x, digits, exp, out.view(np.uint32))
+    _splice(out, x, fast & (np.abs(r) < 0.494), _fmt)
 
-    The shortest digits that ``repr`` prints are derived from the 17 digits
-    of ``_sci_digits``; values it cannot settle go through ``repr``.
+
+def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``repr`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded.
+
+    The shortest digits are derived from the 17 of ``_sci_digits``; values
+    that this cannot settle go through ``repr``.
     """
-    table = np.column_stack(columns)
-    return [
-        _repr_block(parts, table[i : i + _FMT_BLOCK_ROWS])
-        for i in range(0, len(table), _FMT_BLOCK_ROWS)
-    ]
-
-
-def _repr_block(parts: tuple[str, ...], x: np.ndarray) -> str:
-    n_rows, n_cols = x.shape
-    x = x.ravel()
     digits, r, exp, fast = _sci_digits(x)
     with np.errstate(all="ignore"):
         mag = np.abs(x)
@@ -221,31 +189,53 @@ def _repr_block(parts: tuple[str, ...], x: np.ndarray) -> str:
         take = ~settled & (dist < half_ulp)
         chosen = np.where(take, (quotient + up) * step, chosen)
         settled |= take
-    fast &= (chosen < 10**17) & ((x.view(np.int64) & (2**52 - 1)) != 0)
+    # all 17 digits are N only away from a tie of the 17th
+    fast &= (settled | (np.abs(r) < 0.494)) & (chosen < 10**17)
+    fast &= (x.view(np.int64) & (2**52 - 1)) != 0
     chosen[~fast] = 10**16
 
-    # 36 source bytes per value: "000", the 17 digits, then _REPR_CONST
-    src = np.empty((x.size, 9), dtype=np.uint32)
-    src[:, 0] = _sci_tables()[1][_put_digits(src, chosen)]
-    src[:, 5:] = np.frombuffer(_REPR_CONST.encode("ascii"), np.uint32)
+    # the source of the gather: _fmt of the chosen digits, then "0000"
+    src = np.empty((x.size, 7), dtype=np.uint32)
+    _digit_words(x, chosen, exp, src)
     src = src.view(np.uint8)
+    src[:, _SCI_WIDTH:] = ord("0")
+    # bytes 3..19 are '.' and 16 digits: the '.' ends the run of trailing '0's
     n_digits = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
-    layout = ((exp - (16 - _MAX_POW)) * 17 + n_digits - 1) * 2 + (x < 0)
-    gather = np.take(_repr_tables(), layout, axis=0)
+    gather = _repr_tables()[(exp - (16 - _MAX_POW)) * 17 + n_digits - 1]
     gather += np.arange(0, src.size, src.shape[1])[:, None]
-    slots = np.take(src.ravel(), gather)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join([repr(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
-        slots[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SCI_WIDTH)
+    np.take(src.ravel(), gather, out=out[:, :_SCI_WIDTH])
+    _splice(out, x, fast, repr)
 
-    slots = slots.reshape(n_rows, n_cols, _SCI_WIDTH)
-    fixed = [np.frombuffer(p.encode("ascii"), np.uint8) for p in parts]
-    pieces = [np.broadcast_to(fixed[0], (n_rows, fixed[0].size))]
-    for col, text in enumerate(fixed[1:]):
-        pieces += [slots[:, col], np.broadcast_to(text, (n_rows, text.size))]
-    flat = np.concatenate(pieces, axis=1).ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+
+def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
+    """Rows ``parts[0] + f(a) + parts[1] + f(b) + … + parts[-1]`` of float
+    columns, one string per block of rows, where ``slots_of(x, out)`` writes
+    f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, NUL-padded
+    (``_sci_slots`` for ``_fmt``, ``_repr_slots`` for ``repr``).
+    """
+    # Each value's slot ends with the part after it, NUL-padded to whole
+    # words; a row's first part ends the slot of the last value before it.
+    after = [*parts[1:-1], parts[-1] + parts[0]]
+    pad = -(-max(map(len, after)) // 4) * 4
+    tails = b"".join(a.encode("ascii").ljust(pad, b"\0") for a in after)
+    tails = np.frombuffer(tails, np.uint32).reshape(len(after), -1)
+    width = _SCI_WIDTH + pad
+    table = np.column_stack(columns)
+    # one buffer for every block: a fresh one per block costs page faults
+    buf = np.empty((min(len(table), _FMT_BLOCK_ROWS) * len(after), width), dtype=np.uint8)
+    blocks = []
+    for i in range(0, len(table), _FMT_BLOCK_ROWS):
+        x = table[i : i + _FMT_BLOCK_ROWS].ravel()
+        slots = buf[: x.size]
+        slots_of(x, slots)
+        words = slots.view(np.uint32).reshape(-1, len(after), width // 4)
+        words[:, :, _SCI_WIDTH // 4 :] = tails
+        flat = slots.ravel()
+        blocks.append(flat[flat != 0].tobytes().decode("ascii"))
+    if blocks:
+        blocks[0] = parts[0] + blocks[0]
+        blocks[-1] = blocks[-1][: len(blocks[-1]) - len(parts[0])]
+    return blocks
 
 
 def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = False) -> PulseSchedule:
@@ -358,6 +348,7 @@ def _state_from_simulation(ref: str) -> GaussianState:
         raise ParameterError(f"row {row} of {path!r} is not a valid state: {exc}")
 
 
+_CSV_TRACE_ROW = ("", ",", ",", "\n")
 # a trace row of json.dumps(…, indent=2), and the ",\n" that joins it to the next
 _JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    },\n")
 
@@ -375,6 +366,7 @@ def _cmd_readout(args, params: PhysicalParams) -> str:
     trace = integrate_langevin(cfg, x2_of_t)
     report = analyze_trace(trace, cfg, params.omega_m)
 
+    columns = (trace.times, trace.intensity, trace.inferred_x2)
     summary = {
         "dc_shift": report.dc_shift,
         "ripple_amplitude": report.ripple_amplitude,
@@ -382,16 +374,16 @@ def _cmd_readout(args, params: PhysicalParams) -> str:
         "baseline": trace.baseline,
     }
     if args.format == "json":
-        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): _repr_rows
+        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): _repr_slots
         # writes repr's digits, which are a finite float's JSON text, and
         # integrate_langevin rejects non-finite ones
         head = json.dumps({"summary": summary}, indent=2)[: -len("\n}")]
-        body = _repr_rows(_JSON_TRACE_ROW, trace.times, trace.intensity, trace.inferred_x2)
+        body = _float_rows(_repr_slots, _JSON_TRACE_ROW, *columns)
         body[-1] = body[-1][: -len(",\n")]
         return "".join([head, ',\n  "trace": [\n', *body, "\n  ]\n}\n"])
     out = [f"# {k} = {_fmt(v)}\n" for k, v in summary.items()]
     out.append("t,intensity,inferred_x2\n")
-    out += _fmt_rows(trace.times, trace.intensity, trace.inferred_x2)
+    out += _float_rows(_sci_slots, _CSV_TRACE_ROW, *columns)
     return "".join(out)
 
 
@@ -459,7 +451,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    the ``append`` action copies its default list."""
     parser = _Parser(
         prog="quadkick",
         description="Pulse-squeezing simulator for a quadratically coupled nanomechanical oscillator",

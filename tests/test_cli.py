@@ -217,6 +217,18 @@ class TestSimulate:
         det = captured.err.split("det = ", 1)[1].split()[0]
         assert float(det) < 0.25
 
+    @pytest.mark.parametrize("pairs, code", [(18, 0), (19, 4)])
+    def test_lossless_default_fold_cancels_det(self, pairs, code, capsys):
+        # Known defect: at the default parameters, with no dissipation, each kick
+        # multiplies var_p by 21, and after 19 kick;free pairs the cos(pi/2) ~ 6e-17
+        # map entries cancel var_p*var_x - cross^2 to 0 although the state is physical
+        got, captured = run(["simulate", "--schedule", ";".join(["kick;free"] * pairs)], capsys)
+        assert got == code
+        assert captured.err == ("" if code == 0 else (
+            "error: segment 37 (free) produced an invalid state: "
+            "covariance violates the Heisenberg bound: det = 0.0 < 1/4\n"
+        ))
+
 
     def test_overflowing_occupancy_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "slow.cfg"
@@ -413,6 +425,8 @@ class TestReadout:
 class TestFmtRows:
     """The vectorised trace formatter writes exactly the bytes of ``_fmt``."""
 
+    PARTS = ("", ",", ",", "\n")
+
     @staticmethod
     def columns():
         rng = np.random.default_rng(11)
@@ -439,12 +453,14 @@ class TestFmtRows:
 
     def test_matches_fmt(self):
         columns = self.columns()
-        assert_same_text("".join(cli._fmt_rows(*columns)), self.expected(columns))
+        got = "".join(cli._float_rows(cli._sci_slots, self.PARTS, *columns))
+        assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_fmt(self, monkeypatch):
         monkeypatch.setattr(cli, "_FAST_SCI", False)
         columns = tuple(c[:2000] for c in self.columns())
-        assert_same_text("".join(cli._fmt_rows(*columns)), self.expected(columns))
+        got = "".join(cli._float_rows(cli._sci_slots, self.PARTS, *columns))
+        assert_same_text(got, self.expected(columns))
 
 
 class TestReprRows:
@@ -494,12 +510,14 @@ class TestReprRows:
 
     def test_matches_repr(self):
         columns = self.columns()
-        assert_same_text("".join(cli._repr_rows(self.PARTS, *columns)), self.expected(columns))
+        got = "".join(cli._float_rows(cli._repr_slots, self.PARTS, *columns))
+        assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_repr(self, monkeypatch):
         monkeypatch.setattr(cli, "_FAST_SCI", False)
         columns = tuple(c[::20] for c in self.columns())
-        assert_same_text("".join(cli._repr_rows(self.PARTS, *columns)), self.expected(columns))
+        got = "".join(cli._float_rows(cli._repr_slots, self.PARTS, *columns))
+        assert_same_text(got, self.expected(columns))
 
 
 class TestSweep:
@@ -645,6 +663,25 @@ class TestExitCodes:
         assert run(["constants", "--out", "/dev/null"]) == 0
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    def test_append_default_not_shared(self, capsys):
+        argv = ["sweep", "--axis", "T=1,1e-3", "--observable", "decoherence_term"]
+        assert run(argv, capsys)[0] == 0
+        argv = ["sweep", "--axis", "n_p=1e10", "--observable", "decoherence_term"]
+        code, captured = run(argv, capsys)
+        assert code == 0
+        assert captured.out.splitlines()[0] == "n_p,decoherence_term,status"
+        assert len(captured.out.splitlines()) == 2
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run(["constants", "--format", "xml"], capsys)[0] == 2
+        code, captured = run(["constants"], capsys)
+        assert code == 0
+        assert captured.out.encode() == fresh_python("-m", "quadkick", "constants").stdout
+
+
 class TestDeterminism:
     COMMANDS = [
         ["constants"],
@@ -663,15 +700,26 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_console_entry_point():
-    # the subprocess imports the same quadkick as this test, installed or not
+def fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports the same quadkick
+    as this test, installed or not."""
     src = str(Path(quadkick.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "quadkick", "constants"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def test_console_entry_point():
+    result = fresh_python("-m", "quadkick", "constants")
     assert result.returncode == 0
-    assert "g_tilde" in result.stdout
+    assert b"g_tilde" in result.stdout
+
+
+def test_import_builds_no_writer_tables():
+    # the trace writers' tables are built on first use, outside start-up
+    code = (
+        "from quadkick import cli; "
+        "print(cli._sci_tables.cache_info().currsize, cli._repr_tables.cache_info().currsize)"
+    )
+    assert fresh_python("-c", code).stdout == b"0 0\n"
