@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -392,12 +393,18 @@ def _parse_axis(text: str) -> SweepAxis:
     if not sep or not rest:
         raise ParameterError(f"axis {text!r}: expected NAME=V1,V2,...")
     name = name.strip()
-    field = KEY_TO_FIELD.get(name, name)
     try:
         values = tuple(float(v) for v in rest.split(","))
     except ValueError as exc:
         raise ParameterError(f"axis {name}: {exc}")
-    return SweepAxis(field, values)
+    # the config keys, so "lambda" and not the field name "wavelength"
+    if name not in KEY_TO_FIELD and name != "delta_tau":
+        raise ParameterError(f"unknown sweep parameter {name!r}")
+    return SweepAxis(KEY_TO_FIELD.get(name, name), values)
+
+
+# a cell of json.dumps([{"coords": …, "value": …, "error": …}, …], indent=2)
+_JSON_SWEEP_CELL = '  {\n    "coords": {\n%s\n    },\n    "value": %s,\n    "error": %s\n  }'
 
 
 def _cmd_sweep(args, params: PhysicalParams) -> str:
@@ -407,22 +414,27 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
     if args.format == "json":
-        payload = [
-            {
-                "coords": {FIELD_TO_KEY.get(k, k): v for k, v in cell.coords},
-                "value": cell.value,
-                "error": cell.error,
-            }
-            for cell in cells
+        # the bytes of json.dumps: repr is a finite float's JSON text, and
+        # every coordinate and value is finite
+        lines = [[f"      {json.dumps(k)}: {v!r}" for v in a.values] for k, a in zip(names, axes)]
+        rows = [
+            _JSON_SWEEP_CELL % (
+                ",\n".join(coords),
+                "null" if cell.value is None else repr(cell.value),
+                "null" if cell.error is None else json.dumps(cell.error),
+            )
+            for coords, cell in zip(itertools.product(*lines), cells)
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return "[\n" + ",\n".join(rows) + "\n]\n"
+    # each coordinate formatted once; the cells are in the grid's product order
+    texts = itertools.product(*([_fmt(v) for v in a.values] for a in axes))
     out = [",".join(names + [args.observable, "status"])]
-    for cell in cells:
-        coords = [_fmt(v) for _, v in cell.coords]
+    for coords, cell in zip(texts, cells):
         if cell.error is None:
-            out.append(",".join(coords + [_fmt(cell.value), "ok"]))
+            # "%.16e" writes the bytes of _fmt
+            out.append("%s,%.16e,ok" % (",".join(coords), cell.value))
         else:
-            out.append(",".join(coords + ["ERROR", cell.error.replace(",", ";")]))
+            out.append(",".join(coords) + ",ERROR," + cell.error.replace(",", ";"))
     return "\n".join(out) + "\n"
 
 

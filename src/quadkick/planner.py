@@ -21,7 +21,7 @@ from .kicks import (
     quarter_period,
     two_pulse_variance,
 )
-from .state import VACUUM_VARIANCE, thermal_state
+from .state import VACUUM_VARIANCE, thermal_occupancy, thermal_state
 
 _PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
@@ -134,20 +134,105 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
     return var_x if spec.observable == "var_x" else var_p
 
 
+def _valid(base: PhysicalParams, name: str, value: float) -> bool:
+    if name == "delta_tau":
+        return True
+    try:
+        replace(base, **{name: value})
+    except ParameterError:
+        return False
+    return True
+
+
+def _occupancy_or_inf(T: float, omega_m: float) -> float:
+    # np.frompyfunc calls it on every (T, omega_m): an overflow marks, not aborts
+    try:
+        return thermal_occupancy(T, omega_m)
+    except ParameterError:
+        return math.inf
+
+
+def _closed_form_grid(spec: SweepSpec) -> list[float]:
+    """The closed-form observable of every cell, axis-1 major; nan where a
+    cell needs the scalar ``_evaluate_cell`` (an invalid axis value, or any
+    value the scalar code would reject).
+
+    Each axis value is checked once.  The arithmetic repeats the scalar
+    code's IEEE operations in its order on arrays broadcast over the axes,
+    so every finite cell is the double ``_evaluate_cell`` returns.  Each
+    transcendental is taken with ``math``, whose last bit numpy's may not
+    match, once per distinct input: ``np.frompyfunc`` applied to arrays
+    shaped only over the axes that input depends on.
+    """
+    import numpy as np
+
+    ndim = len(spec.axes)
+    bad = np.zeros((1,) * ndim, dtype=bool)
+    p = {name: getattr(spec.base, name) for name in _PARAM_FIELDS}
+    p["delta_tau"] = 0.0
+    for i, axis in enumerate(spec.axes):
+        shape = [1] * ndim
+        shape[i] = len(axis.values)
+        ok = np.array([_valid(spec.base, axis.name, v) for v in axis.values]).reshape(shape)
+        # an invalid value fails its cells anyway: the base's keeps the rest in range
+        p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), p[axis.name])
+        bad = bad | ~ok
+
+    def of_math(fn, *args):
+        return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+    with np.errstate(all="ignore"):
+        omega_m = p["omega_m"]
+        n_bar = of_math(_occupancy_or_inf, p["T"], omega_m)
+        # one term per raise of the scalar path, in its order
+        if spec.observable == "decoherence_term":
+            tau_wait = math.pi / omega_m
+            value = -of_math(math.expm1, -p["gamma"] * tau_wait) * (n_bar + 0.5)
+            bad = bad | ~np.isfinite(n_bar) | (tau_wait == math.inf)
+        else:
+            g_tilde = 2.0 * p["g"] * p["n_p"] + omega_m
+            quarter = 0.5 * math.pi / omega_m
+            tau = quarter + p["delta_tau"]
+            v0 = n_bar + 0.5
+            theta = omega_m * tau
+            finite_angle = np.isfinite(theta)
+            # math.cos raises on inf; such a cell fails on its angle anyway
+            theta = np.where(finite_angle, theta, 0.0)
+            c, s = of_math(math.cos, theta), of_math(math.sin, theta)
+            ratio = g_tilde / omega_m
+            var_p = (c * c + ratio * ratio * (s * s)) * v0
+            var_x = (c * c + s * s / (ratio * ratio)) * v0
+            value = var_p if spec.observable == "var_p" else var_x
+            bad = (
+                bad | ~np.isfinite(g_tilde) | (quarter == math.inf) | ~np.isfinite(n_bar)
+                | (tau < 0.0) | ~finite_angle | (ratio * ratio == 0.0)
+                | ~np.isfinite(var_p) | ~np.isfinite(var_x)
+            )
+        # bad spans every axis, so this is the whole grid
+        return np.where(bad, math.nan, value).reshape(-1).tolist()
+
+
 def sweep(spec: SweepSpec) -> list[SweepCell]:
     """Evaluate the observable over the grid, axis-1 major.
 
     A cell whose substituted parameters are invalid, or whose evaluation
     fails, records the error message in place of a value; the sweep itself
-    never aborts.
+    never aborts.  Closed-form observables are computed for the whole grid
+    at once; a cell that grid leaves open, and every ``pulses_needed`` cell,
+    goes through the scalar path.
     """
     grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
+    if spec.observable == "pulses_needed":
+        fast = itertools.repeat(math.nan)
+    else:
+        fast = _closed_form_grid(spec)
     cells = []
-    for coords in itertools.product(*grids):
-        try:
-            value = _evaluate_cell(spec, coords)
-        except QuadkickError as exc:
-            cells.append(SweepCell(coords=coords, value=None, error=str(exc)))
-        else:
-            cells.append(SweepCell(coords=coords, value=value, error=None))
+    for coords, value in zip(itertools.product(*grids), fast):
+        if math.isnan(value):
+            try:
+                value = _evaluate_cell(spec, coords)
+            except QuadkickError as exc:
+                cells.append(SweepCell(coords, None, str(exc)))
+                continue
+        cells.append(SweepCell(coords, value, None))
     return cells

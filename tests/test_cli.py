@@ -610,6 +610,33 @@ class TestSweep:
         assert code == 0
         assert len(parse_table_csv(captured.out)) == 2
 
+    def test_field_name_wavelength_is_not_an_axis(self, capsys):
+        # axis names are the config keys plus delta_tau, as in a config file
+        code, captured = run(["sweep", "--axis", "wavelength=5e-7"], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: unknown sweep parameter 'wavelength'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("observable", ["var_x", "var_p", "decoherence_term"])
+    def test_failing_cells_write_nothing_to_stderr(self, observable, fmt):
+        # g̃, the quarter period, the occupancy and the angle overflow, and
+        # some values are invalid: every such cell is an ERROR row, and no
+        # numpy RuntimeWarning from evaluating the grid reaches stderr
+        result = fresh_python(
+            "-W", "always", "-m", "quadkick", "sweep",
+            "--axis", "omega_m=1e6,-1,1e-310,1e-300,5e-324",
+            "--axis", "g=1e-4,1e300,-1,0",
+            "--observable", observable, "--format", fmt,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.count(b"ERROR" if fmt == "csv" else b'"error": "') >= 10
+        result = fresh_python(
+            "-W", "always", "-m", "quadkick", "sweep",
+            "--axis", "delta_tau=1.7e308,-1.7e308,-0.0,-1e-5",
+            "--axis", "gamma=0,1.7e308,-5e-324", "--observable", observable, "--format", fmt,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+
     def test_no_axis_exit_2(self, capsys):
         code, captured = run(["sweep"], capsys)
         assert code == 2

@@ -55,6 +55,20 @@ CASES = {
     "sweep_var_p_n_p_delta_tau.csv": GRID + [
         "--axis", "delta_tau=0,1e-8,-3e-8", "--observable", "var_p",
     ],
+    # g̃ overflows at g = 1e300, the quarter period at omega_m = 1e-310
+    "sweep_var_x_g_omega_m.json": [
+        "sweep", "--axis", "g=0,1e-4,1e300,-1", "--axis", "omega_m=1e6,-1,1e-310,2.5e5",
+        "--format", "json",
+    ],
+    # cos/sin of omega_m·tau change in every cell; tau < 0 at delta_tau = -2e-6
+    "sweep_var_x_omega_m_delta_tau.csv": [
+        "sweep", "--axis", "omega_m=1e6,2.5e5,3.3e6",
+        "--axis", "delta_tau=0,1e-8,-3e-8,7.7e-7,-2e-6",
+    ],
+    # the doubly invalid cell reports g, the first field in field order
+    "sweep_var_x_g_T.csv": ["sweep", "--axis", "g=-1,1e-4", "--axis", "T=-1,1e-4"],
+    # R enters no formula, but its invalid value still fails the cell
+    "sweep_var_p_R.csv": ["sweep", "--axis", "R=1,0.5", "--observable", "var_p"],
 }
 
 

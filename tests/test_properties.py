@@ -5,11 +5,12 @@ the draws stay inside the ranges where the law is exact up to round-off, so
 no tolerance here absorbs a modelling error.
 """
 
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadkick import (
@@ -34,9 +35,11 @@ from quadkick import (
     thermal_state,
     two_pulse_variance,
 )
-from quadkick.planner import MAX_PULSES
+from quadkick.errors import QuadkickError
+from quadkick.planner import MAX_PULSES, SweepAxis, SweepSpec, _evaluate_cell, sweep
 
 OMEGA_M = 1e6
+SWEEP_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=200)
 # each readout example integrates a trace of up to 1e5 RK4 steps
@@ -183,3 +186,50 @@ def test_pulse_count_is_monotone(params, include_dissipation, hotter, brighter):
     base = count()
     assert count(T=max(params.T, hotter)) >= base
     assert count(n_p=max(params.n_p, brighter)) <= base
+
+
+# extremes for every axis: signed zeros, subnormals, overflow-prone magnitudes,
+# and delta_tau offsets at and beyond minus the quarter period π/(2·1e6)
+EXTREMES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-154, 0.5, 1.0,
+    0.9999999999999999, 1e154, 1e300, 1.7e308, 1.7976931348623157e308, -1.0, -1e-4, -1.7e308,
+    -1.5707963267948966e-06, -1.5707963267948968e-06, -2e-6, 1e-8,
+)
+axis_values = st.one_of(
+    st.sampled_from(EXTREMES),
+    decades(-10, 13),
+    decades(-10, 13).map(lambda v: -v),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def closed_form_sweeps(draw):
+    """Grids of 1 or 2 axes over every field and delta_tau, on a few bases."""
+    names = draw(st.lists(st.sampled_from(SWEEP_NAMES), min_size=1, max_size=2, unique=True))
+    axes = [SweepAxis(name, draw(st.lists(axis_values, min_size=1, max_size=6))) for name in names]
+    base = draw(st.sampled_from((
+        PhysicalParams(), PhysicalParams(g=10.0), PhysicalParams(omega_m=1e-300),
+        PhysicalParams(T=0.0), PhysicalParams(gamma=0.0), PhysicalParams(n_p=1e300),
+    )))
+    observable = draw(st.sampled_from(("var_x", "var_p", "decoherence_term")))
+    return SweepSpec(tuple(axes), base, observable, draw(st.booleans()))
+
+
+@DERANDOMIZED
+@given(spec=closed_form_sweeps())
+# at T = 0 the occupancy is 0 for any omega_m, so only the wait π/omega_m overflows
+@example(spec=SweepSpec(
+    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
+))
+def test_closed_form_grid_is_the_scalar_cell(spec):
+    # the grid evaluation gives every cell's double, or its exact error text
+    grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
+    expected = []
+    for coords in itertools.product(*grids):
+        try:
+            expected.append((coords, _evaluate_cell(spec, coords).hex(), None))
+        except QuadkickError as exc:
+            expected.append((coords, None, str(exc)))
+    got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
+    assert got == expected
