@@ -12,8 +12,7 @@ import functools
 import itertools
 import json
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config, read_text
 from .errors import InvariantViolation, ParameterError
@@ -33,6 +32,9 @@ from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
 from .readout import analyze_trace, default_readout_config, integrate_langevin
 from .state import GaussianState, free_x2_expectation, is_squeezed, thermal_state
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_SCHEDULE = "kick;free;kick"
 
 
@@ -46,8 +48,9 @@ _FMT_BLOCK_ROWS = 8192
 _MAX_POW = 27     # 10**k is exact in a 64-bit significand up to k = 27 (5**27 < 2**63)
 # The vectorised digits of _sci_digits scale by 10**k in a long double with at
 # least a 64-bit significand (x87 extended on x86-64); where long double is
-# narrower, every value goes through the writers' fallback text.
-_FAST_SCI = np.finfo(np.longdouble).nmant >= 63 and np.longdouble(1) + np.longdouble(2.0**-63) > 1
+# narrower, every value goes through the writers' fallback text.  None until
+# the first _sci_digits call finds out, so start-up does not import numpy.
+_FAST_SCI = None
 
 
 @functools.cache
@@ -57,6 +60,7 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
     Each entry is the native uint32 view of a 4-byte ASCII string; NUL
     bytes are dropped from the output.
     """
+    import numpy as np
 
     def words(strings):
         return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
@@ -88,6 +92,8 @@ def _repr_tables() -> np.ndarray:
     Row (exp - (16 - _MAX_POW))·17 + digits - 1 lists, for each of the
     _SCI_WIDTH output bytes, its byte in the source of the gather.
     """
+    import numpy as np
+
     letters = "ABCDEFGHIJKLMNOPQ"
     # the source: sign, NUL, lead digit, '.', 16 digits, "e±XX" (repr's exponent
     # too), "0000"
@@ -110,8 +116,15 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     [-0.5, 0.5]. N is the correctly rounded 17 digits where |r| < 0.494,
     away from a tie; a writer that prints N checks that. Where ``fast`` is
     False (x outside [1e-11, 1e17), or every value where ``_FAST_SCI`` is
-    False) N, r and exp are fillers.
+    False) N, r and exp are fillers. The first call sets ``_FAST_SCI`` from
+    this platform's long double, unless it is already set.
     """
+    import numpy as np
+
+    global _FAST_SCI
+    if _FAST_SCI is None:
+        wide = np.finfo(np.longdouble).nmant >= 63
+        _FAST_SCI = wide and np.longdouble(1) + np.longdouble(2.0**-63) > 1
     pow10 = _sci_tables()[0]
     fast = np.zeros(x.size, dtype=bool)
     if not _FAST_SCI:
@@ -135,6 +148,8 @@ def _digit_words(x: np.ndarray, digits: np.ndarray, exp: np.ndarray, words: np.n
     """Write ``_fmt`` of each value of ``x``, given its 17 ``digits`` and
     ``exp``, into ``words[:, :6]``: [sign, NUL, lead digit, '.'], the other
     16 digits, "e±XX"."""
+    import numpy as np
+
     quads, exps, heads = _sci_tables()[1:]
     lead, rest = np.divmod(digits, 10**16)
     for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
@@ -147,6 +162,8 @@ def _digit_words(x: np.ndarray, digits: np.ndarray, exp: np.ndarray, words: np.n
 
 def _splice(slots: np.ndarray, x: np.ndarray, fast: np.ndarray, text_of) -> None:
     """Write ``text_of(v)`` over the slot of each value of ``x`` that is not ``fast``."""
+    import numpy as np
+
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = "".join([text_of(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
@@ -157,6 +174,8 @@ def _splice(slots: np.ndarray, x: np.ndarray, fast: np.ndarray, text_of) -> None
 
 def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded."""
+    import numpy as np
+
     digits, r, exp, fast = _sci_digits(x)
     _digit_words(x, digits, exp, out.view(np.uint32))
     _splice(out, x, fast & (np.abs(r) < 0.494), _fmt)
@@ -168,6 +187,8 @@ def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
     The shortest digits are derived from the 17 of ``_sci_digits``; values
     that this cannot settle go through ``repr``.
     """
+    import numpy as np
+
     digits, r, exp, fast = _sci_digits(x)
     with np.errstate(all="ignore"):
         mag = np.abs(x)
@@ -214,6 +235,8 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, NUL-padded
     (``_sci_slots`` for ``_fmt``, ``_repr_slots`` for ``repr``).
     """
+    import numpy as np
+
     # Each value's slot ends with the part after it, NUL-padded to whole
     # words; a row's first part ends the slot of the last value before it.
     after = [*parts[1:-1], parts[-1] + parts[0]]

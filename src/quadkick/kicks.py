@@ -23,6 +23,28 @@ from .state import (
 )
 
 
+# The range of each PhysicalParams field, in field order.  Every range is
+# finite, and nan fails every comparison.
+_FIELD_RANGES = {
+    "g": lambda v: 0.0 <= v < math.inf,
+    "omega_m": lambda v: 0.0 < v < math.inf,
+    "n_p": lambda v: 0.0 <= v < math.inf,
+    "kappa": lambda v: 0.0 < v < math.inf,
+    "gamma": lambda v: 0.0 <= v < math.inf,
+    "T": lambda v: 0.0 <= v < math.inf,
+    "mass": lambda v: 0.0 < v < math.inf,
+    "L": lambda v: 0.0 < v < math.inf,
+    "wavelength": lambda v: 0.0 < v < math.inf,
+    "R": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def check_field(name: str, value: float) -> None:
+    """Raise ``ParameterError`` unless ``value`` is in the range of the field ``name``."""
+    if not _FIELD_RANGES[name](value):
+        raise ParameterError(f"field {name}: value {value!r} is out of range")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """All dimensional inputs of the setup.
@@ -51,22 +73,9 @@ class PhysicalParams:
     R: float = 0.4
 
     def __post_init__(self):
-        checks = [
-            ("g", self.g >= 0.0),
-            ("omega_m", self.omega_m > 0.0),
-            ("n_p", self.n_p >= 0.0),
-            ("kappa", self.kappa > 0.0),
-            ("gamma", self.gamma >= 0.0),
-            ("T", self.T >= 0.0),
-            ("mass", self.mass > 0.0),
-            ("L", self.L > 0.0),
-            ("wavelength", self.wavelength > 0.0),
-            ("R", 0.0 <= self.R < 1.0),
-        ]
-        for name, ok in checks:
-            value = getattr(self, name)
-            if not ok or not math.isfinite(value):
-                raise ParameterError(f"field {name}: value {value!r} is out of range")
+        # the first failing field in field order is the one reported
+        for name in _FIELD_RANGES:
+            check_field(name, getattr(self, name))
 
     def occupancy(self) -> float:
         """Thermal occupancy of the bath at (T, omega_m)."""

@@ -16,6 +16,7 @@ from .kicks import (
     Kick,
     PhysicalParams,
     PulseSchedule,
+    check_field,
     effective_stiffness,
     optimal_kick_duration,
     quarter_period,
@@ -134,11 +135,11 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
     return var_x if spec.observable == "var_x" else var_p
 
 
-def _valid(base: PhysicalParams, name: str, value: float) -> bool:
+def _valid(name: str, value: float) -> bool:
     if name == "delta_tau":
         return True
     try:
-        replace(base, **{name: value})
+        check_field(name, value)
     except ParameterError:
         return False
     return True
@@ -173,7 +174,7 @@ def _closed_form_grid(spec: SweepSpec) -> list[float]:
     for i, axis in enumerate(spec.axes):
         shape = [1] * ndim
         shape[i] = len(axis.values)
-        ok = np.array([_valid(spec.base, axis.name, v) for v in axis.values]).reshape(shape)
+        ok = np.array([_valid(axis.name, v) for v in axis.values]).reshape(shape)
         # an invalid value fails its cells anyway: the base's keeps the rest in range
         p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), p[axis.name])
         bad = bad | ~ok

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ParameterError
 from .state import GaussianState, free_x2_expectation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Upper bound on the RK4 step count of one trace, checked before anything
 # is allocated.
@@ -176,6 +177,8 @@ def _scan(a: np.ndarray, b: np.ndarray, u0: float) -> np.ndarray:
     with P_k the running product of a over the run; one sequential pass
     carries u from the end of each run to the start of the next.
     """
+    import numpy as np
+
     n = len(a)
     pad = -n % RUN_STEPS
     if pad:
@@ -211,6 +214,8 @@ def integrate_langevin(
     rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there;
     and when any trace value is not finite.
     """
+    import numpy as np
+
     n_steps = config.n_steps
     h = config.t_end / n_steps
     g = config.coupling
@@ -256,6 +261,8 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     2g·|dc|/kappa is not above the transient e^(-SETTLE_FACTOR) left in the
     window, which the calibration would pass off as ⟨x²⟩.
     """
+    import numpy as np
+
     if not 0.0 < omega_m < math.inf:
         raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     period = math.pi / omega_m

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # CODATA values, fixed so every derived number is reproducible bit-for-bit.
 HBAR = 1.054571817e-34        # J s
@@ -87,6 +89,8 @@ class GaussianState:
     @property
     def cov(self) -> np.ndarray:
         """Covariance matrix in (p, x) ordering."""
+        import numpy as np
+
         return np.array([[self.var_p, self.cross], [self.cross, self.var_x]])
 
     @property
@@ -156,6 +160,8 @@ def free_x2_expectation(
     reading off var_x + x̄², written in closed form so a whole numpy array
     of times is evaluated in one call.
     """
+    import numpy as np
+
     if not 0.0 < omega_m < math.inf:
         raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     p0, x0 = state.mean

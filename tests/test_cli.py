@@ -750,3 +750,59 @@ def test_import_builds_no_writer_tables():
         "print(cli._sci_tables.cache_info().currsize, cli._repr_tables.cache_info().currsize)"
     )
     assert fresh_python("-c", code).stdout == b"0 0\n"
+
+
+@pytest.mark.parametrize("module", ["quadkick", "quadkick.cli"])
+def test_import_loads_no_numpy(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    assert fresh_python("-c", code).stdout == b"False\n"
+
+
+def imported_modules(stderr):
+    """Module names of the ``-X importtime`` lines in ``stderr``."""
+    lines = stderr.decode().splitlines()
+    return [ln.rsplit("|", 1)[1].strip() for ln in lines if ln.startswith("import time:")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants"],
+        ["simulate", "--dissipation", "on"],
+        ["sweep", "--axis", "n_p=1e9,1e10", "--observable", "pulses_needed"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_numpy_free_commands_start_without_numpy(argv):
+    result = fresh_python("-X", "importtime", "-m", "quadkick", *argv)
+    assert result.returncode == 0
+    names = imported_modules(result.stderr)
+    assert "quadkick.cli" in names
+    assert [n for n in names if n.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["readout", "--var-p", "3", "--var-x", "0.2", "--free-evolution", "on"],
+        ["sweep", "--axis", "g=1e-4,2e-4", "--axis", "T=0,1e-4", "--format", "json"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_numpy_commands_in_fresh_process(argv, capsys):
+    # numpy is imported on first use: the bytes are those of an in-process run
+    result = fresh_python("-m", "quadkick", *argv)
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == run(argv, capsys)[1].out.encode()
+
+
+def test_fast_sci_resolved_on_first_use():
+    code = "\n".join([
+        "from quadkick import cli",
+        "print(cli._FAST_SCI)",
+        "import numpy as np",
+        "cli._float_rows(cli._sci_slots, ('', '\\n'), np.array([1.5]))",
+        "wide = np.finfo(np.longdouble).nmant >= 63",
+        "print(cli._FAST_SCI == (wide and np.longdouble(1) + np.longdouble(2.0**-63) > 1))",
+    ])
+    assert fresh_python("-c", code).stdout == b"None\nTrue\n"

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from quadkick import kicks
 from quadkick import (
     Dissipate,
     Free,
@@ -200,6 +202,19 @@ class TestPhysicalParams:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             PhysicalParams(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"field {field}: value {value!r} is out of range"):
+            PhysicalParams(**{field: value})
+
+    def test_first_failing_field_reported(self):
+        # the rule table is in field order, so the sweep's per-value check
+        # and the constructor report the same field
+        assert list(kicks._FIELD_RANGES) == [f.name for f in fields(PhysicalParams)]
+        with pytest.raises(ParameterError, match="^field omega_m: value -1.0 is out of range$"):
+            PhysicalParams(R=2.0, omega_m=-1.0, T=-1.0)
 
     def test_defaults_valid(self):
         params = PhysicalParams()
