@@ -313,6 +313,13 @@ def _cmd_constants(args, params: PhysicalParams) -> str:
     return "key,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
 
 
+# a row of json.dumps([{"index": …, "kind": …, …}, …], indent=2)
+_JSON_SIMULATE_ROW = (
+    '  {\n    "index": %d,\n    "kind": "%s",\n    "duration": %r,\n    "var_p": %r,\n'
+    '    "var_x": %r,\n    "cross": %r,\n    "det_cov": %r,\n    "x_squeezed": %s\n  }'
+)
+
+
 def _cmd_simulate(args, params: PhysicalParams) -> str:
     schedule = parse_schedule(args.schedule, params, args.dissipation == "on")
     initial = thermal_state(params.occupancy())
@@ -326,7 +333,13 @@ def _cmd_simulate(args, params: PhysicalParams) -> str:
         for (index, s), kind, duration in zip(folded, kinds, durations)
     ]
     if args.format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        # the bytes of json.dumps([dict(zip(header, row)), …], indent=2): segment
+        # durations and state moments are checked finite, so repr is their JSON text
+        cells = [
+            _JSON_SIMULATE_ROW % (*values, "true" if x_squeezed else "false")
+            for *values, x_squeezed in rows
+        ]
+        return "[\n" + ",\n".join(cells) + "\n]\n"
     out = [",".join(header) + "\n"]
     for *values, x_squeezed in rows:
         # "%.16e" writes the bytes of _fmt
@@ -350,8 +363,14 @@ def _state_from_args(args) -> GaussianState:
 def _state_from_simulation(ref: str) -> GaussianState:
     path, row = ref, -1
     head, sep, tail = ref.rpartition(":")
-    if sep and tail.lstrip("-").isdigit():
-        path, row = head, int(tail)
+    digits = tail.removeprefix("-")
+    # ASCII only: str.isdigit also takes "²", which int() rejects
+    if sep and digits.isascii() and digits.isdigit():
+        path = head
+        try:
+            row = int(tail)
+        except ValueError:  # more digits than int() converts
+            raise ParameterError(f"cannot extract row from {path!r}: row has {len(digits)} digits")
     text = read_text(path, "simulation output")
     try:
         if text.lstrip().startswith(("[", "{")):
@@ -561,7 +580,7 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
     return 0

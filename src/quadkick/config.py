@@ -51,7 +51,8 @@ def read_text(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    # ValueError: a path with a NUL byte, or a UnicodeDecodeError
+    except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read {what} {path!r}: {exc}")
 
 

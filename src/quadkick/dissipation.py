@@ -18,11 +18,12 @@ def dissipate(state: GaussianState, gamma: float, tau: float, n_env: float) -> G
     decay = math.exp(-gamma * tau)
     shrink = math.exp(-0.5 * gamma * tau)
     p, x = state.mean
-    return GaussianState(
-        mean=(shrink * p, shrink * x),
-        var_p=decay * state.var_p + add,
-        var_x=decay * state.var_x + add,
-        cross=decay * state.cross,
+    return GaussianState._of(
+        shrink * p,
+        shrink * x,
+        decay * state.var_p + add,
+        decay * state.var_x + add,
+        decay * state.cross,
     )
 
 

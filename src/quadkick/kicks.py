@@ -124,7 +124,7 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
     if ratio == 0.0:
         raise ParameterError(f"kick matrix: g_tilde/omega_m = {g_tilde!r}/{omega_m!r} underflows")
     up = math.sqrt(ratio)
-    return SymplecticMap(((c, -up * s), (s / up, c)))
+    return SymplecticMap._of(c, -up * s, s / up, c)
 
 
 def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
@@ -135,7 +135,7 @@ def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
         raise ParameterError(f"duration must be non-negative, got {tau!r}")
     theta = _finite_angle("free", omega_m * tau)
     c, s = math.cos(theta), math.sin(theta)
-    return SymplecticMap(((c, -s), (s, c)))
+    return SymplecticMap._of(c, -s, s, c)
 
 
 def _finite_angle(kind: str, theta: float) -> float:

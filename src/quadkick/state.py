@@ -2,7 +2,9 @@
 
 Quadratures are dimensionless and ordered (p, x) in every vector and matrix;
 the vacuum has variance 1/2 in each quadrature.  States are immutable: every
-operation returns a new ``GaussianState``.
+operation returns a new ``GaussianState``.  The operations build their results
+from floats through ``_of``, which skips the conversions of the public
+constructor but runs the same ``_check``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,25 @@ class SymplecticMap:
             m = ((float(a), float(b)), (float(c), float(d)))
         except (TypeError, ValueError):
             raise ParameterError(f"symplectic map must be 2x2, got {self.m!r}")
-        if not all(map(math.isfinite, m[0] + m[1])):
-            raise ParameterError("symplectic map entries must be finite")
+        self._check(*m[0], *m[1])
         object.__setattr__(self, "m", m)
-        det = self.det
+
+    @classmethod
+    def _of(cls, a: float, b: float, c: float, d: float) -> SymplecticMap:
+        """The map ((a, b), (c, d)) of floats, checked as the public constructor checks it."""
+        cls._check(a, b, c, d)
+        smap = object.__new__(cls)
+        # frozen: write the field into the instance dict, as __init__ would
+        smap.__dict__["m"] = ((a, b), (c, d))
+        return smap
+
+    @staticmethod
+    def _check(a: float, b: float, c: float, d: float) -> None:
+        """Raise ``ParameterError`` unless the entries are finite with unit determinant."""
+        isfinite = math.isfinite
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            raise ParameterError("symplectic map entries must be finite")
+        det = a * d - b * c
         if abs(det - 1.0) > UNIT_DET_TOL:
             raise ParameterError(f"symplectic map must have unit determinant, got det = {det!r}")
 
@@ -70,18 +87,34 @@ class GaussianState:
         except (TypeError, ValueError):
             raise ParameterError(f"mean must be a (p, x) pair, got {self.mean!r}")
         vals = (float(p), float(x), float(self.var_p), float(self.var_x), float(self.cross))
-        if not all(map(math.isfinite, vals)):
-            raise ParameterError("state moments must be finite")
+        self._check(*vals)
         object.__setattr__(self, "mean", vals[:2])
         object.__setattr__(self, "var_p", vals[2])
         object.__setattr__(self, "var_x", vals[3])
         object.__setattr__(self, "cross", vals[4])
-        if self.var_p <= 0.0 or self.var_x <= 0.0:
-            raise ParameterError(
-                f"variances must be positive, got var_p={self.var_p!r}, var_x={self.var_x!r}"
-            )
-        det = self.det_cov
-        if not math.isfinite(det):
+
+    @classmethod
+    def _of(cls, p: float, x: float, var_p: float, var_x: float, cross: float) -> GaussianState:
+        """The state of these float moments, checked as the public constructor checks it."""
+        cls._check(p, x, var_p, var_x, cross)
+        state = object.__new__(cls)
+        # frozen: write the fields into the instance dict, as __init__ would
+        state.__dict__.update(mean=(p, x), var_p=var_p, var_x=var_x, cross=cross)
+        return state
+
+    @staticmethod
+    def _check(p: float, x: float, var_p: float, var_x: float, cross: float) -> None:
+        """Raise ``ParameterError`` unless the moments are finite, the variances
+        positive and det(cov) >= 1/4 within ``HEISENBERG_TOL``."""
+        isfinite = math.isfinite
+        if not (isfinite(p) and isfinite(x) and isfinite(var_p) and isfinite(var_x)
+                and isfinite(cross)):
+            raise ParameterError("state moments must be finite")
+        if var_p <= 0.0 or var_x <= 0.0:
+            raise ParameterError(f"variances must be positive, got var_p={var_p!r}, var_x={var_x!r}")
+        # the expression of det_cov
+        det = var_p * var_x - cross * cross
+        if not isfinite(det):
             raise ParameterError(f"covariance determinant must be finite, got {det!r}")
         if det < 0.25 - HEISENBERG_TOL:
             raise ParameterError(f"covariance violates the Heisenberg bound: det = {det!r} < 1/4")
@@ -136,11 +169,12 @@ def propagate(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     # rows of M·cov, then their products with the rows of M
     rp, rpx = a * vp + b * cx, a * cx + b * vx
     rxp, rx = c * vp + d * cx, c * cx + d * vx
-    return GaussianState(
-        mean=(a * p + b * x, c * p + d * x),
-        var_p=rp * a + rpx * b,
-        var_x=rxp * c + rx * d,
-        cross=0.5 * (rp * c + rpx * d + (rxp * a + rx * b)),
+    return GaussianState._of(
+        a * p + b * x,
+        c * p + d * x,
+        rp * a + rpx * b,
+        rxp * c + rx * d,
+        0.5 * (rp * c + rpx * d + (rxp * a + rx * b)),
     )
 
 

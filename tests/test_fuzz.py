@@ -7,8 +7,9 @@ traceback; a successful run writes strict JSON (no NaN or Infinity).
 A second test feeds text drawn from the grammars' own alphabet through the
 ``--schedule=``, ``--axis=`` and config-file channels under the same contract.
 A third writes drawn bytes (raw, UTF-8 text or JSON) as a config file and as
-the ``readout --from-simulation`` input: each run exits 0 or 2, and a config
-error's line number is no larger than the file's line count.
+the ``readout --from-simulation`` input, the latter with a ``:ROW`` suffix of
+drawn text or none: each run exits 0 or 2, and a config error's line number
+is no larger than the file's line count.
 ``readout`` is otherwise covered by explicit cases in ``test_cli.py``: a
 drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
 """
@@ -18,7 +19,7 @@ import io
 import json
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadkick.cli import main
@@ -115,13 +116,19 @@ def test_argv_text_contract(tmp_path_factory, schedule, axis, config_lines):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(data=FILE_BYTES)
-def test_input_file_bytes_contract(tmp_path_factory, data):
+@given(data=FILE_BYTES, row=st.none() | st.text(max_size=8))
+# ROW text that int() rejects: a superscript digit, two minus signs, and more
+# digits than int() converts
+@example(data=b"var_p,var_x,cross\n1,1,0\n", row="\u00b2")
+@example(data=b"var_p,var_x,cross\n1,1,0\n", row="--5")
+@example(data=b"var_p,var_x,cross\n1,1,0\n", row="9" * 5000)
+def test_input_file_bytes_contract(tmp_path_factory, data, row):
     path = tmp_path_factory.getbasetemp() / "input.dat"
     path.write_bytes(data)
+    ref = str(path) if row is None else f"{path}:{row}"
     for argv in (
         ["constants", "--config", str(path), "--format", "json"],
-        ["readout", "--from-simulation", str(path), "--format", "json"],
+        ["readout", "--from-simulation", ref, "--format", "json"],
     ):
         code, err = check_contract(argv)
         assert code in (0, 2), (data, argv)

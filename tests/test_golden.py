@@ -161,6 +161,26 @@ ERRORS = {
         {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:5"], 2,
         "error: cannot extract row 5 from 'sim.csv': list index out of range\n",
     ),
+    # a ROW is an optional "-" and ASCII digits; anything else is part of the path
+    "from_simulation_row_two_minus": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:--5"], 2,
+        "error: cannot read simulation output 'sim.csv:--5': "
+        "[Errno 2] No such file or directory: 'sim.csv:--5'\n",
+    ),
+    "from_simulation_row_superscript": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:\u00b2"], 2,
+        "error: cannot read simulation output 'sim.csv:\u00b2': "
+        "[Errno 2] No such file or directory: 'sim.csv:\u00b2'\n",
+    ),
+    # more digits than int() converts
+    "from_simulation_row_5000_digits": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv:" + "9" * 5000], 2,
+        "error: cannot extract row from 'sim.csv': row has 5000 digits\n",
+    ),
+    "from_simulation_nul_path": (
+        {}, ["readout", "--from-simulation", "sim\0.csv"], 2,
+        "error: cannot read simulation output 'sim\\x00.csv': embedded null byte\n",
+    ),
     "from_simulation_row_not_object": (
         {"sim.json": "[1]"}, ["readout", "--from-simulation", "sim.json"], 2,
         "error: cannot extract row -1 from 'sim.json': 'int' object is not subscriptable\n",
@@ -243,6 +263,10 @@ ERRORS = {
         {}, ["bogus"], 2,
         "error: argument command: invalid choice: 'bogus' "
         "(choose from 'constants', 'simulate', 'readout', 'sweep')\n",
+    ),
+    "output_nul_path": (
+        {}, ["constants", "--out", "out\0.csv"], 3,
+        "error: cannot write output: embedded null byte\n",
     ),
     "unwritable_output": (
         {}, ["constants", "--out", "/"], 3,

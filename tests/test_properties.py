@@ -5,7 +5,10 @@ the draws stay inside the ranges where the law is exact up to round-off, so
 no tolerance here absorbs a modelling error.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 from dataclasses import fields, replace
 
@@ -14,15 +17,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadkick import (
+    Dissipate,
     Free,
     GaussianState,
     InvariantViolation,
     Kick,
     PhysicalParams,
     PulseSchedule,
+    SymplecticMap,
     adiabatic_intensity,
     apply_schedule,
     baseline_intensity,
+    decoherence_term,
     default_readout_config,
     dissipate,
     effective_stiffness,
@@ -35,6 +41,7 @@ from quadkick import (
     thermal_state,
     two_pulse_variance,
 )
+from quadkick.cli import main, parse_schedule
 from quadkick.errors import QuadkickError
 from quadkick.planner import MAX_PULSES, SweepAxis, SweepSpec, _evaluate_cell, sweep
 
@@ -233,3 +240,110 @@ def test_closed_form_grid_is_the_scalar_cell(spec):
             expected.append((coords, None, str(exc)))
     got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
     assert got == expected
+
+
+def reference_fold(state, schedule, params):
+    """``apply_schedule`` with every map built by ``SymplecticMap(((a, b), (c, d)))``
+    and every state by ``GaussianState(...)``, the public constructors."""
+    n_env = params.occupancy()
+    folded = [(0, state)]
+    for i, seg in enumerate(schedule.segments):
+        try:
+            p, x = state.mean
+            if isinstance(seg, Dissipate):
+                add = decoherence_term(params.gamma, seg.duration, n_env)
+                decay = math.exp(-params.gamma * seg.duration)
+                shrink = math.exp(-0.5 * params.gamma * seg.duration)
+                state = GaussianState(
+                    mean=(shrink * p, shrink * x),
+                    var_p=decay * state.var_p + add,
+                    var_x=decay * state.var_x + add,
+                    cross=decay * state.cross,
+                )
+            else:
+                if isinstance(seg, Kick):
+                    n_p = params.n_p if seg.n_p is None else seg.n_p
+                    g_tilde = effective_stiffness(params.g, n_p, params.omega_m)
+                    theta = math.sqrt(g_tilde * params.omega_m) * seg.duration
+                    up = math.sqrt(g_tilde / params.omega_m)
+                else:
+                    theta, up = params.omega_m * seg.duration, 1.0
+                c, s = math.cos(theta), math.sin(theta)
+                smap = SymplecticMap(((c, -up * s), (s / up, c)))
+                (a, b), (c, d) = smap.m
+                vp, vx, cx = state.var_p, state.var_x, state.cross
+                rp, rpx = a * vp + b * cx, a * cx + b * vx
+                rxp, rx = c * vp + d * cx, c * cx + d * vx
+                state = GaussianState(
+                    mean=(a * p + b * x, c * p + d * x),
+                    var_p=rp * a + rpx * b,
+                    var_x=rxp * c + rx * d,
+                    cross=0.5 * (rp * c + rpx * d + (rxp * a + rx * b)),
+                )
+        except QuadkickError as exc:
+            raise InvariantViolation(f"segment {i} ({seg.kind}) produced an invalid state: {exc}")
+        folded.append((i + 1, state))
+    return folded
+
+
+def _outcome(fold, state, schedule, params):
+    """The bits of every folded moment, or the error text."""
+    try:
+        folded = fold(state, schedule, params)
+    except InvariantViolation as exc:
+        return str(exc)
+    return [(i, [v.hex() for v in (*s.mean, s.var_p, s.var_x, s.cross)]) for i, s in folded]
+
+
+FOLD_TOKEN = st.one_of(
+    st.sampled_from(("kick", "kick:0", "free", "free:-0", "diss")),
+    decades(7, 13).map(lambda n_p: f"kick:{n_p!r}"),
+    st.floats(0.0, 1e-5).map(lambda s: f"free:{s!r}"),
+    decades(-9, -2).map(lambda s: f"diss:{s!r}"),
+)
+
+
+@DERANDOMIZED
+@given(
+    tokens=st.lists(FOLD_TOKEN, max_size=16),
+    dissipation=st.booleans(),
+    gamma=decades(-2, 5),
+    T=decades(-6, -2),
+    mean=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+@example(tokens=["kick", "free:-0", "kick:0", "diss"], dissipation=True, gamma=1e3, T=1e-4,
+         mean=(1.0, -2.0))
+# at the defaults the 19th kick;free pair cancels det(cov) to 0: both folds raise
+@example(tokens=["kick", "free"] * 19, dissipation=False, gamma=0.1, T=1e-4, mean=(0.0, 0.0))
+def test_fold_and_simulate_json_are_the_public_constructors(
+    tmp_path_factory, tokens, dissipation, gamma, T, mean
+):
+    # the fold's checked float constructors give the bits, or the error text,
+    # of the public ones; simulate's JSON is the bytes of json.dumps
+    params = PhysicalParams(gamma=gamma, T=T)
+    spec = ";".join(tokens)
+    schedule = parse_schedule(spec, params, dissipation)
+    initial = thermal_state(params.occupancy())
+    moved = GaussianState(mean=mean, var_p=initial.var_p, var_x=initial.var_x)
+    expected = _outcome(reference_fold, moved, schedule, params)
+    assert _outcome(apply_schedule, moved, schedule, params) == expected
+
+    config = tmp_path_factory.getbasetemp() / "fold.cfg"
+    config.write_text(f"gamma = {gamma!r}\nT = {T!r}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(config), f"--schedule={spec}",
+                     "--dissipation", "on" if dissipation else "off", "--format", "json"])
+    if isinstance(expected, str):
+        # the mean enters no second moment, so the thermal state fails alike
+        assert (code, out.getvalue(), err.getvalue()) == (4, "", f"error: {expected}\n")
+        return
+    header = ("index", "kind", "duration", "var_p", "var_x", "cross", "det_cov", "x_squeezed")
+    segments = [(0, "initial", 0.0)]
+    segments += [(i + 1, seg.kind, seg.duration) for i, seg in enumerate(schedule.segments)]
+    records = [
+        dict(zip(header, (*segment, s.var_p, s.var_x, s.cross, s.det_cov, s.var_x < 0.5)))
+        for segment, (_, s) in zip(segments, reference_fold(initial, schedule, params))
+    ]
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == json.dumps(records, indent=2) + "\n"

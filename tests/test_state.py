@@ -162,6 +162,54 @@ class TestStateInvariants:
             GaussianState(mean=np.zeros(3))
 
 
+# (p, x, var_p, var_x, cross) failing each check of a state, and the check
+STATE_FAILURES = {
+    "nan_mean": ((math.nan, 0.0, 1.0, 1.0, 0.0), "moments must be finite"),
+    "inf_cross": ((0.0, 0.0, 1.0, 1.0, -math.inf), "moments must be finite"),
+    "zero_var_p": ((0.0, 0.0, 0.0, 0.5, 0.0), "variances must be positive"),
+    "negative_var_x": ((0.0, 0.0, 0.5, -0.5, 0.0), "variances must be positive"),
+    "nan_det": ((0.0, 0.0, 1e300, 1e300, 1e300), "determinant must be finite"),
+    "inf_det": ((0.0, 0.0, 1e200, 1e200, 0.0), "determinant must be finite"),
+    "below_heisenberg": ((0.0, 0.0, 0.5, 0.5 - 3e-9, 0.0), "Heisenberg bound"),
+}
+# (a, b, c, d) failing each check of a map
+MAP_FAILURES = {
+    "inf_entry": ((1.0, math.inf, 0.0, 1.0), "entries must be finite"),
+    "nan_entry": ((1.0, 0.0, 0.0, math.nan), "entries must be finite"),
+    "det_above_one": ((1.0 + 2e-12, 0.0, 0.0, 1.0), "unit determinant"),
+    "det_below_one": ((0.5, 0.0, 0.0, 1.5), "unit determinant"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_FAILURES))
+def test_state_constructors_fail_alike(name):
+    # the fold's float constructor raises the public constructor's text
+    (p, x, var_p, var_x, cross), check = STATE_FAILURES[name]
+    with pytest.raises(ParameterError, match=check) as public:
+        GaussianState(mean=(p, x), var_p=var_p, var_x=var_x, cross=cross)
+    with pytest.raises(ParameterError) as folded:
+        GaussianState._of(p, x, var_p, var_x, cross)
+    assert str(folded.value) == str(public.value)
+
+
+@pytest.mark.parametrize("name", sorted(MAP_FAILURES))
+def test_map_constructors_fail_alike(name):
+    (a, b, c, d), check = MAP_FAILURES[name]
+    with pytest.raises(ParameterError, match=check) as public:
+        SymplecticMap(((a, b), (c, d)))
+    with pytest.raises(ParameterError) as folded:
+        SymplecticMap._of(a, b, c, d)
+    assert str(folded.value) == str(public.value)
+
+
+def test_float_constructors_build_the_public_objects():
+    # on the Heisenberg bound's slack and on the unit determinant's
+    state = GaussianState._of(1.0, -2.0, 0.5, 0.5 - 1.9e-9, 0.0)
+    assert state == GaussianState(mean=(1.0, -2.0), var_p=0.5, var_x=0.5 - 1.9e-9)
+    smap = SymplecticMap._of(1.0 + 9e-13, 0.0, 0.0, 1.0)
+    assert smap == SymplecticMap(((1.0 + 9e-13, 0.0), (0.0, 1.0)))
+
+
 class TestPropagate:
     def test_identity(self):
         state = thermal_state(12.6)
