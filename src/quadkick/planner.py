@@ -25,6 +25,7 @@ from .kicks import (
 from .state import VACUUM_VARIANCE, thermal_occupancy, thermal_state
 
 _PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
+_AXIS_NAMES = _PARAM_FIELDS + ("delta_tau",)
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
 MAX_PULSES = 64
 
@@ -34,6 +35,24 @@ class PlanResult(NamedTuple):
 
     pulses: int
     schedule: PulseSchedule
+
+
+def _pulse_count(params: PhysicalParams, include_dissipation: bool, occupancy: float | None) -> int:
+    """``min_pulses(...).pulses`` without the schedule; raises what it raises, in its order."""
+    n_bar = params.occupancy() if occupancy is None else occupancy
+    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
+    optimal_kick_duration(g_tilde, params.omega_m)  # the plan's kick must exist
+    tau = quarter_period(params.omega_m)
+    r = params.omega_m / g_tilde
+    var_x = thermal_state(n_bar).var_x * r
+    decay, added = 1.0, 0.0
+    if include_dissipation:
+        decay, added = math.exp(-params.gamma * tau), decoherence_term(params.gamma, tau, n_bar)
+    pulses = 1
+    while var_x >= VACUUM_VARIANCE and pulses < MAX_PULSES:
+        var_x = (decay * var_x + added) * r
+        pulses += 1
+    return pulses
 
 
 def min_pulses(
@@ -54,22 +73,13 @@ def min_pulses(
     otherwise derived from the params' temperature.  A thermal state is
     never squeezed, so at least one kick is made; a plan that spends all
     MAX_PULSES kicks without reaching the target is returned, not raised.
+    The schedule is built from ``_pulse_count``'s count, which ``sweep`` uses alone.
     """
-    n_bar = params.occupancy() if occupancy is None else occupancy
+    pulses = _pulse_count(params, include_dissipation, occupancy)
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
     tau = quarter_period(params.omega_m)
     step = (Free(tau), Dissipate(tau), kick) if include_dissipation else (Free(tau), kick)
-
-    r = params.omega_m / g_tilde
-    var_x = thermal_state(n_bar).var_x * r
-    decay, added = 1.0, 0.0
-    if include_dissipation:
-        decay, added = math.exp(-params.gamma * tau), decoherence_term(params.gamma, tau, n_bar)
-    pulses = 1
-    while var_x >= VACUUM_VARIANCE and pulses < MAX_PULSES:
-        var_x = (decay * var_x + added) * r
-        pulses += 1
     return PlanResult(pulses, PulseSchedule((kick,) + step * (pulses - 1)))
 
 
@@ -82,7 +92,7 @@ class SweepAxis:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.name not in _PARAM_FIELDS and self.name != "delta_tau":
+        if self.name not in _AXIS_NAMES:
             raise ParameterError(f"unknown sweep parameter {self.name!r}")
         if not self.values:
             raise ParameterError(f"axis {self.name}: value list is empty")
@@ -125,7 +135,7 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
     dtau = dict(coords).get("delta_tau", 0.0)
     params = replace(spec.base, **overrides)
     if spec.observable == "pulses_needed":
-        return float(min_pulses(params, include_dissipation=spec.include_dissipation).pulses)
+        return float(_pulse_count(params, spec.include_dissipation, None))
     if spec.observable == "decoherence_term":
         tau_wait = math.pi / params.omega_m
         return decoherence_term(params.gamma, tau_wait, params.occupancy())
@@ -135,14 +145,11 @@ def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> fl
     return var_x if spec.observable == "var_x" else var_p
 
 
-def _valid(name: str, value: float) -> bool:
-    if name == "delta_tau":
-        return True
+def _range_error(name: str, value: float) -> str | None:
     try:
-        check_field(name, value)
-    except ParameterError:
-        return False
-    return True
+        return None if name == "delta_tau" else check_field(name, value)
+    except ParameterError as exc:
+        return str(exc)
 
 
 def _occupancy_or_inf(T: float, omega_m: float) -> float:
@@ -153,17 +160,16 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
         return math.inf
 
 
-def _closed_form_grid(spec: SweepSpec) -> list[float]:
-    """The closed-form observable of every cell, axis-1 major; nan where a
-    cell needs the scalar ``_evaluate_cell`` (an invalid axis value, or any
-    value the scalar code would reject).
+def _closed_form_grid(spec: SweepSpec, errors: list[list[str | None]]) -> tuple[list, list]:
+    """The closed-form observable of every cell, axis-1 major, and the cells
+    it leaves open (nan): those with an invalid axis value (a text in
+    ``errors``) or any value the scalar ``_evaluate_cell`` would reject.
 
-    Each axis value is checked once.  The arithmetic repeats the scalar
-    code's IEEE operations in its order on arrays broadcast over the axes,
-    so every finite cell is the double ``_evaluate_cell`` returns.  Each
-    transcendental is taken with ``math``, whose last bit numpy's may not
-    match, once per distinct input: ``np.frompyfunc`` applied to arrays
-    shaped only over the axes that input depends on.
+    The arithmetic repeats the scalar code's IEEE operations in its order on
+    arrays broadcast over the axes, so every other cell is the double
+    ``_evaluate_cell`` returns.  Each transcendental is taken with ``math``,
+    whose last bit numpy's may not match, once per distinct input, by
+    ``np.frompyfunc`` on arrays shaped over the axes that input depends on.
     """
     import numpy as np
 
@@ -171,10 +177,10 @@ def _closed_form_grid(spec: SweepSpec) -> list[float]:
     bad = np.zeros((1,) * ndim, dtype=bool)
     p = {name: getattr(spec.base, name) for name in _PARAM_FIELDS}
     p["delta_tau"] = 0.0
-    for i, axis in enumerate(spec.axes):
+    for i, (axis, texts) in enumerate(zip(spec.axes, errors)):
         shape = [1] * ndim
         shape[i] = len(axis.values)
-        ok = np.array([_valid(axis.name, v) for v in axis.values]).reshape(shape)
+        ok = np.array([text is None for text in texts]).reshape(shape)
         # an invalid value fails its cells anyway: the base's keeps the rest in range
         p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), p[axis.name])
         bad = bad | ~ok
@@ -210,7 +216,7 @@ def _closed_form_grid(spec: SweepSpec) -> list[float]:
                 | ~np.isfinite(var_p) | ~np.isfinite(var_x)
             )
         # bad spans every axis, so this is the whole grid
-        return np.where(bad, math.nan, value).reshape(-1).tolist()
+        return np.where(bad, math.nan, value).reshape(-1).tolist(), np.flatnonzero(bad).tolist()
 
 
 def sweep(spec: SweepSpec) -> list[SweepCell]:
@@ -218,22 +224,26 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
 
     A cell whose substituted parameters are invalid, or whose evaluation
     fails, records the error message in place of a value; the sweep itself
-    never aborts.  Closed-form observables are computed for the whole grid
-    at once; a cell that grid leaves open, and every ``pulses_needed`` cell,
-    goes through the scalar path.
+    never aborts.  Each axis value is checked once; a cell reports its first
+    out-of-range field in field order, as ``replace`` would.  Closed-form
+    observables are computed for the whole grid at once; the cells it leaves
+    open and ``pulses_needed`` cells (a count, no schedule) are scalar.
     """
-    grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
-    if spec.observable == "pulses_needed":
-        fast = itertools.repeat(math.nan)
-    else:
-        fast = _closed_form_grid(spec)
-    cells = []
-    for coords, value in zip(itertools.product(*grids), fast):
-        if math.isnan(value):
+    errors = [[_range_error(axis.name, v) for v in axis.values] for axis in spec.axes]
+    coords = list(itertools.product(*[[(a.name, v) for v in a.values] for a in spec.axes]))
+    values, open_cells = itertools.repeat(math.nan), range(len(coords))
+    if spec.observable != "pulses_needed":
+        values, open_cells = _closed_form_grid(spec, errors)
+    cells = list(map(SweepCell._make, zip(coords, values, itertools.repeat(None))))
+    names = [axis.name for axis in spec.axes]
+    field_order = slice(None, None, 1 if sorted(names, key=_AXIS_NAMES.index) == names else -1)
+    cell_errors = list(itertools.product(*errors))
+    for k in open_cells:
+        value, error = None, next(filter(None, cell_errors[k][field_order]), None)
+        if error is None:
             try:
-                value = _evaluate_cell(spec, coords)
+                value = _evaluate_cell(spec, coords[k])
             except QuadkickError as exc:
-                cells.append(SweepCell(coords, None, str(exc)))
-                continue
-        cells.append(SweepCell(coords, value, None))
+                error = str(exc)
+        cells[k] = SweepCell(coords[k], value, error)
     return cells

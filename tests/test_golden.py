@@ -67,6 +67,11 @@ CASES = {
     ],
     # the doubly invalid cell reports g, the first field in field order
     "sweep_var_x_g_T.csv": ["sweep", "--axis", "g=-1,1e-4", "--axis", "T=-1,1e-4"],
+    # the same with the axes swapped, on the path that imports no numpy: still g
+    "sweep_pulses_T_g.csv": [
+        "sweep", "--axis", "T=-1,1e-4", "--axis", "g=-1,1e-4", "--observable", "pulses_needed",
+        "--dissipation", "on",
+    ],
     # R enters no formula, but its invalid value still fails the cell
     "sweep_var_p_R.csv": ["sweep", "--axis", "R=1,0.5", "--observable", "var_p"],
 }

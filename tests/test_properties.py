@@ -37,13 +37,16 @@ from quadkick import (
     min_pulses,
     optimal_kick_duration,
     propagate,
+    quarter_period,
     ripple_report,
     thermal_state,
     two_pulse_variance,
 )
 from quadkick.cli import main, parse_schedule
 from quadkick.errors import QuadkickError
-from quadkick.planner import MAX_PULSES, SweepAxis, SweepSpec, _evaluate_cell, sweep
+from quadkick.planner import (
+    MAX_PULSES, OBSERVABLES, SweepAxis, SweepSpec, _evaluate_cell, _pulse_count, sweep,
+)
 
 OMEGA_M = 1e6
 SWEEP_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
@@ -240,6 +243,100 @@ def test_closed_form_grid_is_the_scalar_cell(spec):
             expected.append((coords, None, str(exc)))
     got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
     assert got == expected
+
+
+# the decades of the planner fields that ``cells`` draws, and omega_m around its default
+PLANNER_DECADES = {
+    "n_p": (6, 12), "T": (-6, 1), "gamma": (-3, 5), "g": (-5, -3), "omega_m": (5, 7),
+}
+
+
+@st.composite
+def small_sweeps(draw):
+    """Grids of at most 4×4 over every field and delta_tau, for every observable;
+    the axis values stray out of range on either axis, both, or neither."""
+    names = draw(st.lists(st.sampled_from(SWEEP_NAMES), min_size=1, max_size=2, unique=True))
+    axes = []
+    for name in names:
+        # a planner cell's range mixed in, so pulse counts between 1 and the budget turn up
+        values = st.one_of(axis_values, decades(*PLANNER_DECADES.get(name, (-10, 13))))
+        axes.append(SweepAxis(name, draw(st.lists(values, min_size=1, max_size=4))))
+    base = draw(st.sampled_from((
+        PhysicalParams(), PhysicalParams(n_p=5e7), PhysicalParams(g=10.0),
+        PhysicalParams(omega_m=1e-300), PhysicalParams(T=0.0), PhysicalParams(gamma=3.1e4),
+    )))
+    return SweepSpec(tuple(axes), base, draw(st.sampled_from(OBSERVABLES)), draw(st.booleans()))
+
+
+def reference_cell(spec, coords):
+    """One cell from the public API alone: the substituted params, then the observable."""
+    params = replace(spec.base, **{name: v for name, v in coords if name != "delta_tau"})
+    if spec.observable == "pulses_needed":
+        return float(min_pulses(params, include_dissipation=spec.include_dissipation).pulses)
+    if spec.observable == "decoherence_term":
+        return decoherence_term(params.gamma, math.pi / params.omega_m, params.occupancy())
+    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
+    tau = quarter_period(params.omega_m) + dict(coords).get("delta_tau", 0.0)
+    var_p, var_x = two_pulse_variance(tau, g_tilde, params.omega_m, params.occupancy())
+    return var_x if spec.observable == "var_x" else var_p
+
+
+@DERANDOMIZED
+@given(spec=small_sweeps())
+# both values out of range: the cell reports g, the first in field order, not the first axis
+@example(spec=SweepSpec(
+    (SweepAxis("T", (-1.0, 1e-4)), SweepAxis("g", (-1.0, 1e-4))), PhysicalParams(),
+    "pulses_needed", True,
+))
+def test_sweep_is_the_per_cell_reference(spec):
+    # each axis value is checked once, yet every cell is the per-cell evaluation's
+    # double, or its exact error text
+    grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
+    expected = []
+    for coords in itertools.product(*grids):
+        try:
+            expected.append((coords, reference_cell(spec, coords).hex(), None))
+        except QuadkickError as exc:
+            expected.append((coords, None, str(exc)))
+    got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
+    assert got == expected
+
+
+@st.composite
+def count_params(draw):
+    """Planner cells, and cells whose stiffness, kick or quarter period overflows
+    or underflows."""
+    extreme = st.sampled_from((5e-324, 1e-310, 1e-200, 1e-154, 1.0, 1e154, 1e200, 1e300))
+    if draw(st.booleans()):
+        return draw(cells())
+    return PhysicalParams(**{
+        name: draw(st.one_of(extreme, decades(*span))) for name, span in PLANNER_DECADES.items()
+    })
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the text of the QuadkickError it raises."""
+    try:
+        return fn(*args), None
+    except QuadkickError as exc:
+        return None, str(exc)
+
+
+@DERANDOMIZED
+@given(
+    params=count_params(), include_dissipation=st.booleans(),
+    occupancy=st.one_of(
+        st.none(), decades(-6, 6), st.sampled_from((0.0, -1.0, 1e308, math.inf, math.nan)),
+    ),
+)
+def test_pulse_count_is_min_pulses(params, include_dissipation, occupancy):
+    # the count without a schedule is the plan's, and raises exactly what the plan raises
+    count, count_error = outcome(_pulse_count, params, include_dissipation, occupancy)
+    plan, plan_error = outcome(min_pulses, params, include_dissipation, occupancy)
+    assert count_error == plan_error
+    if plan is not None:
+        assert count == plan.pulses
+        assert sum(isinstance(seg, Kick) for seg in plan.schedule.segments) == count
 
 
 def reference_fold(state, schedule, params):
