@@ -39,10 +39,9 @@ _FIELD_RANGES = {
 }
 
 
-def check_field(name: str, value: float) -> None:
-    """Raise ``ParameterError`` unless ``value`` is in the range of the field ``name``."""
-    if not _FIELD_RANGES[name](value):
-        raise ParameterError(f"field {name}: value {value!r} is out of range")
+def check_field(name: str, value: float) -> str | None:
+    """The error text if ``value`` is out of the range of the field ``name``, else None."""
+    return None if _FIELD_RANGES[name](value) else f"field {name}: value {value!r} is out of range"
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,8 @@ class PhysicalParams:
     def __post_init__(self):
         # the first failing field in field order is the one reported
         for name in _FIELD_RANGES:
-            check_field(name, getattr(self, name))
+            if error := check_field(name, getattr(self, name)):
+                raise ParameterError(error)
 
     def occupancy(self) -> float:
         """Thermal occupancy of the bath at (T, omega_m)."""
@@ -84,7 +84,7 @@ class PhysicalParams:
 
 def effective_stiffness(g: float, n_p: float, omega_m: float) -> float:
     """Stiffened spring constant 2·g·n_p + omega_m during a pulse."""
-    if g < 0.0 or n_p < 0.0 or omega_m <= 0.0:
+    if not (g >= 0.0 and n_p >= 0.0 and omega_m > 0.0):
         raise ParameterError("effective stiffness needs g >= 0, n_p >= 0, omega_m > 0")
     g_tilde = 2.0 * g * n_p + omega_m
     if not math.isfinite(g_tilde):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .dissipation import decoherence_term
@@ -24,8 +24,7 @@ from .kicks import (
 )
 from .state import VACUUM_VARIANCE, thermal_occupancy, thermal_state
 
-_PARAM_FIELDS = tuple(f.name for f in fields(PhysicalParams))
-_AXIS_NAMES = _PARAM_FIELDS + ("delta_tau",)
+_AXIS_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
 MAX_PULSES = 64
 
@@ -37,17 +36,18 @@ class PlanResult(NamedTuple):
     schedule: PulseSchedule
 
 
-def _pulse_count(params: PhysicalParams, include_dissipation: bool, occupancy: float | None) -> int:
-    """``min_pulses(...).pulses`` without the schedule; raises what it raises, in its order."""
-    n_bar = params.occupancy() if occupancy is None else occupancy
-    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
-    optimal_kick_duration(g_tilde, params.omega_m)  # the plan's kick must exist
-    tau = quarter_period(params.omega_m)
-    r = params.omega_m / g_tilde
+def _pulse_count(p: dict[str, float], include_dissipation: bool, occupancy: float | None) -> int:
+    """``min_pulses(...).pulses`` from a table ``p`` of checked field values; raises as it does."""
+    omega_m = p["omega_m"]
+    n_bar = thermal_occupancy(p["T"], omega_m) if occupancy is None else occupancy
+    g_tilde = effective_stiffness(p["g"], p["n_p"], omega_m)
+    optimal_kick_duration(g_tilde, omega_m)  # the plan's kick must exist
+    tau = quarter_period(omega_m)
+    r = omega_m / g_tilde
     var_x = thermal_state(n_bar).var_x * r
     decay, added = 1.0, 0.0
     if include_dissipation:
-        decay, added = math.exp(-params.gamma * tau), decoherence_term(params.gamma, tau, n_bar)
+        decay, added = math.exp(-p["gamma"] * tau), decoherence_term(p["gamma"], tau, n_bar)
     pulses = 1
     while var_x >= VACUUM_VARIANCE and pulses < MAX_PULSES:
         var_x = (decay * var_x + added) * r
@@ -73,9 +73,9 @@ def min_pulses(
     otherwise derived from the params' temperature.  A thermal state is
     never squeezed, so at least one kick is made; a plan that spends all
     MAX_PULSES kicks without reaching the target is returned, not raised.
-    The schedule is built from ``_pulse_count``'s count, which ``sweep`` uses alone.
+    The count is ``_pulse_count``'s over the params' fields; ``sweep`` counts over its table.
     """
-    pulses = _pulse_count(params, include_dissipation, occupancy)
+    pulses = _pulse_count(vars(params), include_dissipation, occupancy)
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
     tau = quarter_period(params.omega_m)
@@ -130,26 +130,18 @@ class SweepCell(NamedTuple):
     error: str | None
 
 
-def _evaluate_cell(spec: SweepSpec, coords: tuple[tuple[str, float], ...]) -> float:
-    overrides = {name: v for name, v in coords if name != "delta_tau"}
-    dtau = dict(coords).get("delta_tau", 0.0)
-    params = replace(spec.base, **overrides)
+def _evaluate_cell(spec: SweepSpec, p: dict[str, float]) -> float:
+    """One cell's observable from its table ``p`` of checked field values and ``delta_tau``."""
     if spec.observable == "pulses_needed":
-        return float(_pulse_count(params, spec.include_dissipation, None))
+        return float(_pulse_count(p, spec.include_dissipation, None))
+    omega_m = p["omega_m"]
     if spec.observable == "decoherence_term":
-        tau_wait = math.pi / params.omega_m
-        return decoherence_term(params.gamma, tau_wait, params.occupancy())
-    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
-    tau = quarter_period(params.omega_m) + dtau
-    var_p, var_x = two_pulse_variance(tau, g_tilde, params.omega_m, params.occupancy())
+        tau_wait = math.pi / omega_m
+        return decoherence_term(p["gamma"], tau_wait, thermal_occupancy(p["T"], omega_m))
+    g_tilde = effective_stiffness(p["g"], p["n_p"], omega_m)
+    tau = quarter_period(omega_m) + p["delta_tau"]
+    var_p, var_x = two_pulse_variance(tau, g_tilde, omega_m, thermal_occupancy(p["T"], omega_m))
     return var_x if spec.observable == "var_x" else var_p
-
-
-def _range_error(name: str, value: float) -> str | None:
-    try:
-        return None if name == "delta_tau" else check_field(name, value)
-    except ParameterError as exc:
-        return str(exc)
 
 
 def _occupancy_or_inf(T: float, omega_m: float) -> float:
@@ -160,10 +152,11 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
         return math.inf
 
 
-def _closed_form_grid(spec: SweepSpec, errors: list[list[str | None]]) -> tuple[list, list]:
-    """The closed-form observable of every cell, axis-1 major, and the cells
-    it leaves open (nan): those with an invalid axis value (a text in
-    ``errors``) or any value the scalar ``_evaluate_cell`` would reject.
+def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[list, list]:
+    """The closed-form observable of every cell, axis-1 major, with the axes
+    laid over the field ``table``, and the cells it leaves open (nan): those
+    with an invalid axis value (a text in ``errors``) or any value the scalar
+    ``_evaluate_cell`` would reject.
 
     The arithmetic repeats the scalar code's IEEE operations in its order on
     arrays broadcast over the axes, so every other cell is the double
@@ -175,14 +168,13 @@ def _closed_form_grid(spec: SweepSpec, errors: list[list[str | None]]) -> tuple[
 
     ndim = len(spec.axes)
     bad = np.zeros((1,) * ndim, dtype=bool)
-    p = {name: getattr(spec.base, name) for name in _PARAM_FIELDS}
-    p["delta_tau"] = 0.0
+    p = dict(table)
     for i, (axis, texts) in enumerate(zip(spec.axes, errors)):
         shape = [1] * ndim
         shape[i] = len(axis.values)
         ok = np.array([text is None for text in texts]).reshape(shape)
         # an invalid value fails its cells anyway: the base's keeps the rest in range
-        p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), p[axis.name])
+        p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), table[axis.name])
         bad = bad | ~ok
 
     def of_math(fn, *args):
@@ -225,15 +217,19 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
     A cell whose substituted parameters are invalid, or whose evaluation
     fails, records the error message in place of a value; the sweep itself
     never aborts.  Each axis value is checked once; a cell reports its first
-    out-of-range field in field order, as ``replace`` would.  Closed-form
+    out-of-range field in field order, as ``PhysicalParams`` would.  Cells
+    read one table, the base's fields and ``delta_tau``, with their axis
+    values laid over it; none builds a ``PhysicalParams``.  Closed-form
     observables are computed for the whole grid at once; the cells it leaves
     open and ``pulses_needed`` cells (a count, no schedule) are scalar.
     """
-    errors = [[_range_error(axis.name, v) for v in axis.values] for axis in spec.axes]
+    errors = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
+              for a in spec.axes]
+    table = vars(spec.base) | {"delta_tau": 0.0}
     coords = list(itertools.product(*[[(a.name, v) for v in a.values] for a in spec.axes]))
     values, open_cells = itertools.repeat(math.nan), range(len(coords))
     if spec.observable != "pulses_needed":
-        values, open_cells = _closed_form_grid(spec, errors)
+        values, open_cells = _closed_form_grid(spec, table, errors)
     cells = list(map(SweepCell._make, zip(coords, values, itertools.repeat(None))))
     names = [axis.name for axis in spec.axes]
     field_order = slice(None, None, 1 if sorted(names, key=_AXIS_NAMES.index) == names else -1)
@@ -242,7 +238,7 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
         value, error = None, next(filter(None, cell_errors[k][field_order]), None)
         if error is None:
             try:
-                value = _evaluate_cell(spec, coords[k])
+                value = _evaluate_cell(spec, table | dict(coords[k]))
             except QuadkickError as exc:
                 error = str(exc)
         cells[k] = SweepCell(coords[k], value, error)

@@ -120,6 +120,11 @@ ERRORS = {
         {}, ["simulate", "--schedule", "diss:-1"], 2,
         "error: schedule segment 0: segment duration must be non-negative and finite, got -1.0\n",
     ),
+    # a nan photon number fails the stiffness's domain, not its overflow check
+    "kick_nan": (
+        {}, ["simulate", "--schedule", "kick:nan"], 2,
+        "error: schedule segment 0: effective stiffness needs g >= 0, n_p >= 0, omega_m > 0\n",
+    ),
     "axis_without_equals": (
         {}, ["sweep", "--axis", "n_p"], 2,
         "error: axis 'n_p': expected NAME=V1,V2,...\n",

@@ -45,6 +45,13 @@ class TestEffectiveStiffness:
         with pytest.raises(ParameterError):
             effective_stiffness(1e-4, 1e11, 0.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1e11, 1e6), (1e-4, math.nan, 1e6),
+                                      (1e-4, 1e11, math.nan)])
+    def test_nan_is_out_of_domain(self, args):
+        # nan fails every comparison: it must not reach the overflow check
+        with pytest.raises(ParameterError, match="^effective stiffness needs g >= 0, n_p >= 0"):
+            effective_stiffness(*args)
+
     def test_overflow_rejected(self):
         with pytest.raises(ParameterError, match="overflows"):
             effective_stiffness(10.0, 1e308, 1e6)

@@ -20,6 +20,7 @@ from quadkick import (
     thermal_state,
     two_pulse_variance,
 )
+from quadkick import kicks, planner
 from quadkick.planner import MAX_PULSES
 
 PARAMS = PhysicalParams()
@@ -260,3 +261,35 @@ class TestSweep:
         assert cells[0].error is None and cells[0].value is not None
         assert cells[1].value is None
         assert "R" in cells[1].error
+
+    @pytest.mark.parametrize(
+        "axes, observable, failed",
+        [
+            # a valid dissipative grid of counts: 16 axis values, 64 cells
+            (
+                (
+                    SweepAxis("n_p", (1e7, 3e7, 1e8, 3e8, 1e9, 3e9, 1e10, 1e11)),
+                    SweepAxis("T", (1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 1e-1)),
+                ),
+                "pulses_needed",
+                0,
+            ),
+            # the quarter period or the stiffness overflows: three cells the grid leaves open
+            ((SweepAxis("omega_m", (1e6, 1e-310)), SweepAxis("g", (1e-4, 1e300))), "var_x", 3),
+        ],
+        ids=["pulses_needed_8x8", "var_x_open_cells"],
+    )
+    def test_each_axis_value_checked_once(self, monkeypatch, axes, observable, failed):
+        # README: "Each axis value is checked once"; no cell checks its params again
+        check, calls = kicks.check_field, []
+
+        def counted(name, value):
+            calls.append(name)
+            return check(name, value)
+
+        monkeypatch.setattr(kicks, "check_field", counted)
+        monkeypatch.setattr(planner, "check_field", counted)
+        spec = SweepSpec(axes, PARAMS, observable, include_dissipation=True)
+        cells = sweep(spec)
+        assert len(calls) == sum(len(axis.values) for axis in axes)
+        assert sum(cell.error is not None for cell in cells) == failed

@@ -45,7 +45,7 @@ from quadkick import (
 from quadkick.cli import main, parse_schedule
 from quadkick.errors import QuadkickError
 from quadkick.planner import (
-    MAX_PULSES, OBSERVABLES, SweepAxis, SweepSpec, _evaluate_cell, _pulse_count, sweep,
+    MAX_PULSES, OBSERVABLES, SweepAxis, SweepSpec, _pulse_count, sweep,
 )
 
 OMEGA_M = 1e6
@@ -226,25 +226,6 @@ def closed_form_sweeps(draw):
     return SweepSpec(tuple(axes), base, observable, draw(st.booleans()))
 
 
-@DERANDOMIZED
-@given(spec=closed_form_sweeps())
-# at T = 0 the occupancy is 0 for any omega_m, so only the wait π/omega_m overflows
-@example(spec=SweepSpec(
-    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
-))
-def test_closed_form_grid_is_the_scalar_cell(spec):
-    # the grid evaluation gives every cell's double, or its exact error text
-    grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
-    expected = []
-    for coords in itertools.product(*grids):
-        try:
-            expected.append((coords, _evaluate_cell(spec, coords).hex(), None))
-        except QuadkickError as exc:
-            expected.append((coords, None, str(exc)))
-    got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
-    assert got == expected
-
-
 # the decades of the planner fields that ``cells`` draws, and omega_m around its default
 PLANNER_DECADES = {
     "n_p": (6, 12), "T": (-6, 1), "gamma": (-3, 5), "g": (-5, -3), "omega_m": (5, 7),
@@ -281,16 +262,22 @@ def reference_cell(spec, coords):
     return var_x if spec.observable == "var_x" else var_p
 
 
-@DERANDOMIZED
-@given(spec=small_sweeps())
+# twice the other properties' examples: about 200 grids from each strategy
+@settings(DERANDOMIZED, max_examples=400)
+@given(spec=st.one_of(closed_form_sweeps(), small_sweeps()))
 # both values out of range: the cell reports g, the first in field order, not the first axis
 @example(spec=SweepSpec(
     (SweepAxis("T", (-1.0, 1e-4)), SweepAxis("g", (-1.0, 1e-4))), PhysicalParams(),
     "pulses_needed", True,
 ))
+# at T = 0 the occupancy is 0 for any omega_m, so only the wait π/omega_m overflows
+@example(spec=SweepSpec(
+    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
+))
 def test_sweep_is_the_per_cell_reference(spec):
-    # each axis value is checked once, yet every cell is the per-cell evaluation's
-    # double, or its exact error text
+    # each axis value is checked once and no cell builds its params, yet every
+    # cell is the per-cell evaluation's double, or its exact error text: the
+    # closed-form grid's cells, the cells it leaves open, and the pulse counts
     grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
     expected = []
     for coords in itertools.product(*grids):
@@ -331,7 +318,7 @@ def outcome(fn, *args):
 )
 def test_pulse_count_is_min_pulses(params, include_dissipation, occupancy):
     # the count without a schedule is the plan's, and raises exactly what the plan raises
-    count, count_error = outcome(_pulse_count, params, include_dissipation, occupancy)
+    count, count_error = outcome(_pulse_count, vars(params), include_dissipation, occupancy)
     plan, plan_error = outcome(min_pulses, params, include_dissipation, occupancy)
     assert count_error == plan_error
     if plan is not None:
