@@ -262,22 +262,8 @@ def reference_cell(spec, coords):
     return var_x if spec.observable == "var_x" else var_p
 
 
-# twice the other properties' examples: about 200 grids from each strategy
-@settings(DERANDOMIZED, max_examples=400)
-@given(spec=st.one_of(closed_form_sweeps(), small_sweeps()))
-# both values out of range: the cell reports g, the first in field order, not the first axis
-@example(spec=SweepSpec(
-    (SweepAxis("T", (-1.0, 1e-4)), SweepAxis("g", (-1.0, 1e-4))), PhysicalParams(),
-    "pulses_needed", True,
-))
-# at T = 0 the occupancy is 0 for any omega_m, so only the wait π/omega_m overflows
-@example(spec=SweepSpec(
-    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
-))
-def test_sweep_is_the_per_cell_reference(spec):
-    # each axis value is checked once and no cell builds its params, yet every
-    # cell is the per-cell evaluation's double, or its exact error text: the
-    # closed-form grid's cells, the cells it leaves open, and the pulse counts
+def assert_sweep_is_reference(spec):
+    """``sweep(spec)`` gives every cell's ``reference_cell`` double, or its exact error text."""
     grids = [[(axis.name, v) for v in axis.values] for axis in spec.axes]
     expected = []
     for coords in itertools.product(*grids):
@@ -287,6 +273,31 @@ def test_sweep_is_the_per_cell_reference(spec):
             expected.append((coords, None, str(exc)))
     got = [(c.coords, None if c.value is None else c.value.hex(), c.error) for c in sweep(spec)]
     assert got == expected
+
+
+@DERANDOMIZED
+@given(spec=closed_form_sweeps())
+# at T = 0 the occupancy is 0 for any omega_m, so only the wait π/omega_m overflows
+@example(spec=SweepSpec(
+    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
+))
+def test_closed_form_grid_is_the_scalar_cell(spec):
+    # the grid evaluation gives every cell's double, or its exact error text
+    assert_sweep_is_reference(spec)
+
+
+@DERANDOMIZED
+@given(spec=small_sweeps())
+# both values out of range: the cell reports g, the first in field order, not the first axis
+@example(spec=SweepSpec(
+    (SweepAxis("T", (-1.0, 1e-4)), SweepAxis("g", (-1.0, 1e-4))), PhysicalParams(),
+    "pulses_needed", True,
+))
+def test_sweep_is_the_per_cell_reference(spec):
+    # each axis value is checked once and no cell builds its params, yet every
+    # cell is the per-cell evaluation's double, or its exact error text: the
+    # cells the closed-form grid leaves open, and the pulse counts
+    assert_sweep_is_reference(spec)
 
 
 @st.composite
