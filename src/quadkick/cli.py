@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -45,12 +46,7 @@ def _fmt(x: float) -> str:
 
 _SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
 _FMT_BLOCK_ROWS = 8192
-_MAX_POW = 27     # 10**k is exact in a 64-bit significand up to k = 27 (5**27 < 2**63)
-# The vectorised digits of _sci_digits scale by 10**k in a long double with at
-# least a 64-bit significand (x87 extended on x86-64); where long double is
-# narrower, every value goes through the writers' fallback text.  None until
-# the first _sci_digits call finds out, so start-up does not import numpy.
-_FAST_SCI = None
+_MAX_POW = 27     # the writers scale by 10**k for k = 0 … 27, and 5**27 < 2**63
 
 
 @functools.cache
@@ -58,7 +54,7 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
     """Lookup tables of ``_digit_words``, built on first use to keep start-up short.
 
     Each entry is the native uint32 view of a 4-byte ASCII string; NUL
-    bytes are dropped from the output.
+    bytes are dropped from the output. The exponent words are indexed by k.
     """
     import numpy as np
 
@@ -66,11 +62,41 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
         return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
 
     return (
-        np.cumprod(np.full(_MAX_POW + 1, 10, dtype=np.longdouble)) / 10,  # 10**0 … 10**27
         words(f"{i:04d}" for i in range(10000)),
-        words(f"e{e:+03d}" for e in range(16 - _MAX_POW, 17)),
+        words(f"e{16 - k:+03d}" for k in range(_MAX_POW + 1)),
         words(f"{s}\0{d}." for s in ("\0", "-") for d in range(10)),
     )
+
+
+def _pow10_ceiling(d: int) -> float:
+    """The smallest double that is not below 10**d."""
+    v = float(f"1e{d}")  # correctly rounded
+    a, b = v.as_integer_ratio()
+    return v if a * 10 ** max(-d, 0) >= b * 10 ** max(d, 0) else math.nextafter(v, math.inf)
+
+
+@functools.cache
+def _exact_tables() -> tuple:
+    """Tables of ``_sci_digits``, built on first use like ``_sci_tables``.
+
+    Per biased exponent of [1e-11, 1e17): k and s = -(q + k) of the binade's
+    lowest value, and the smallest double of the next decade if it lies in
+    the binade (else inf). Per k: 5**k. Then the smallest double not below
+    1e-11.
+    """
+    import numpy as np
+
+    binade_k = np.zeros(2048, dtype=np.int64)
+    binade_edge = np.full(2048, math.inf)
+    for e2 in range(-37, 57):
+        decade = len(str(2**e2)) - 1 if e2 >= 0 else -len(str(2**-e2))
+        binade_k[e2 + 1023] = 16 - decade
+        edge = _pow10_ceiling(decade + 1)
+        if edge < 2.0 ** (e2 + 1):
+            binade_edge[e2 + 1023] = edge
+    binade_s = 1075 - np.arange(2048) - binade_k
+    pow5 = np.array([5**k for k in range(_MAX_POW + 1)], dtype=np.uint64)
+    return binade_k, binade_s, binade_edge, pow5, _pow10_ceiling(-11)
 
 
 def _repr_layout(digits: str, decpt: int) -> str:
@@ -89,8 +115,8 @@ def _repr_layout(digits: str, decpt: int) -> str:
 def _repr_tables() -> np.ndarray:
     """Gather table of ``_repr_slots``, built on first use like ``_sci_tables``.
 
-    Row (exp - (16 - _MAX_POW))·17 + digits - 1 lists, for each of the
-    _SCI_WIDTH output bytes, its byte in the source of the gather.
+    Row k·17 + digits - 1 lists, for each of the _SCI_WIDTH output bytes,
+    its byte in the source of the gather.
     """
     import numpy as np
 
@@ -100,71 +126,105 @@ def _repr_tables() -> np.ndarray:
     source = {"-": 0, "\0": 1, "A": 2, ".": 3, "0": 24}
     source.update((c, 3 + k) for k, c in enumerate(letters) if k)
     rows = []
-    for exp in range(16 - _MAX_POW, 17):
+    for k in range(_MAX_POW + 1):
         for n in range(1, 18):
-            mantissa, e, _ = _repr_layout(letters[:n], exp + 1).partition("e")
+            mantissa, e, _ = _repr_layout(letters[:n], 17 - k).partition("e")
             row = [source[c] for c in "-" + mantissa] + ([20, 21, 22, 23] if e else [])
             rows.append(row + [1] * (_SCI_WIDTH - len(row)))
     return np.array(rows, dtype=np.intp)
 
 
 def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The 17 significant digits of each value of ``x``.
+    """The exact value of each |x| scaled to 17 digits before the point.
 
-    Returns (N, r, exp, fast): |x| = (N + r)·10**(exp - 16) to within
-    0.0055 of the 17th digit, with N the int64 in [1e16, 1e17) and r in
-    [-0.5, 0.5]. N is the correctly rounded 17 digits where |r| < 0.494,
-    away from a tie; a writer that prints N checks that. Where ``fast`` is
-    False (x outside [1e-11, 1e17), or every value where ``_FAST_SCI`` is
-    False) N, r and exp are fillers. The first call sets ``_FAST_SCI`` from
-    this platform's long double, unless it is already set.
+    Returns (n, frac, k, s, slow): |x|·10**k = n + frac/2**64 exactly, with
+    n the uint64 in [1e16, 1e17), k in [0, 27] and s = -(q + k) in [-4, 62]
+    as below. Where ``slow`` (0, subnormal, non-finite, or |x| outside
+    [1e-11, 1e17)) the rest are fillers.
+
+    |x| = m·2**q from the bits, and k = 16 - exp with exp the decade of |x|,
+    exact from a table of binades, so |x|·10**k = m·5**k·2**-s. The product
+    m·5**k < 2**116 is formed from 32-bit limbs whose products are exact in
+    uint64 (as Ryu and Schubfach do for one value) and shifted right by s:
+    n is above the point and frac below it. numpy's shifts by 64 bits or
+    more give 0.
     """
     import numpy as np
 
-    global _FAST_SCI
-    if _FAST_SCI is None:
-        wide = np.finfo(np.longdouble).nmant >= 63
-        _FAST_SCI = wide and np.longdouble(1) + np.longdouble(2.0**-63) > 1
-    pow10 = _sci_tables()[0]
-    fast = np.zeros(x.size, dtype=bool)
-    if not _FAST_SCI:
-        return np.full(x.size, 10**16), np.zeros(x.size), np.zeros(x.size, np.int64), fast
-    with np.errstate(all="ignore"):
-        mag = np.abs(x)
-        est = np.floor(np.log10(mag))
-        ok = (est >= 16 - _MAX_POW) & (est <= 16)
-        exp = np.where(ok, est, 0.0).astype(np.int64)
-        # mag·10**(16 - exp) to 64 bits is off by at most 1e17·2**-64 < 0.0055
-        scaled = mag * pow10[16 - exp]
-        nearest = np.rint(scaled)
-        r = (scaled - nearest).astype(np.float64)
-        # log10 can miss the decade next to a power of ten: such values take
-        # the slow path
-        fast = ok & (scaled >= 1e16) & (nearest < 1e17)
-    return np.where(fast, nearest, 1e16).astype(np.int64), r, exp, fast
+    binade_k, binade_s, binade_edge, pow5, lowest = _exact_tables()
+    mag = np.abs(x)
+    slow = mag >= lowest
+    slow &= mag < 1e17  # nan compares False
+    np.logical_not(slow, out=slow)
+    mag[slow] = 1.0
+    bits = mag.view(np.int64)
+    biased = bits >> 52
+    upper = mag >= binade_edge[biased]  # in the binade's upper decade
+    k = binade_k[biased]
+    k -= upper
+    s = binade_s[biased]
+    s += upper
+    t = np.maximum(s, 0)
+    # s < 0 only for integers above 2**53: shift m left by -s instead
+    left = t - s
+    m = bits & (2**52 - 1)
+    m |= 2**52
+    m <<= left
+    m, t = m.view(np.uint64), t.view(np.uint64)
+    p0 = pow5[k]
+    p1 = p0 >> 32
+    p0 &= 0xFFFFFFFF
+    m0 = m & 0xFFFFFFFF
+    m1 = np.right_shift(m, 32, out=m)
+    lo = m0 * p0
+    mid = np.multiply(m1, p0, out=p0)
+    mid += np.multiply(m0, p1, out=m0)   # < 2**53 + 2**63
+    mid += lo >> 32
+    hi = np.multiply(m1, p1, out=m1)
+    lo &= 0xFFFFFFFF
+    lo |= mid << 32
+    hi += np.right_shift(mid, 32, out=mid)
+    # the 128-bit hi·2**64 + lo, shifted right by t
+    below = lo >> t
+    t = np.subtract(64, t, out=t)
+    n = np.left_shift(hi, t, out=hi)
+    n |= below
+    frac = np.left_shift(lo, t, out=lo)
+    return n, frac, k, s, slow
 
 
-def _digit_words(x: np.ndarray, digits: np.ndarray, exp: np.ndarray, words: np.ndarray) -> None:
+def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.ndarray) -> None:
     """Write ``_fmt`` of each value of ``x``, given its 17 ``digits`` and
-    ``exp``, into ``words[:, :6]``: [sign, NUL, lead digit, '.'], the other
+    ``k``, into ``words[:, :6]``: [sign, NUL, lead digit, '.'], the other
     16 digits, "e±XX"."""
     import numpy as np
 
-    quads, exps, heads = _sci_tables()[1:]
-    lead, rest = np.divmod(digits, 10**16)
+    quads, exps, heads = _sci_tables()
+    # a // by a constant is several times faster than % or divmod
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
     for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
-        quad, rest = np.divmod(rest, scale)
+        quad = rest // scale
         words[:, col] = quads[quad]
+        rest -= quad * scale
     words[:, 4] = quads[rest]
-    words[:, 0] = heads[lead + 10 * (x < 0)]
-    words[:, 5] = exps[exp - (16 - _MAX_POW)]
+    lead += (x.view(np.uint64) >> 63) * 10
+    words[:, 0] = heads[lead]
+    words[:, 5] = exps[k]
 
 
-def _splice(slots: np.ndarray, x: np.ndarray, fast: np.ndarray, text_of) -> None:
-    """Write ``text_of(v)`` over the slot of each value of ``x`` that is not ``fast``."""
+def _carry(digits: np.ndarray, k: np.ndarray) -> None:
+    """Rounding up to 10**17 carries into the next decade: 10**16, one k less."""
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k -= carry
+
+
+def _splice(slots: np.ndarray, x: np.ndarray, slow: np.ndarray, text_of) -> None:
+    """Write ``text_of(v)`` over the slot of each value of ``x`` that is ``slow``."""
     import numpy as np
 
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(slow)
     if slow.size:
         text = "".join([text_of(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
         slots[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
@@ -173,60 +233,76 @@ def _splice(slots: np.ndarray, x: np.ndarray, fast: np.ndarray, text_of) -> None
 
 
 def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded."""
+    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded.
+
+    The 17 digits are those of ``_sci_digits`` rounded half to even, exactly
+    as ``"%.16e"`` rounds; only its ``slow`` values go through ``_fmt``.
+    """
     import numpy as np
 
-    digits, r, exp, fast = _sci_digits(x)
-    _digit_words(x, digits, exp, out.view(np.uint32))
-    _splice(out, x, fast & (np.abs(r) < 0.494), _fmt)
+    digits, frac, k, _, slow = _sci_digits(x)
+    # frac's low bits are 0, so frac + 1 passes half only at a tie with odd digits
+    digits += frac + (digits & 1) > 2**63
+    _carry(digits, k)
+    _digit_words(x, digits, k, out.view(np.uint32))
+    _splice(out, x, slow, _fmt)
 
 
 def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``repr`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded.
 
-    The shortest digits are derived from the 17 of ``_sci_digits``; values
-    that this cannot settle go through ``repr``.
+    ``repr`` gives the shortest digits that read back as x, the nearest to x
+    of those. From the exact n + frac/2**64 of ``_sci_digits``: the nearest
+    15-digit decimal if it lies strictly within the half gap of x, else the
+    nearest 16-digit one, else the 17 digits rounded (half a 17th digit is
+    always within the half gap, which is over 0.55 of it). The half gap,
+    ulp·10**k/2 = 5**k·2**(-s - 1), is split the same way into whole and
+    part/2**64. Values whose answer hangs on a rule this does not follow go
+    through ``repr``: an exact tie between two candidates, a candidate
+    exactly on the interval's edge, and powers of two, whose lower gap is
+    half the upper.
     """
     import numpy as np
 
-    digits, r, exp, fast = _sci_digits(x)
-    with np.errstate(all="ignore"):
-        mag = np.abs(x)
-        # half the gap to the neighbouring doubles, in units of the 17th digit
-        half_ulp = 0.5 * np.spacing(mag) / mag * (digits + r)
-    # At most one 15-digit decimal lies within half_ulp of the value, and repr
-    # takes the nearest 16-digit one that does; else all 17 digits (they always
-    # do: half_ulp > 0.55 > |r|). The first that does, without its trailing
-    # zeros, is repr's. A value within 0.0055 of a tie or of the interval's
-    # edge, a power of two (whose lower gap is half the upper) or a carry
-    # into the next decade takes the slow path.
-    chosen = digits
+    digits, frac, k, s, slow = _sci_digits(x)
+    t = np.maximum(s, 0)
+    pow5 = _exact_tables()[3]
+    gap = pow5[k] << (t - s).view(np.uint64)
+    t = t.view(np.uint64)
+    gap_whole, gap_part = gap >> (t + 1), gap << (63 - t)
+    chosen = digits.copy()
     settled = np.zeros(x.size, dtype=bool)
+    above = frac != 0
     for step in (100, 10):
-        quotient, rem = np.divmod(digits, step)
-        off = rem + r
-        up = off > step / 2
-        dist = np.where(up, step - off, off)
-        fast &= (np.abs(off - step / 2) > 0.0055) & (np.abs(dist - half_ulp) > 0.0055)
-        take = ~settled & (dist < half_ulp)
+        quotient = digits // step
+        rem = digits - quotient * step
+        # the distance to the nearest multiple of step: whole + part/2**64
+        up = (rem > step // 2) | ((rem == step // 2) & above)
+        whole = np.where(up, step - rem - above, rem)
+        part = np.where(up, 0 - frac, frac)
+        edge = ~settled & (whole == gap_whole)
+        slow |= edge & (part == gap_part)
+        take = ~settled & ((whole < gap_whole) | (edge & (part < gap_part)))
+        if step == 10:
+            slow |= take & (rem == 5) & ~above
         chosen = np.where(take, (quotient + up) * step, chosen)
         settled |= take
-    # all 17 digits are N only away from a tie of the 17th
-    fast &= (settled | (np.abs(r) < 0.494)) & (chosen < 10**17)
-    fast &= (x.view(np.int64) & (2**52 - 1)) != 0
-    chosen[~fast] = 10**16
+    slow |= ~settled & (frac == 2**63)
+    chosen += ~settled & (frac > 2**63)
+    slow |= (x.view(np.int64) & (2**52 - 1)) == 0
+    _carry(chosen, k)
 
     # the source of the gather: _fmt of the chosen digits, then "0000"
     src = np.empty((x.size, 7), dtype=np.uint32)
-    _digit_words(x, chosen, exp, src)
+    _digit_words(x, chosen, k, src)
     src = src.view(np.uint8)
     src[:, _SCI_WIDTH:] = ord("0")
     # bytes 3..19 are '.' and 16 digits: the '.' ends the run of trailing '0's
     n_digits = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
-    gather = _repr_tables()[(exp - (16 - _MAX_POW)) * 17 + n_digits - 1]
+    gather = _repr_tables()[k * 17 + n_digits - 1]
     gather += np.arange(0, src.size, src.shape[1])[:, None]
     np.take(src.ravel(), gather, out=out[:, :_SCI_WIDTH])
-    _splice(out, x, fast, repr)
+    _splice(out, x, slow, repr)
 
 
 def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
@@ -349,13 +425,14 @@ def _cmd_simulate(args, params: PhysicalParams) -> str:
 
 def _state_from_args(args) -> GaussianState:
     if args.from_simulation is not None:
-        if args.var_p is not None or args.var_x is not None:
+        if (args.var_p, args.var_x, args.cross) != (None, None, None):
             raise ParameterError("give either --from-simulation or explicit variances, not both")
         return _state_from_simulation(args.from_simulation)
     if args.var_p is None or args.var_x is None:
         raise ParameterError("readout needs --var-p and --var-x, or --from-simulation")
+    cross = 0.0 if args.cross is None else args.cross
     try:
-        return GaussianState(var_p=args.var_p, var_x=args.var_x, cross=args.cross)
+        return GaussianState(var_p=args.var_p, var_x=args.var_x, cross=cross)
     except ParameterError as exc:
         raise ParameterError(f"invalid state: {exc}")
 
@@ -376,7 +453,12 @@ def _state_from_simulation(ref: str) -> GaussianState:
         if text.lstrip().startswith(("[", "{")):
             rows = json.loads(text)
             record = rows[row]
-            moments = {k: float(record[k]) for k in ("var_p", "var_x", "cross")}
+            moments = {k: record[k] for k in ("var_p", "var_x", "cross")}
+            for k, v in moments.items():
+                # float() rejects the other non-numbers, but takes "3_0" and true
+                if isinstance(v, (str, bool)):
+                    raise TypeError(f"{k} is not a number: {json.dumps(v)}")
+                moments[k] = float(v)
         else:
             lines = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
             header = lines[0].split(",")
@@ -535,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_read)
     p_read.add_argument("--var-p", dest="var_p", type=float, help="momentum variance")
     p_read.add_argument("--var-x", dest="var_x", type=float, help="position variance")
-    p_read.add_argument("--cross", type=float, default=0.0, help="symmetrized cross moment")
+    p_read.add_argument("--cross", type=float, help="symmetrized cross moment (default: 0)")
     p_read.add_argument(
         "--from-simulation",
         dest="from_simulation",

@@ -422,6 +422,17 @@ class TestReadout:
         assert captured.out == ""
 
 
+def all_slow(monkeypatch):
+    """Send every value through the writers' fallback, ``_fmt`` or ``repr``."""
+    kernel = cli._sci_digits
+
+    def slow_kernel(x):
+        *rest, slow = kernel(x)
+        return (*rest, np.ones_like(slow))
+
+    monkeypatch.setattr(cli, "_sci_digits", slow_kernel)
+
+
 class TestFmtRows:
     """The vectorised trace formatter writes exactly the bytes of ``_fmt``."""
 
@@ -457,7 +468,7 @@ class TestFmtRows:
         assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_fmt(self, monkeypatch):
-        monkeypatch.setattr(cli, "_FAST_SCI", False)
+        all_slow(monkeypatch)
         columns = tuple(c[:2000] for c in self.columns())
         got = "".join(cli._float_rows(cli._sci_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
@@ -514,10 +525,75 @@ class TestReprRows:
         assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_repr(self, monkeypatch):
-        monkeypatch.setattr(cli, "_FAST_SCI", False)
+        all_slow(monkeypatch)
         columns = tuple(c[::20] for c in self.columns())
         got = "".join(cli._float_rows(cli._repr_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
+
+
+class TestExactDigits:
+    """The integer digit kernel, against ``_fmt`` and ``repr`` one by one."""
+
+    WRITERS = {"fmt": (cli._sci_slots, cli._fmt), "repr": (cli._repr_slots, repr)}
+
+    @staticmethod
+    def random_bits(seed):
+        rng = np.random.default_rng(seed)
+        n = 20000
+        # every binade of [1e-11, 1e17), with dense significands and with
+        # sparse ones (exact decimals, among them exact ties), then any bits
+        biased = rng.integers(1023 - 37, 1023 + 57, 2 * n).astype(np.uint64)
+        dense = rng.integers(0, 2**52, n, dtype=np.uint64)
+        shifts = rng.integers(0, 41, n).astype(np.uint64)
+        sparse = rng.integers(0, 2**12, n, dtype=np.uint64) << shifts
+        signs = rng.integers(0, 2, 2 * n).astype(np.uint64) << np.uint64(63)
+        bits = signs | (biased << np.uint64(52)) | np.concatenate([dense, sparse])
+        return np.concatenate([bits, rng.integers(0, 2**64, n, dtype=np.uint64)]).view(np.float64)
+
+    @staticmethod
+    def written(slots_of, values):
+        return "".join(cli._float_rows(slots_of, ("", "\n"), np.asarray(values))).split("\n")[:-1]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_bit_patterns(self, writer, seed):
+        slots_of, text_of = self.WRITERS[writer]
+        values = self.random_bits(seed)
+        got = self.written(slots_of, values)
+        want = [text_of(v) for v in values.tolist()]
+        wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not wrong and len(got) == len(want), f"{len(wrong)} differ, e.g. {wrong[:3]}"
+
+    def test_ties_round_half_even(self):
+        # 10·x ends in .5 exactly: "%.16e" rounds the 17th digit to even
+        values = [1125899906842624.25, 1125899906842624.75, -1125899906842625.25]
+        assert self.written(cli._sci_slots, values) == [
+            "1.1258999068426242e+15", "1.1258999068426248e+15", "-1.1258999068426252e+15",
+        ]
+
+    @pytest.mark.parametrize("kappa", ["default", "1e8"])
+    def test_trace_takes_no_fallback(self, kappa, tmp_path, monkeypatch):
+        # the readout_free_evolution golden's state: in each writer only the
+        # first row's zeros (t = 0 and the empty cavity's intensity) go
+        # through _fmt or repr
+        spliced = []
+        splice = cli._splice
+
+        def spy(slots, x, slow, text_of):
+            spliced.append((text_of, np.flatnonzero(slow).tolist(), x[slow].tolist()))
+            splice(slots, x, slow, text_of)
+
+        monkeypatch.setattr(cli, "_splice", spy)
+        argv = ["--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--free-evolution", "on"]
+        if kappa != "default":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"kappa = {kappa}\n")
+            argv += ["--config", str(cfg)]
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"trace.{fmt}"
+            assert run(["readout", *argv, "--format", fmt, "--out", str(out)]) == 0
+        first = [(f, rows, values) for f, rows, values in spliced if rows]
+        assert first == [(cli._fmt, [0, 1], [0.0, 0.0]), (repr, [0, 1], [0.0, 0.0])]
 
 
 class TestSweep:
@@ -747,9 +823,9 @@ def test_import_builds_no_writer_tables():
     # the trace writers' tables are built on first use, outside start-up
     code = (
         "from quadkick import cli; "
-        "print(cli._sci_tables.cache_info().currsize, cli._repr_tables.cache_info().currsize)"
+        "print([f.cache_info().currsize for f in (cli._sci_tables, cli._exact_tables, cli._repr_tables)])"
     )
-    assert fresh_python("-c", code).stdout == b"0 0\n"
+    assert fresh_python("-c", code).stdout == b"[0, 0, 0]\n"
 
 
 @pytest.mark.parametrize("module", ["quadkick", "quadkick.cli"])
@@ -794,15 +870,3 @@ def test_numpy_commands_in_fresh_process(argv, capsys):
     result = fresh_python("-m", "quadkick", *argv)
     assert result.returncode == 0 and result.stderr == b""
     assert result.stdout == run(argv, capsys)[1].out.encode()
-
-
-def test_fast_sci_resolved_on_first_use():
-    code = "\n".join([
-        "from quadkick import cli",
-        "print(cli._FAST_SCI)",
-        "import numpy as np",
-        "cli._float_rows(cli._sci_slots, ('', '\\n'), np.array([1.5]))",
-        "wide = np.finfo(np.longdouble).nmant >= 63",
-        "print(cli._FAST_SCI == (wide and np.longdouble(1) + np.longdouble(2.0**-63) > 1))",
-    ])
-    assert fresh_python("-c", code).stdout == b"None\nTrue\n"

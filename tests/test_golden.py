@@ -153,6 +153,15 @@ ERRORS = {
         {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv", "--var-x", "1"], 2,
         "error: give either --from-simulation or explicit variances, not both\n",
     ),
+    # --cross is an explicit moment too, even at the value it defaults to
+    "readout_both_sources_cross": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv", "--cross", "0.1"], 2,
+        "error: give either --from-simulation or explicit variances, not both\n",
+    ),
+    "readout_both_sources_cross_zero": (
+        {"sim.csv": SIM_CSV}, ["readout", "--from-simulation", "sim.csv", "--cross", "0"], 2,
+        "error: give either --from-simulation or explicit variances, not both\n",
+    ),
     "readout_invalid_state": (
         {}, ["readout", "--var-p", "0.1", "--var-x", "0.1"], 2,
         "error: invalid state: covariance violates the Heisenberg bound: "
@@ -200,6 +209,17 @@ ERRORS = {
         ["readout", "--from-simulation", "sim.json"], 2,
         "error: cannot extract row -1 from 'sim.json': "
         "float() argument must be a string or a real number, not 'NoneType'\n",
+    ),
+    # float() takes these; a JSON moment must be a number
+    "from_simulation_string_moment": (
+        {"sim.json": '[{"var_p": "3_0", "var_x": 0.4, "cross": 0}]'},
+        ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': var_p is not a number: \"3_0\"\n",
+    ),
+    "from_simulation_bool_moment": (
+        {"sim.json": '[{"var_p": 3, "var_x": 0.4, "cross": false}]'},
+        ["readout", "--from-simulation", "sim.json"], 2,
+        "error: cannot extract row -1 from 'sim.json': cross is not a number: false\n",
     ),
     "from_simulation_huge_moment": (
         {"sim.json": '[{"var_p": 1' + "0" * 400 + ', "var_x": 1, "cross": 0}]'},
