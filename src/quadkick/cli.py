@@ -535,6 +535,7 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
     axes = tuple(_parse_axis(a) for a in args.axis)
     spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
     cells = sweep(spec)
+    values, errors = cells.values, cells.errors
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
     if args.format == "json":
@@ -544,22 +545,27 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
         rows = [
             _JSON_SWEEP_CELL % (
                 ",\n".join(coords),
-                "null" if cell.value is None else repr(cell.value),
-                "null" if cell.error is None else json.dumps(cell.error),
+                *(("null", json.dumps(errors[k])) if k in errors else (repr(float(v)), "null")),
             )
-            for coords, cell in zip(itertools.product(*lines), cells)
+            for k, (coords, v) in enumerate(zip(itertools.product(*lines), values))
         ]
         return "[\n" + ",\n".join(rows) + "\n]\n"
     # each coordinate formatted once; the cells are in the grid's product order
-    texts = itertools.product(*([_fmt(v) for v in a.values] for a in axes))
-    out = [",".join(names + [args.observable, "status"])]
-    for coords, cell in zip(texts, cells):
-        if cell.error is None:
-            # "%.16e" writes the bytes of _fmt
-            out.append("%s,%.16e,ok" % (",".join(coords), cell.value))
-        else:
-            out.append(",".join(coords) + ",ERROR," + cell.error.replace(",", ";"))
-    return "\n".join(out) + "\n"
+    texts = [[_fmt(v) for v in a.values] for a in axes]
+    if args.observable == "pulses_needed":
+        # no numpy on this path: "%.16e" writes the bytes of _fmt, one row at a time
+        rows = ["%s,%.16e,ok" % (",".join(c), v) for c, v in zip(itertools.product(*texts), values)]
+    else:
+        import numpy as np
+
+        columns = [c.ravel() for c in np.meshgrid(*[a.values for a in axes], indexing="ij")]
+        parts = ("",) + (",",) * len(axes) + (",ok\n",)
+        rows = "".join(_float_rows(_sci_slots, parts, *columns, values))[:-1].split("\n")
+    # an error cell's value is nan: its row is rewritten
+    for k, error in errors.items():
+        coords = ",".join(t[i] for t, i in zip(texts, cells.grid_index(k)))
+        rows[k] = coords + ",ERROR," + error.replace(",", ";")
+    return "\n".join([",".join(names + [args.observable, "status"]), *rows]) + "\n"
 
 
 _COMMANDS = {

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dissipation import decoherence_term
 from .errors import ParameterError, QuadkickError
@@ -23,6 +24,9 @@ from .kicks import (
     two_pulse_variance,
 )
 from .state import VACUUM_VARIANCE, thermal_occupancy, thermal_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _AXIS_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
@@ -85,7 +89,11 @@ def min_pulses(
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter: a PhysicalParams field name or "delta_tau"."""
+    """One swept parameter: a PhysicalParams field name or "delta_tau".
+
+    ``delta_tau`` offsets the two-pulse wait from the quarter period, so only
+    ``var_x`` and ``var_p`` read it; the other observables ignore it.
+    """
 
     name: str
     values: tuple[float, ...]
@@ -152,7 +160,39 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
         return math.inf
 
 
-def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[list, list]:
+class _SweepCells(Sequence):
+    """``sweep``'s grid as columns: cell k has the value ``values[k]``, or the
+    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read."""
+
+    def __init__(self, axes: tuple[SweepAxis, ...], values, errors: dict[int, str]):
+        self.axes, self.values, self.errors = axes, values, errors
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def grid_index(self, k: int) -> tuple[int, ...]:
+        """The index of cell k into each axis's values (axis-1 major)."""
+        return divmod(k, len(self.axes[1].values)) if len(self.axes) == 2 else (k,)
+
+    def _cell(self, k: int) -> SweepCell:
+        coords = tuple((a.name, a.values[i]) for a, i in zip(self.axes, self.grid_index(k)))
+        error = self.errors.get(k)
+        return SweepCell(coords, None if error is not None else float(self.values[k]), error)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._cell(i) for i in range(len(self))[k]]
+        return self._cell(range(len(self))[k])
+
+    def __iter__(self):
+        # the cells in order, without Sequence's item-by-item lookups (3x slower)
+        coords = itertools.product(*[[(a.name, v) for v in a.values] for a in self.axes])
+        for k, (c, value) in enumerate(zip(coords, self.values)):
+            error = self.errors.get(k)
+            yield SweepCell(c, None if error is not None else float(value), error)
+
+
+def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:
     """The closed-form observable of every cell, axis-1 major, with the axes
     laid over the field ``table``, and the cells it leaves open (nan): those
     with an invalid axis value (a text in ``errors``) or any value the scalar
@@ -208,10 +248,10 @@ def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[list,
                 | ~np.isfinite(var_p) | ~np.isfinite(var_x)
             )
         # bad spans every axis, so this is the whole grid
-        return np.where(bad, math.nan, value).reshape(-1).tolist(), np.flatnonzero(bad).tolist()
+        return np.where(bad, math.nan, value).reshape(-1), np.flatnonzero(bad).tolist()
 
 
-def sweep(spec: SweepSpec) -> list[SweepCell]:
+def sweep(spec: SweepSpec) -> Sequence[SweepCell]:
     """Evaluate the observable over the grid, axis-1 major.
 
     A cell whose substituted parameters are invalid, or whose evaluation
@@ -219,27 +259,32 @@ def sweep(spec: SweepSpec) -> list[SweepCell]:
     never aborts.  Each axis value is checked once; a cell reports its first
     out-of-range field in field order, as ``PhysicalParams`` would.  Cells
     read one table, the base's fields and ``delta_tau``, with their axis
-    values laid over it; none builds a ``PhysicalParams``.  Closed-form
-    observables are computed for the whole grid at once; the cells it leaves
-    open and ``pulses_needed`` cells (a count, no schedule) are scalar.
+    values laid over it; none builds a ``PhysicalParams``.  Only ``var_x``
+    and ``var_p`` read ``delta_tau``.  Closed-form observables are computed
+    for the whole grid at once, into a float64 array; the cells it leaves
+    open and ``pulses_needed`` cells (a count, no schedule, into a list) are
+    scalar.  The cells come as a read-only sequence over those columns.
     """
     errors = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
               for a in spec.axes]
     table = vars(spec.base) | {"delta_tau": 0.0}
-    coords = list(itertools.product(*[[(a.name, v) for v in a.values] for a in spec.axes]))
-    values, open_cells = itertools.repeat(math.nan), range(len(coords))
-    if spec.observable != "pulses_needed":
+    if spec.observable == "pulses_needed":
+        size = math.prod(len(a.values) for a in spec.axes)
+        values, open_cells = [math.nan] * size, range(size)
+    else:
         values, open_cells = _closed_form_grid(spec, table, errors)
-    cells = list(map(SweepCell._make, zip(coords, values, itertools.repeat(None))))
+    cells = _SweepCells(spec.axes, values, {})
     names = [axis.name for axis in spec.axes]
     field_order = slice(None, None, 1 if sorted(names, key=_AXIS_NAMES.index) == names else -1)
-    cell_errors = list(itertools.product(*errors))
     for k in open_cells:
-        value, error = None, next(filter(None, cell_errors[k][field_order]), None)
-        if error is None:
-            try:
-                value = _evaluate_cell(spec, table | dict(coords[k]))
-            except QuadkickError as exc:
-                error = str(exc)
-        cells[k] = SweepCell(coords[k], value, error)
+        index = cells.grid_index(k)
+        error = next(filter(None, [texts[i] for texts, i in zip(errors, index)][field_order]), None)
+        if error is not None:
+            cells.errors[k] = error
+            continue
+        p = table | {a.name: a.values[i] for a, i in zip(spec.axes, index)}
+        try:
+            values[k] = _evaluate_cell(spec, p)
+        except QuadkickError as exc:
+            cells.errors[k] = str(exc)
     return cells

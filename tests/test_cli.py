@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadkick
 from quadkick import cli
 from quadkick.cli import main
-from quadkick.config import KEY_TO_FIELD, load_config
+from quadkick.config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
 from quadkick.errors import ParameterError
 from quadkick.kicks import PhysicalParams
+from quadkick.planner import SweepAxis, SweepCell, SweepSpec, sweep
 
 NBAR_100UK = 12.598398495684691623
 
@@ -596,6 +601,81 @@ class TestExactDigits:
         assert first == [(cli._fmt, [0, 1], [0.0, 0.0]), (repr, [0, 1], [0.0, 0.0])]
 
 
+# coordinates at 0, subnormal, ≥ 1e17 and huge, which the block writer hands to _fmt
+SPECIAL_VALUES = (0.0, 5e-324, 1e-310, 1e17, 1e18, 1e30, 1e300)
+grid_values = st.builds(
+    lambda m, e, sign: sign * m * 10.0**e,
+    st.floats(1.0, 10.0), st.integers(-12, 31), st.sampled_from((1.0, 1.0, 1.0, -1.0)),
+) | st.sampled_from(SPECIAL_VALUES + tuple(-v for v in SPECIAL_VALUES))
+
+
+@st.composite
+def closed_form_grids(draw):
+    """1- and 2-axis grids of the closed-form observables over any axis, with
+    negated (invalid) values, and delta_tau offsets that make the wait negative."""
+    fields = [*KEY_TO_FIELD.values(), "delta_tau"]
+    names = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True))
+    axes = tuple(SweepAxis(name, draw(st.lists(grid_values, min_size=1, max_size=5)))
+                 for name in names)
+    return SweepSpec(axes, PhysicalParams(), draw(st.sampled_from(("var_x", "var_p",
+                                                                    "decoherence_term"))))
+
+
+def sweep_oracle(spec):
+    """The CSV and JSON bytes of ``spec`` from its ``sweep`` cells, one row at a time."""
+    keys = [FIELD_TO_KEY.get(a.name, a.name) for a in spec.axes]
+    csv, rows = [",".join(keys + [spec.observable, "status"])], []
+    for cell in sweep(spec):
+        coords = ",".join(cli._fmt(v) for _, v in cell.coords)
+        if cell.error is None:
+            csv.append("%s,%.16e,ok" % (coords, cell.value))
+        else:
+            csv.append(coords + ",ERROR," + cell.error.replace(",", ";"))
+        rows.append(cli._JSON_SWEEP_CELL % (
+            ",\n".join(f"      {json.dumps(k)}: {v!r}" for k, (_, v) in zip(keys, cell.coords)),
+            "null" if cell.value is None else repr(cell.value),
+            "null" if cell.error is None else json.dumps(cell.error),
+        ))
+    return "\n".join(csv) + "\n", "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+class TestSweepWriters:
+    """Closed-form sweeps, written from columns, against ``sweep``'s cells row by row."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(spec=closed_form_grids())
+    # values 3.3e-16 and 4.9e-32 outside [1e-11, 1e17), coordinates 0, 1e18 and 1e30
+    @example(spec=SweepSpec(
+        (SweepAxis("g", (1e-4, -1.0)), SweepAxis("n_p", (0.0, 1e18, 1e30))), PhysicalParams()
+    ))
+    # a negative wait: "duration must be non-negative, got …" has a comma
+    @example(spec=SweepSpec(
+        (SweepAxis("omega_m", (1e6, 5e-324)), SweepAxis("delta_tau", (-2e-6, 0.0, 1e-8))),
+        PhysicalParams(), "var_p",
+    ))
+    def test_cli_bytes_are_the_per_cell_oracle(self, spec):
+        argv = ["sweep", "--observable", spec.observable]
+        for axis in spec.axes:
+            argv.append(f"--axis={FIELD_TO_KEY.get(axis.name, axis.name)}="
+                        + ",".join(map(repr, axis.values)))
+        built = []
+        make, new = SweepCell._make.__func__, SweepCell.__new__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SweepCell, "_make", classmethod(lambda c, it: built.append(c) or make(c, it)))
+            mp.setattr(SweepCell, "__new__", lambda c, *a: built.append(c) or new(c, *a))
+            got = []
+            for fmt in ("csv", "json"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv + ["--format", fmt]) == 0
+                got.append(out.getvalue())
+        # the CLI writes from the columns: it reads no cell
+        assert built == []
+        want = sweep_oracle(spec)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+
 class TestSweep:
     def test_decoherence_temperature_sweep(self, capsys):
         code, captured = run(
@@ -846,6 +926,14 @@ def imported_modules(stderr):
         ["constants"],
         ["simulate", "--dissipation", "on"],
         ["sweep", "--axis", "n_p=1e9,1e10", "--observable", "pulses_needed"],
+        pytest.param(
+            ["sweep", "--axis", "n_p=1e9,1e10", "--observable", "pulses_needed", "--format", "json"],
+            id="sweep_json",
+        ),
+        pytest.param(
+            ["sweep", "--axis", "n_p=1e9,-1", "--axis", "T=1e-4", "--observable", "pulses_needed"],
+            id="sweep_error_row",
+        ),
     ],
     ids=lambda a: a[0],
 )
@@ -862,6 +950,8 @@ def test_numpy_free_commands_start_without_numpy(argv):
     [
         ["readout", "--var-p", "3", "--var-x", "0.2", "--free-evolution", "on"],
         ["sweep", "--axis", "g=1e-4,2e-4", "--axis", "T=0,1e-4", "--format", "json"],
+        # the block writer's tables are built on first use in this process
+        pytest.param(["sweep", "--axis", "g=1e-4,-1", "--axis", "n_p=0,1e18,1e30"], id="sweep_csv"),
     ],
     ids=lambda a: a[0],
 )

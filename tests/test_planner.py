@@ -8,6 +8,7 @@ from quadkick import (
     ParameterError,
     PhysicalParams,
     SweepAxis,
+    SweepCell,
     SweepSpec,
     apply_schedule,
     decoherence_term,
@@ -254,6 +255,21 @@ class TestSweep:
         assert [c.coords[0][1] for c in cells] == [-1e-8, 0.0, 1e-8]
         assert cells[1].value < cells[0].value
         assert cells[1].value < cells[2].value
+
+    @pytest.mark.parametrize("observable", ["var_x", "pulses_needed"])
+    def test_cells_read_as_a_sequence(self, observable):
+        # the cells are built from the grid's columns when read
+        axes = (SweepAxis("R", (0.4, 2.0)), SweepAxis("T", (1e-4, 1e-3, 1e-2)))
+        cells = sweep(SweepSpec(axes, PARAMS, observable))
+        listed = list(cells)
+        assert len(cells) == len(listed) == 6
+        assert cells[-1] == listed[5] and cells[1:5:2] == [listed[1], listed[3]]
+        assert listed[4] == SweepCell(
+            (("R", 2.0), ("T", 1e-3)), None, "field R: value 2.0 is out of range"
+        )
+        assert all(type(cell.value) is float for cell in listed[:3])
+        with pytest.raises(IndexError):
+            cells[6]
 
     def test_invalid_cell_marked_not_fatal(self):
         spec = SweepSpec(axes=(SweepAxis("R", (0.4, 2.0)),), base=PARAMS, observable="var_x")
