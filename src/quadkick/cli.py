@@ -535,37 +535,42 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
     axes = tuple(_parse_axis(a) for a in args.axis)
     spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
     cells = sweep(spec)
-    values, errors = cells.values, cells.errors
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
     if args.format == "json":
         # the bytes of json.dumps: repr is a finite float's JSON text, and
         # every coordinate and value is finite
+        errors = cells.errors
         lines = [[f"      {json.dumps(k)}: {v!r}" for v in a.values] for k, a in zip(names, axes)]
         rows = [
             _JSON_SWEEP_CELL % (
                 ",\n".join(coords),
                 *(("null", json.dumps(errors[k])) if k in errors else (repr(float(v)), "null")),
             )
-            for k, (coords, v) in enumerate(zip(itertools.product(*lines), values))
+            for k, (coords, v) in enumerate(zip(itertools.product(*lines), cells.values))
         ]
         return "[\n" + ",\n".join(rows) + "\n]\n"
+    header = ",".join(names + [args.observable, "status"]) + "\n"
     # each coordinate formatted once; the cells are in the grid's product order
     texts = [[_fmt(v) for v in a.values] for a in axes]
     if args.observable == "pulses_needed":
         # no numpy on this path: "%.16e" writes the bytes of _fmt, one row at a time
-        rows = ["%s,%.16e,ok" % (",".join(c), v) for c, v in zip(itertools.product(*texts), values)]
+        rows = ["%s,%.16e,ok" % (",".join(c), v) for c, v in zip(itertools.product(*texts), cells.values)]
     else:
         import numpy as np
 
         columns = [c.ravel() for c in np.meshgrid(*[a.values for a in axes], indexing="ij")]
         parts = ("",) + (",",) * len(axes) + (",ok\n",)
-        rows = "".join(_float_rows(_sci_slots, parts, *columns, values))[:-1].split("\n")
+        body = "".join(_float_rows(_sci_slots, parts, *columns, cells.values))
+        if not cells.errors:
+            return header + body
+        # splitting and rewriting by index beats a join that swaps rows in
+        rows = body[:-1].split("\n")
     # an error cell's value is nan: its row is rewritten
-    for k, error in errors.items():
+    for k, error in cells.errors.items():
         coords = ",".join(t[i] for t, i in zip(texts, cells.grid_index(k)))
         rows[k] = coords + ",ERROR," + error.replace(",", ";")
-    return "\n".join([",".join(names + [args.observable, "status"]), *rows]) + "\n"
+    return header + "\n".join(rows) + "\n"
 
 
 _COMMANDS = {

@@ -3,7 +3,6 @@ parameter-grid sweeps (timing jitter is the sweep's ``delta_tau`` axis)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -162,7 +161,8 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
 
 class _SweepCells(Sequence):
     """``sweep``'s grid as columns: cell k has the value ``values[k]``, or the
-    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read."""
+    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read.
+    Not a list: ``list(cells)`` for ``+``, ``sort`` or ``json.dumps``."""
 
     def __init__(self, axes: tuple[SweepAxis, ...], values, errors: dict[int, str]):
         self.axes, self.values, self.errors = axes, values, errors
@@ -184,12 +184,16 @@ class _SweepCells(Sequence):
             return [self._cell(i) for i in range(len(self))[k]]
         return self._cell(range(len(self))[k])
 
-    def __iter__(self):
-        # the cells in order, without Sequence's item-by-item lookups (3x slower)
-        coords = itertools.product(*[[(a.name, v) for v in a.values] for a in self.axes])
-        for k, (c, value) in enumerate(zip(coords, self.values)):
-            error = self.errors.get(k)
-            yield SweepCell(c, None if error is not None else float(value), error)
+    def __eq__(self, other):
+        # compares as the list of its cells would: with a list or another grid
+        if isinstance(other, (list, _SweepCells)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:
@@ -263,7 +267,8 @@ def sweep(spec: SweepSpec) -> Sequence[SweepCell]:
     and ``var_p`` read ``delta_tau``.  Closed-form observables are computed
     for the whole grid at once, into a float64 array; the cells it leaves
     open and ``pulses_needed`` cells (a count, no schedule, into a list) are
-    scalar.  The cells come as a read-only sequence over those columns.
+    scalar.  The cells come as a read-only sequence over those columns,
+    equal to the list of its cells but not a list.
     """
     errors = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
               for a in spec.axes]

@@ -270,6 +270,12 @@ class TestSweep:
         assert all(type(cell.value) is float for cell in listed[:3])
         with pytest.raises(IndexError):
             cells[6]
+        # compares and prints like the list of its cells
+        assert cells == listed and listed == cells and cells == sweep(SweepSpec(axes, PARAMS, observable))
+        assert cells != listed[:5] and cells != tuple(listed)
+        assert repr(cells) == f"_SweepCells({listed!r})"
+        with pytest.raises(TypeError):
+            hash(cells)
 
     def test_invalid_cell_marked_not_fatal(self):
         spec = SweepSpec(axes=(SweepAxis("R", (0.4, 2.0)),), base=PARAMS, observable="var_x")
