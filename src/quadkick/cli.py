@@ -45,6 +45,7 @@ def _fmt(x: float) -> str:
 
 
 _SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
+_FIXED_WIDTH = 22  # _fmt of a value >= 0 with a two-digit exponent: "1.0000000000000000e-05"
 _FMT_BLOCK_ROWS = 8192
 _MAX_POW = 27     # the writers scale by 10**k for k = 0 … 27, and 5**27 < 2**63
 
@@ -54,7 +55,7 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
     """Lookup tables of ``_digit_words``, built on first use to keep start-up short.
 
     Each entry is the native uint32 view of a 4-byte ASCII string; NUL
-    bytes are dropped from the output. The exponent words are indexed by k.
+    bytes pad a text on the left. The exponent words are indexed by k.
     """
     import numpy as np
 
@@ -64,7 +65,7 @@ def _sci_tables() -> tuple[np.ndarray, ...]:
     return (
         words(f"{i:04d}" for i in range(10000)),
         words(f"e{16 - k:+03d}" for k in range(_MAX_POW + 1)),
-        words(f"{s}\0{d}." for s in ("\0", "-") for d in range(10)),
+        words(f"\0{s}{d}." for s in ("\0", "-") for d in range(10)),
     )
 
 
@@ -116,21 +117,21 @@ def _repr_tables() -> np.ndarray:
     """Gather table of ``_repr_slots``, built on first use like ``_sci_tables``.
 
     Row k·17 + digits - 1 lists, for each of the _SCI_WIDTH output bytes,
-    its byte in the source of the gather.
+    its byte in the source of the gather: the text right-aligned, NUL before it.
     """
     import numpy as np
 
     letters = "ABCDEFGHIJKLMNOPQ"
-    # the source: sign, NUL, lead digit, '.', 16 digits, "e±XX" (repr's exponent
+    # the source: NUL, sign, lead digit, '.', 16 digits, "e±XX" (repr's exponent
     # too), "0000"
-    source = {"-": 0, "\0": 1, "A": 2, ".": 3, "0": 24}
+    source = {"\0": 0, "-": 1, "A": 2, ".": 3, "0": 24}
     source.update((c, 3 + k) for k, c in enumerate(letters) if k)
     rows = []
     for k in range(_MAX_POW + 1):
         for n in range(1, 18):
             mantissa, e, _ = _repr_layout(letters[:n], 17 - k).partition("e")
             row = [source[c] for c in "-" + mantissa] + ([20, 21, 22, 23] if e else [])
-            rows.append(row + [1] * (_SCI_WIDTH - len(row)))
+            rows.append([0] * (_SCI_WIDTH - len(row)) + row)
     return np.array(rows, dtype=np.intp)
 
 
@@ -195,21 +196,22 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.ndarray) -> None:
     """Write ``_fmt`` of each value of ``x``, given its 17 ``digits`` and
-    ``k``, into ``words[:, :6]``: [sign, NUL, lead digit, '.'], the other
-    16 digits, "e±XX"."""
+    ``k``, into ``words[:, :6]``: [NUL, sign, lead digit, '.'], the other
+    16 digits, "e±XX". A value that is not negative leaves the sign NUL."""
     import numpy as np
 
     quads, exps, heads = _sci_tables()
-    # a // by a constant is several times faster than % or divmod
+    # a // by a constant is several times faster than % or divmod; numpy
+    # gathers faster with intp indices, and every index here is below 10**4
     lead = digits // 10**16
     rest = digits - lead * 10**16
     for col, scale in ((1, 10**12), (2, 10**8), (3, 10**4)):
         quad = rest // scale
-        words[:, col] = quads[quad]
+        words[:, col] = quads[quad.astype(np.intp)]
         rest -= quad * scale
-    words[:, 4] = quads[rest]
+    words[:, 4] = quads[rest.astype(np.intp)]
     lead += (x.view(np.uint64) >> 63) * 10
-    words[:, 0] = heads[lead]
+    words[:, 0] = heads[lead.astype(np.intp)]
     words[:, 5] = exps[k]
 
 
@@ -221,19 +223,21 @@ def _carry(digits: np.ndarray, k: np.ndarray) -> None:
 
 
 def _splice(slots: np.ndarray, x: np.ndarray, slow: np.ndarray, text_of) -> None:
-    """Write ``text_of(v)`` over the slot of each value of ``x`` that is ``slow``."""
+    """Write ``text_of(v)``, right-aligned, over the slot of each value of
+    ``x`` that is ``slow``."""
     import numpy as np
 
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = "".join([text_of(v).ljust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
+        text = "".join([text_of(v).rjust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
         slots[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
             -1, _SCI_WIDTH
         )
 
 
 def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded.
+    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, right-aligned
+    after NUL bytes.
 
     The 17 digits are those of ``_sci_digits`` rounded half to even, exactly
     as ``"%.16e"`` rounds; only its ``slow`` values go through ``_fmt``.
@@ -249,7 +253,8 @@ def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``repr`` of each value into ``out[:, :_SCI_WIDTH]``, NUL-padded.
+    """Write ``repr`` of each value into ``out[:, :_SCI_WIDTH]``, right-aligned
+    after NUL bytes.
 
     ``repr`` gives the shortest digits that read back as x, the nearest to x
     of those. From the exact n + frac/2**64 of ``_sci_digits``: the nearest
@@ -305,11 +310,29 @@ def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
     _splice(out, x, slow, repr)
 
 
+def _fixed_width(slots: np.ndarray) -> bool:
+    """Whether every text in ``slots`` is _FIXED_WIDTH bytes wide. Texts are
+    right-aligned and hold no NUL, so each must start at byte ``lead``, after
+    a NUL."""
+    import numpy as np
+
+    lead = _SCI_WIDTH - _FIXED_WIDTH
+    before, first = np.count_nonzero(slots[:, lead - 1]), np.count_nonzero(slots[:, lead])
+    return bool(before == 0 and first == len(slots))
+
+
 def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
     """Rows ``parts[0] + f(a) + parts[1] + f(b) + … + parts[-1]`` of float
     columns, one string per block of rows, where ``slots_of(x, out)`` writes
-    f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, NUL-padded
-    (``_sci_slots`` for ``_fmt``, ``_repr_slots`` for ``repr``).
+    f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, right-aligned
+    after NUL bytes (``_sci_slots`` for ``_fmt``, ``_repr_slots`` for ``repr``).
+
+    A block whose texts are all _FIXED_WIDTH bytes wide is built by copying
+    each slot's fixed window, the text and the part after it, into one row
+    buffer. Every block of a readout CSV trace is one: its values are never
+    negative. A block with a negative value or a text of another width
+    (negative sweep coordinates, the JSON writer's texts) drops the NUL
+    bytes of its slots instead.
     """
     import numpy as np
 
@@ -321,17 +344,35 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     tails = np.frombuffer(tails, np.uint32).reshape(len(after), -1)
     width = _SCI_WIDTH + pad
     table = np.column_stack(columns)
-    # one buffer for every block: a fresh one per block costs page faults
-    buf = np.empty((min(len(table), _FMT_BLOCK_ROWS) * len(after), width), dtype=np.uint8)
+    n_rows = min(len(table), _FMT_BLOCK_ROWS)
+    # one buffer for every block, as a fresh one per block costs page faults;
+    # slots_of writes only the texts, so the parts are written once
+    buf = np.empty((n_rows, len(after), width), dtype=np.uint8)
+    buf.view(np.uint32)[:, :, _SCI_WIDTH // 4 :] = tails
+    # a fixed window: bytes lead … _SCI_WIDTH + len(a) of a slot
+    lead = _SCI_WIDTH - _FIXED_WIDTH
+    sizes = [_FIXED_WIDTH + len(a) for a in after]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    rows = None  # made on first use: an unused row buffer still costs page faults
     blocks = []
     for i in range(0, len(table), _FMT_BLOCK_ROWS):
-        x = table[i : i + _FMT_BLOCK_ROWS].ravel()
-        slots = buf[: x.size]
-        slots_of(x, slots)
-        words = slots.view(np.uint32).reshape(-1, len(after), width // 4)
-        words[:, :, _SCI_WIDTH // 4 :] = tails
-        flat = slots.ravel()
-        blocks.append(flat[flat != 0].tobytes().decode("ascii"))
+        x = table[i : i + _FMT_BLOCK_ROWS]
+        slots = buf[: len(x)]
+        texts = slots.reshape(-1, width)
+        slots_of(x.ravel(), texts)
+        if _fixed_width(texts):
+            if rows is None:
+                rows = np.empty((n_rows, starts[-1]), dtype=np.uint8)
+            block = rows[: len(x)]
+            for j, (start, size) in enumerate(zip(starts, sizes)):
+                # one void item per window: numpy copies it whole, not byte by byte
+                window = np.dtype((np.void, size))
+                source = slots[:, j, lead : lead + size]
+                block[:, start : start + size].view(window)[...] = source.view(window)
+        else:
+            block = slots.ravel()
+            block = block[block != 0]
+        blocks.append(str(block.data, "ascii"))
     if blocks:
         blocks[0] = parts[0] + blocks[0]
         blocks[-1] = blocks[-1][: len(blocks[-1]) - len(parts[0])]
@@ -373,7 +414,7 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
     return PulseSchedule(tuple(segments))
 
 
-def _cmd_constants(args, params: PhysicalParams) -> str:
+def _cmd_constants(args, params: PhysicalParams) -> list[str]:
     g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
     rows = [(key, getattr(params, field)) for key, field in KEY_TO_FIELD.items()]
     rows += [
@@ -385,8 +426,8 @@ def _cmd_constants(args, params: PhysicalParams) -> str:
         ("quarter_period", quarter_period(params.omega_m)),
     ]
     if args.format == "json":
-        return json.dumps({k: v for k, v in rows}, indent=2) + "\n"
-    return "key,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
+        return [json.dumps({k: v for k, v in rows}, indent=2), "\n"]
+    return ["key,value\n", "".join(f"{k},{_fmt(v)}\n" for k, v in rows)]
 
 
 # a row of json.dumps([{"index": …, "kind": …, …}, …], indent=2)
@@ -396,7 +437,7 @@ _JSON_SIMULATE_ROW = (
 )
 
 
-def _cmd_simulate(args, params: PhysicalParams) -> str:
+def _cmd_simulate(args, params: PhysicalParams) -> list[str]:
     schedule = parse_schedule(args.schedule, params, args.dissipation == "on")
     initial = thermal_state(params.occupancy())
     folded = apply_schedule(initial, schedule, params)
@@ -415,12 +456,13 @@ def _cmd_simulate(args, params: PhysicalParams) -> str:
             _JSON_SIMULATE_ROW % (*values, "true" if x_squeezed else "false")
             for *values, x_squeezed in rows
         ]
-        return "[\n" + ",\n".join(cells) + "\n]\n"
+        return ["[\n", ",\n".join(cells), "\n]\n"]
     out = [",".join(header) + "\n"]
     for *values, x_squeezed in rows:
         # "%.16e" writes the bytes of _fmt
         out.append("%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n" % (*values, str(x_squeezed).lower()))
-    return "".join(out)
+    # one chunk: a write per row costs more than the join
+    return ["".join(out)]
 
 
 def _state_from_args(args) -> GaussianState:
@@ -478,7 +520,7 @@ _CSV_TRACE_ROW = ("", ",", ",", "\n")
 _JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    },\n")
 
 
-def _cmd_readout(args, params: PhysicalParams) -> str:
+def _cmd_readout(args, params: PhysicalParams) -> list[str]:
     state = _state_from_args(args)
     cfg = default_readout_config(
         kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
@@ -505,11 +547,9 @@ def _cmd_readout(args, params: PhysicalParams) -> str:
         head = json.dumps({"summary": summary}, indent=2)[: -len("\n}")]
         body = _float_rows(_repr_slots, _JSON_TRACE_ROW, *columns)
         body[-1] = body[-1][: -len(",\n")]
-        return "".join([head, ',\n  "trace": [\n', *body, "\n  ]\n}\n"])
-    out = [f"# {k} = {_fmt(v)}\n" for k, v in summary.items()]
-    out.append("t,intensity,inferred_x2\n")
-    out += _float_rows(_sci_slots, _CSV_TRACE_ROW, *columns)
-    return "".join(out)
+        return [head, ',\n  "trace": [\n', *body, "\n  ]\n}\n"]
+    head = "".join(f"# {k} = {_fmt(v)}\n" for k, v in summary.items())
+    return [head, "t,intensity,inferred_x2\n", *_float_rows(_sci_slots, _CSV_TRACE_ROW, *columns)]
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -531,7 +571,7 @@ def _parse_axis(text: str) -> SweepAxis:
 _JSON_SWEEP_CELL = '  {\n    "coords": {\n%s\n    },\n    "value": %s,\n    "error": %s\n  }'
 
 
-def _cmd_sweep(args, params: PhysicalParams) -> str:
+def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     axes = tuple(_parse_axis(a) for a in args.axis)
     spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
     cells = sweep(spec)
@@ -549,7 +589,7 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
             )
             for k, (coords, v) in enumerate(zip(itertools.product(*lines), cells.values))
         ]
-        return "[\n" + ",\n".join(rows) + "\n]\n"
+        return ["[\n", ",\n".join(rows), "\n]\n"]
     header = ",".join(names + [args.observable, "status"]) + "\n"
     # each coordinate formatted once; the cells are in the grid's product order
     texts = [[_fmt(v) for v in a.values] for a in axes]
@@ -561,16 +601,16 @@ def _cmd_sweep(args, params: PhysicalParams) -> str:
 
         columns = [c.ravel() for c in np.meshgrid(*[a.values for a in axes], indexing="ij")]
         parts = ("",) + (",",) * len(axes) + (",ok\n",)
-        body = "".join(_float_rows(_sci_slots, parts, *columns, cells.values))
+        blocks = _float_rows(_sci_slots, parts, *columns, cells.values)
         if not cells.errors:
-            return header + body
+            return [header, *blocks]
         # splitting and rewriting by index beats a join that swaps rows in
-        rows = body[:-1].split("\n")
+        rows = "".join(blocks)[:-1].split("\n")
     # an error cell's value is nan: its row is rewritten
     for k, error in cells.errors.items():
         coords = ",".join(t[i] for t, i in zip(texts, cells.grid_index(k)))
         rows[k] = coords + ",ERROR," + error.replace(",", ";")
-    return header + "\n".join(rows) + "\n"
+    return [header, "\n".join(rows), "\n"]
 
 
 _COMMANDS = {
@@ -658,9 +698,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its output, to ``--out`` or stdout; return
+    the exit code.
+
+    A command hands back its output as a list of chunks (a readout trace is
+    one chunk per block of rows), built in full before anything is opened,
+    so a rejected input writes nothing. The chunks are written in order.
+    """
     try:
         args = _build_parser().parse_args(argv)
-        text = _COMMANDS[args.command](args, load_config(args.config))
+        chunks = _COMMANDS[args.command](args, load_config(args.config))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -668,11 +715,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.writelines(chunks)
     except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3

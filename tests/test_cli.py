@@ -417,6 +417,23 @@ class TestReadout:
             values += [float(v) for line in lines[5:] for v in line.split(",")]
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_bytes_are_the_out_file(self, fmt, tmp_path, capsys):
+        # both sinks write the same chunks: the summary, the header, one per block
+        argv = ["readout", "--var-p", "3", "--var-x", "0.2", "--free-evolution", "on", "--format", fmt]
+        code, captured = run(argv, capsys)
+        assert (code, captured.err) == (0, "")
+        out = tmp_path / f"trace.{fmt}"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert captured.out.encode() == out.read_bytes()
+
+    def test_rejected_readout_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code, captured = run(["readout", "--var-p", "1e300", "--var-x", "1e300", "--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err.startswith("error: invalid state: ")
+        assert not out.exists()
+
     def test_non_finite_determinant_exit_2(self, capsys):
         code, captured = run(
             ["readout", "--var-p", "1e300", "--var-x", "1e300", "--cross", "1e300"], capsys
@@ -599,6 +616,86 @@ class TestExactDigits:
             assert run(["readout", *argv, "--format", fmt, "--out", str(out)]) == 0
         first = [(f, rows, values) for f, rows, values in spliced if rows]
         assert first == [(cli._fmt, [0, 1], [0.0, 0.0]), (repr, [0, 1], [0.0, 0.0])]
+
+
+# 22-byte texts that _fmt writes (zero, |x| < 1e-11, ≥ 1e17), and texts of other widths
+SPLICED_22 = (0.0, 1e-50, 1e20)
+OTHER_WIDTHS = (5e-324, 1e-150, 1e150, math.inf, math.nan)
+THREE_BLOCKS = 2 * cli._FMT_BLOCK_ROWS + 3
+non_negative = st.floats(0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    SPLICED_22 + OTHER_WIDTHS
+)
+
+
+@st.composite
+def fixed_width_tables(draw):
+    """A table of non-negative values, up to three blocks long, tiled from a
+    few drawn values, with at most one negative value; and the row parts."""
+    n_cols = draw(st.integers(1, 3))
+    values = draw(st.lists(non_negative, min_size=1, max_size=12))
+    block = cli._FMT_BLOCK_ROWS
+    n_rows = draw(st.sampled_from((1, 5, block - 1, block, THREE_BLOCKS)))
+    table = np.resize(np.array(values), (n_rows, n_cols))
+    if draw(st.booleans()):
+        row, col = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        table[row, col] = -draw(non_negative)
+    parts = (
+        draw(st.sampled_from(("", "["))),
+        *draw(st.lists(st.sampled_from((",", ", ", ",ok")), min_size=n_cols - 1, max_size=n_cols - 1)),
+        draw(st.sampled_from(("\n", ",ok\n", "]\n"))),
+    )
+    return table, parts
+
+
+def spy_fixed_width(monkeypatch):
+    """The answers of ``_fixed_width``, one per block, in order."""
+    answers = []
+    fixed_width = cli._fixed_width
+    monkeypatch.setattr(cli, "_fixed_width", lambda slots: answers.append(fixed_width(slots)) or answers[-1])
+    return answers
+
+
+class TestFixedWidthRows:
+    """Blocks of 22-byte texts are copied window by window; others drop their NULs."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(drawn=fixed_width_tables())
+    # three blocks of 22-byte texts, spliced ones among them
+    @example(drawn=(np.resize(np.array(SPLICED_22 + (1.5,)), (THREE_BLOCKS, 3)), ("", ",", ",", "\n")))
+    # three blocks, and a negative value in the middle one only
+    @example(drawn=(np.where(np.arange(3 * THREE_BLOCKS) == 3 * (cli._FMT_BLOCK_ROWS + 7), -2.5, 0.25)
+                    .reshape(-1, 3), ("[", ", ", ",ok", "]\n")))
+    @example(drawn=(np.resize(np.array(OTHER_WIDTHS), (5, 3)), ("", ",", ",", "\n")))
+    # texts shorter than 22 bytes only
+    @example(drawn=(np.array([[1.5, math.nan], [math.inf, 0.0]]), ("", ",", "\n")))
+    def test_matches_fmt(self, drawn):
+        table, parts = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            answers = spy_fixed_width(mp)
+            got = "".join(cli._float_rows(cli._sci_slots, parts, *table.T))
+        rows = [[cli._fmt(v) for v in row] for row in table.tolist()]
+        want = "".join(parts[0] + "".join(t + p for t, p in zip(row, parts[1:])) for row in rows)
+        assert_same_text(got, want)
+        # the fixed path exactly where every text of the block is 22 bytes
+        blocks = [rows[i : i + cli._FMT_BLOCK_ROWS] for i in range(0, len(rows), cli._FMT_BLOCK_ROWS)]
+        assert answers == [all(len(t) == 22 for row in b for t in row) for b in blocks]
+
+    @pytest.mark.parametrize("kappa, n_blocks", [("1e7", 2), ("1e8", 13)])
+    @pytest.mark.parametrize("free", ["on", "off"])
+    def test_trace_blocks_take_the_fixed_path(self, kappa, n_blocks, free, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"kappa = {kappa}\n")
+        answers = spy_fixed_width(monkeypatch)
+        argv = ["readout", "--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--config", str(cfg),
+                "--free-evolution", free, "--out", str(tmp_path / "trace.csv")]
+        assert run(argv) == 0
+        assert answers == [True] * n_blocks
+
+    def test_negative_sweep_coordinate_takes_the_filter(self, monkeypatch, capsys):
+        answers = spy_fixed_width(monkeypatch)
+        code, captured = run(["sweep", "--axis", "delta_tau=-1e-8,0,1e-8"], capsys)
+        assert (code, answers) == (0, [False])
+        assert captured.out.splitlines()[1].startswith("-1.0000000000000000e-08,")
 
 
 # coordinates at 0, subnormal, ≥ 1e17 and huge, which the block writer hands to _fmt
@@ -845,6 +942,14 @@ class TestExitCodes:
     def test_success_exit_0(self):
         assert run(["constants", "--out", "/dev/null"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv", [["constants"], ["readout", "--var-p", "3", "--var-x", "0.2"]], ids=lambda a: a[0]
+    )
+    def test_closed_stdout_exit_3(self, argv):
+        # started with fd 1 closed, sys.stdout is None: one error line, as for --out
+        result = fresh_python("-m", "quadkick", *argv, preexec_fn=lambda: os.close(1))
+        assert (result.returncode, result.stderr) == (3, b"error: cannot write output: stdout is closed\n")
+
 
 class TestParserReuse:
     """``main`` builds its parser once per process; no call leaks into the next."""
@@ -883,13 +988,13 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
-def fresh_python(*args):
+def fresh_python(*args, **kwargs):
     """``python *args`` in a fresh interpreter that imports the same quadkick
-    as this test, installed or not."""
+    as this test, installed or not; ``kwargs`` go to ``subprocess.run``."""
     src = str(Path(quadkick.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}
+        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}, **kwargs
     )
 
 
