@@ -110,7 +110,10 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Up to two axes, a base parameter set, and an observable selector."""
+    """Up to two axes, a base parameter set, and an observable selector.
+
+    ``include_dissipation`` is read only by ``pulses_needed``; the others ignore it.
+    """
 
     axes: tuple[SweepAxis, ...]
     base: PhysicalParams

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadkick
-from quadkick import cli
+from quadkick import _rows, cli
 from quadkick.cli import main
 from quadkick.config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
 from quadkick.errors import ParameterError
@@ -446,13 +446,13 @@ class TestReadout:
 
 def all_slow(monkeypatch):
     """Send every value through the writers' fallback, ``_fmt`` or ``repr``."""
-    kernel = cli._sci_digits
+    kernel = _rows._sci_digits
 
     def slow_kernel(x):
         *rest, slow = kernel(x)
         return (*rest, np.ones_like(slow))
 
-    monkeypatch.setattr(cli, "_sci_digits", slow_kernel)
+    monkeypatch.setattr(_rows, "_sci_digits", slow_kernel)
 
 
 class TestFmtRows:
@@ -486,13 +486,13 @@ class TestFmtRows:
 
     def test_matches_fmt(self):
         columns = self.columns()
-        got = "".join(cli._float_rows(cli._sci_slots, self.PARTS, *columns))
+        got = "".join(_rows._float_rows(_rows._sci_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_fmt(self, monkeypatch):
         all_slow(monkeypatch)
         columns = tuple(c[:2000] for c in self.columns())
-        got = "".join(cli._float_rows(cli._sci_slots, self.PARTS, *columns))
+        got = "".join(_rows._float_rows(_rows._sci_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
 
 
@@ -543,20 +543,20 @@ class TestReprRows:
 
     def test_matches_repr(self):
         columns = self.columns()
-        got = "".join(cli._float_rows(cli._repr_slots, self.PARTS, *columns))
+        got = "".join(_rows._float_rows(_rows._repr_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
 
     def test_fallback_path_matches_repr(self, monkeypatch):
         all_slow(monkeypatch)
         columns = tuple(c[::20] for c in self.columns())
-        got = "".join(cli._float_rows(cli._repr_slots, self.PARTS, *columns))
+        got = "".join(_rows._float_rows(_rows._repr_slots, self.PARTS, *columns))
         assert_same_text(got, self.expected(columns))
 
 
 class TestExactDigits:
     """The integer digit kernel, against ``_fmt`` and ``repr`` one by one."""
 
-    WRITERS = {"fmt": (cli._sci_slots, cli._fmt), "repr": (cli._repr_slots, repr)}
+    WRITERS = {"fmt": (_rows._sci_slots, cli._fmt), "repr": (_rows._repr_slots, repr)}
 
     @staticmethod
     def random_bits(seed):
@@ -574,7 +574,7 @@ class TestExactDigits:
 
     @staticmethod
     def written(slots_of, values):
-        return "".join(cli._float_rows(slots_of, ("", "\n"), np.asarray(values))).split("\n")[:-1]
+        return "".join(_rows._float_rows(slots_of, ("", "\n"), np.asarray(values))).split("\n")[:-1]
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -589,7 +589,7 @@ class TestExactDigits:
     def test_ties_round_half_even(self):
         # 10·x ends in .5 exactly: "%.16e" rounds the 17th digit to even
         values = [1125899906842624.25, 1125899906842624.75, -1125899906842625.25]
-        assert self.written(cli._sci_slots, values) == [
+        assert self.written(_rows._sci_slots, values) == [
             "1.1258999068426242e+15", "1.1258999068426248e+15", "-1.1258999068426252e+15",
         ]
 
@@ -599,13 +599,13 @@ class TestExactDigits:
         # first row's zeros (t = 0 and the empty cavity's intensity) go
         # through _fmt or repr
         spliced = []
-        splice = cli._splice
+        splice = _rows._splice
 
         def spy(slots, x, slow, text_of):
             spliced.append((text_of, np.flatnonzero(slow).tolist(), x[slow].tolist()))
             splice(slots, x, slow, text_of)
 
-        monkeypatch.setattr(cli, "_splice", spy)
+        monkeypatch.setattr(_rows, "_splice", spy)
         argv = ["--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--free-evolution", "on"]
         if kappa != "default":
             cfg = tmp_path / "c.cfg"
@@ -621,7 +621,7 @@ class TestExactDigits:
 # 22-byte texts that _fmt writes (zero, |x| < 1e-11, ≥ 1e17), and texts of other widths
 SPLICED_22 = (0.0, 1e-50, 1e20)
 OTHER_WIDTHS = (5e-324, 1e-150, 1e150, math.inf, math.nan)
-THREE_BLOCKS = 2 * cli._FMT_BLOCK_ROWS + 3
+THREE_BLOCKS = 2 * _rows._FMT_BLOCK_ROWS + 3
 non_negative = st.floats(0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
     SPLICED_22 + OTHER_WIDTHS
 )
@@ -633,7 +633,7 @@ def fixed_width_tables(draw):
     few drawn values, with at most one negative value; and the row parts."""
     n_cols = draw(st.integers(1, 3))
     values = draw(st.lists(non_negative, min_size=1, max_size=12))
-    block = cli._FMT_BLOCK_ROWS
+    block = _rows._FMT_BLOCK_ROWS
     n_rows = draw(st.sampled_from((1, 5, block - 1, block, THREE_BLOCKS)))
     table = np.resize(np.array(values), (n_rows, n_cols))
     if draw(st.booleans()):
@@ -650,8 +650,8 @@ def fixed_width_tables(draw):
 def spy_fixed_width(monkeypatch):
     """The answers of ``_fixed_width``, one per block, in order."""
     answers = []
-    fixed_width = cli._fixed_width
-    monkeypatch.setattr(cli, "_fixed_width", lambda slots: answers.append(fixed_width(slots)) or answers[-1])
+    fixed_width = _rows._fixed_width
+    monkeypatch.setattr(_rows, "_fixed_width", lambda slots: answers.append(fixed_width(slots)) or answers[-1])
     return answers
 
 
@@ -663,7 +663,7 @@ class TestFixedWidthRows:
     # three blocks of 22-byte texts, spliced ones among them
     @example(drawn=(np.resize(np.array(SPLICED_22 + (1.5,)), (THREE_BLOCKS, 3)), ("", ",", ",", "\n")))
     # three blocks, and a negative value in the middle one only
-    @example(drawn=(np.where(np.arange(3 * THREE_BLOCKS) == 3 * (cli._FMT_BLOCK_ROWS + 7), -2.5, 0.25)
+    @example(drawn=(np.where(np.arange(3 * THREE_BLOCKS) == 3 * (_rows._FMT_BLOCK_ROWS + 7), -2.5, 0.25)
                     .reshape(-1, 3), ("[", ", ", ",ok", "]\n")))
     @example(drawn=(np.resize(np.array(OTHER_WIDTHS), (5, 3)), ("", ",", ",", "\n")))
     # texts shorter than 22 bytes only
@@ -672,12 +672,12 @@ class TestFixedWidthRows:
         table, parts = drawn
         with pytest.MonkeyPatch.context() as mp:
             answers = spy_fixed_width(mp)
-            got = "".join(cli._float_rows(cli._sci_slots, parts, *table.T))
+            got = "".join(_rows._float_rows(_rows._sci_slots, parts, *table.T))
         rows = [[cli._fmt(v) for v in row] for row in table.tolist()]
         want = "".join(parts[0] + "".join(t + p for t, p in zip(row, parts[1:])) for row in rows)
         assert_same_text(got, want)
         # the fixed path exactly where every text of the block is 22 bytes
-        blocks = [rows[i : i + cli._FMT_BLOCK_ROWS] for i in range(0, len(rows), cli._FMT_BLOCK_ROWS)]
+        blocks = [rows[i : i + _rows._FMT_BLOCK_ROWS] for i in range(0, len(rows), _rows._FMT_BLOCK_ROWS)]
         assert answers == [all(len(t) == 22 for row in b for t in row) for b in blocks]
 
     @pytest.mark.parametrize("kappa, n_blocks", [("1e7", 2), ("1e8", 13)])
@@ -911,6 +911,17 @@ class TestSweep:
         assert cells[0]["value"] == 2.0
         assert cells[0]["error"] is None
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("observable", ["var_x", "var_p", "decoherence_term", "pulses_needed"])
+    def test_dissipation_is_read_only_by_pulses_needed(self, observable, fmt, capsys):
+        # gamma = -1 and the wait made negative by delta_tau = -2e-6 give ERROR cells
+        argv = ["sweep", "--axis", "gamma=0.1,3e4,1e6,-1", "--axis", "delta_tau=-2e-6,0",
+                "--observable", observable, "--format", fmt]
+        on, off = (run(argv + ["--dissipation", d], capsys) for d in ("on", "off"))
+        assert on[0] == off[0] == 0
+        assert "ERROR" in on[1].out or '"error": "' in on[1].out
+        assert (on[1].out == off[1].out) == (observable != "pulses_needed")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -949,6 +960,29 @@ class TestExitCodes:
         # started with fd 1 closed, sys.stdout is None: one error line, as for --out
         result = fresh_python("-m", "quadkick", *argv, preexec_fn=lambda: os.close(1))
         assert (result.returncode, result.stderr) == (3, b"error: cannot write output: stdout is closed\n")
+
+    FAILURES = [
+        (["constants", "--config", "/nonexistent-dir/x.cfg"], 2),
+        # the lossless default fold's det cancels at segment 37
+        (["simulate", "--schedule", ";".join(["kick;free"] * 19)], 4),
+    ]
+
+    @pytest.mark.parametrize("argv, code", FAILURES, ids=["exit_2", "exit_4"])
+    def test_closed_stderr_keeps_exit_code(self, argv, code):
+        # started with fd 2 closed, sys.stderr is None: the error line is dropped, not sent to stdout
+        result = fresh_python("-m", "quadkick", *argv, preexec_fn=lambda: os.close(2))
+        assert (result.returncode, result.stdout) == (code, b"")
+
+    @pytest.mark.parametrize("argv, code", FAILURES, ids=["exit_2", "exit_4"])
+    def test_broken_stderr_keeps_exit_code(self, argv, code):
+        # stderr is a pipe whose reader has closed: writing the error line fails with EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = fresh_python("-m", "quadkick", *argv, stderr=write)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stdout) == (code, b"")
 
 
 class TestParserReuse:
@@ -990,11 +1024,13 @@ class TestDeterminism:
 
 def fresh_python(*args, **kwargs):
     """``python *args`` in a fresh interpreter that imports the same quadkick
-    as this test, installed or not; ``kwargs`` go to ``subprocess.run``."""
+    as this test, installed or not; ``kwargs`` go to ``subprocess.run``.
+    stdout and stderr are captured unless ``kwargs`` name other streams."""
     src = str(Path(quadkick.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}, **kwargs
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **(streams | kwargs)
     )
 
 
@@ -1005,12 +1041,11 @@ def test_console_entry_point():
 
 
 def test_import_builds_no_writer_tables():
-    # the trace writers' tables are built on first use, outside start-up
-    code = (
-        "from quadkick import cli; "
-        "print([f.cache_info().currsize for f in (cli._sci_tables, cli._exact_tables, cli._repr_tables)])"
-    )
-    assert fresh_python("-c", code).stdout == b"[0, 0, 0]\n"
+    # the block writer builds its tables when it is imported, and imports numpy:
+    # neither import loads it
+    for module in ("quadkick", "quadkick.cli"):
+        code = f"import sys, {module}; print(sorted({{'numpy', 'quadkick._rows'}} & set(sys.modules)))"
+        assert fresh_python("-c", code).stdout == b"[]\n"
 
 
 @pytest.mark.parametrize("module", ["quadkick", "quadkick.cli"])
@@ -1047,7 +1082,7 @@ def test_numpy_free_commands_start_without_numpy(argv):
     assert result.returncode == 0
     names = imported_modules(result.stderr)
     assert "quadkick.cli" in names
-    assert [n for n in names if n.split(".")[0] == "numpy"] == []
+    assert [n for n in names if n.split(".")[0] == "numpy" or n == "quadkick._rows"] == []
 
 
 @pytest.mark.parametrize(
@@ -1055,7 +1090,7 @@ def test_numpy_free_commands_start_without_numpy(argv):
     [
         ["readout", "--var-p", "3", "--var-x", "0.2", "--free-evolution", "on"],
         ["sweep", "--axis", "g=1e-4,2e-4", "--axis", "T=0,1e-4", "--format", "json"],
-        # the block writer's tables are built on first use in this process
+        # the block writer and its tables are imported on first use in this process
         pytest.param(["sweep", "--axis", "g=1e-4,-1", "--axis", "n_p=0,1e18,1e30"], id="sweep_csv"),
     ],
     ids=lambda a: a[0],
