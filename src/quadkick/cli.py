@@ -28,7 +28,7 @@ from .kicks import (
 )
 from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
 from .readout import analyze_trace, default_readout_config, integrate_langevin
-from .state import GaussianState, free_x2_expectation, is_squeezed, thermal_state
+from .state import VACUUM_VARIANCE, GaussianState, free_x2_expectation, thermal_state
 
 DEFAULT_SCHEDULE = "kick;free;kick"
 
@@ -47,6 +47,7 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
     """
     segments: list = []
     tau_default = quarter_period(params.omega_m)
+    t_stars: dict = {}  # photon number (None: the params') -> optimal kick duration
     for pos, token in enumerate(t.strip() for t in spec.split(";")):
         if not token:
             continue
@@ -55,10 +56,13 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
         try:
             if kind == "kick":
                 n_p = float(arg) if arg else None
-                g_tilde = effective_stiffness(
-                    params.g, params.n_p if n_p is None else n_p, params.omega_m
-                )
-                segments.append(Kick(optimal_kick_duration(g_tilde, params.omega_m), n_p))
+                t_star = t_stars.get(n_p)
+                if t_star is None:
+                    g_tilde = effective_stiffness(
+                        params.g, params.n_p if n_p is None else n_p, params.omega_m
+                    )
+                    t_star = t_stars[n_p] = optimal_kick_duration(g_tilde, params.omega_m)
+                segments.append(Kick(t_star, n_p))
             elif kind == "free":
                 duration = float(arg) if arg else tau_default
                 segments.append(Free(duration))
@@ -89,6 +93,9 @@ def _cmd_constants(args, params: PhysicalParams) -> list[str]:
     return ["key,value\n", "".join(f"{k},{_fmt(v)}\n" for k, v in rows)]
 
 
+_SIMULATE_HEADER = "index,kind,duration,var_p,var_x,cross,det_cov,x_squeezed\n"
+# "%.16e" writes the bytes of _fmt
+_CSV_SIMULATE_ROW = "%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n"
 # a row of json.dumps([{"index": …, "kind": …, …}, …], indent=2)
 _JSON_SIMULATE_ROW = (
     '  {\n    "index": %d,\n    "kind": "%s",\n    "duration": %r,\n    "var_p": %r,\n'
@@ -98,30 +105,21 @@ _JSON_SIMULATE_ROW = (
 
 def _cmd_simulate(args, params: PhysicalParams) -> list[str]:
     schedule = parse_schedule(args.schedule, params, args.dissipation == "on")
-    initial = thermal_state(params.occupancy())
-    folded = apply_schedule(initial, schedule, params)
+    folded = apply_schedule(thermal_state(params.occupancy()), schedule, params)
 
-    header = ("index", "kind", "duration", "var_p", "var_x", "cross", "det_cov", "x_squeezed")
-    kinds = ["initial"] + [seg.kind for seg in schedule.segments]
-    durations = [0.0] + [seg.duration for seg in schedule.segments]
-    rows = [
-        (index, kind, duration, s.var_p, s.var_x, s.cross, s.det_cov, is_squeezed(s)[0])
-        for (index, s), kind, duration in zip(folded, kinds, durations)
-    ]
+    segments = [("initial", 0.0), *((seg.kind, seg.duration) for seg in schedule.segments)]
+    # every row's cells in one tuple, for one template over all rows
+    cells = []
+    for i, ((kind, duration), (_, _, var_p, var_x, cross, det)) in enumerate(
+        zip(segments, folded.rows)
+    ):
+        squeezed = "true" if var_x < VACUUM_VARIANCE else "false"
+        cells += (i, kind, duration, var_p, var_x, cross, det, squeezed)
     if args.format == "json":
-        # the bytes of json.dumps([dict(zip(header, row)), …], indent=2): segment
-        # durations and state moments are checked finite, so repr is their JSON text
-        cells = [
-            _JSON_SIMULATE_ROW % (*values, "true" if x_squeezed else "false")
-            for *values, x_squeezed in rows
-        ]
-        return ["[\n", ",\n".join(cells), "\n]\n"]
-    out = [",".join(header) + "\n"]
-    for *values, x_squeezed in rows:
-        # "%.16e" writes the bytes of _fmt
-        out.append("%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n" % (*values, str(x_squeezed).lower()))
-    # one chunk: a write per row costs more than the join
-    return ["".join(out)]
+        # the bytes of json.dumps([{…}, …], indent=2): segment durations and
+        # state moments are checked finite, so repr is their JSON text
+        return ["[\n", ",\n".join([_JSON_SIMULATE_ROW] * len(segments)) % tuple(cells), "\n]\n"]
+    return [_SIMULATE_HEADER, _CSV_SIMULATE_ROW * len(segments) % tuple(cells)]
 
 
 def _state_from_args(args) -> GaussianState:

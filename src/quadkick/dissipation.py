@@ -14,17 +14,20 @@ def dissipate(state: GaussianState, gamma: float, tau: float, n_env: float) -> G
     cov -> e^{-γτ}·cov + (1 - e^{-γτ})·(n_env + 1/2)·I, means decay at
     e^{-γτ/2}.  The channel's fixed point is the bath thermal state.
     """
+    p, x = state.mean
+    return GaussianState._of(
+        *_dissipated(p, x, state.var_p, state.var_x, state.cross, gamma, tau, n_env)
+    )
+
+
+def _dissipated(
+    p: float, x: float, vp: float, vx: float, cx: float, gamma: float, tau: float, n_env: float
+) -> tuple[float, float, float, float, float]:
+    """The moments (p, x, var_p, var_x, cross) after ``dissipate``'s channel, unchecked."""
     add = decoherence_term(gamma, tau, n_env)
     decay = math.exp(-gamma * tau)
     shrink = math.exp(-0.5 * gamma * tau)
-    p, x = state.mean
-    return GaussianState._of(
-        shrink * p,
-        shrink * x,
-        decay * state.var_p + add,
-        decay * state.var_x + add,
-        decay * state.cross,
-    )
+    return shrink * p, shrink * x, decay * vp + add, decay * vx + add, decay * cx
 
 
 def decoherence_term(gamma: float, tau: float, n_env: float) -> float:

@@ -9,16 +9,18 @@ dissipation segments are Gaussian thermal channels.
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dissipation import dissipate
+from .dissipation import _dissipated
 from .errors import InvariantViolation, ParameterError, QuadkickError
 from .state import (
     HBAR,
     SPEED_OF_LIGHT,
     GaussianState,
     SymplecticMap,
-    propagate,
+    _propagated,
     thermal_occupancy,
 )
 
@@ -114,6 +116,11 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
     An elliptical rotation: at sqrt(g_tilde·omega_m)·t = π/2 the diagonal
     vanishes and the quadratures swap with reciprocal scale factors.
     """
+    return SymplecticMap._of(*_kick_entries(g_tilde, omega_m, t))
+
+
+def _kick_entries(g_tilde: float, omega_m: float, t: float) -> tuple[float, float, float, float]:
+    """``kick_matrix``'s entries (a, b, c, d), not yet checked for a unit determinant."""
     if g_tilde <= 0.0 or omega_m <= 0.0:
         raise ParameterError("kick matrix needs g_tilde > 0 and omega_m > 0")
     if t < 0.0:
@@ -124,18 +131,23 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
     if ratio == 0.0:
         raise ParameterError(f"kick matrix: g_tilde/omega_m = {g_tilde!r}/{omega_m!r} underflows")
     up = math.sqrt(ratio)
-    return SymplecticMap._of(c, -up * s, s / up, c)
+    return c, -up * s, s / up, c
 
 
 def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
     """Free harmonic evolution: rotation by omega_m·tau in (p, x)."""
+    return SymplecticMap._of(*_free_entries(omega_m, tau))
+
+
+def _free_entries(omega_m: float, tau: float) -> tuple[float, float, float, float]:
+    """``free_matrix``'s entries (a, b, c, d), not yet checked for a unit determinant."""
     if omega_m <= 0.0:
         raise ParameterError(f"omega_m must be positive, got {omega_m!r}")
     if tau < 0.0:
         raise ParameterError(f"duration must be non-negative, got {tau!r}")
     theta = _finite_angle("free", omega_m * tau)
     c, s = math.cos(theta), math.sin(theta)
-    return SymplecticMap._of(c, -s, s, c)
+    return c, -s, s, c
 
 
 def _finite_angle(kind: str, theta: float) -> float:
@@ -218,15 +230,61 @@ class PulseSchedule:
                 raise ParameterError(f"unknown segment type {type(seg).__name__}")
 
 
+class _LazySequence(Sequence):
+    """A read-only sequence whose item k is built by ``_item(k)`` when it is
+    read.  It compares equal to, and prints as, the list of its items, but it
+    is not a list: ``list(...)`` for ``+``, ``sort`` or ``json.dumps``."""
+
+    @abstractmethod
+    def _item(self, k: int):
+        """Item k, for 0 <= k < len(self)."""
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(i) for i in range(len(self))[k]]
+        return self._item(range(len(self))[k])
+
+    def __eq__(self, other):
+        # compares as the list of its items would: with a list or another of its kind
+        if isinstance(other, (list, type(self))):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class _Fold(_LazySequence):
+    """``apply_schedule``'s states as rows of floats: row i holds the moments
+    (p, x, var_p, var_x, cross, det_cov) of state i, and item i is the pair
+    (i, ``GaussianState``), built when read."""
+
+    def __init__(self, rows: list[tuple[float, float, float, float, float, float]]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _item(self, k: int) -> tuple[int, GaussianState]:
+        return k, GaussianState._of(*self.rows[k][:5])
+
+
 def apply_schedule(
     state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
-) -> list[tuple[int, GaussianState]]:
+) -> Sequence[tuple[int, GaussianState]]:
     """Fold ``state`` through the schedule, returning the state after every segment.
 
     The result always starts with (0, input state); entry (i, s) for i >= 1
     is the state after ``schedule.segments[i - 1]``.  An empty schedule
     returns the input state alone.  Dissipate segments couple to the bath
-    at the params' temperature.
+    at the params' temperature.  The result is a ``Sequence`` that holds
+    the moments and builds each state when it is read.
+
+    The fold carries the moments as floats: each kick or free segment's map
+    entries pass ``SymplecticMap``'s check and each result ``GaussianState``'s,
+    with the IEEE operations of ``propagate`` and ``dissipate``.
 
     Raises
     ------
@@ -234,24 +292,31 @@ def apply_schedule(
         if a segment produces an invalid state; the message names the
         zero-based index and kind of the failing segment.
     """
+    omega_m, gamma = params.omega_m, params.gamma
     n_env = params.occupancy()
-    folded = [(0, state)]
+    check_map, check_state = SymplecticMap._check, GaussianState._check
+    p, x = state.mean
+    moments = (p, x, state.var_p, state.var_x, state.cross)
+    rows = [(*moments, state.det_cov)]
     for i, seg in enumerate(schedule.segments):
         try:
-            if isinstance(seg, Kick):
-                n_p = params.n_p if seg.n_p is None else seg.n_p
-                g_tilde = effective_stiffness(params.g, n_p, params.omega_m)
-                state = propagate(state, kick_matrix(g_tilde, params.omega_m, seg.duration))
-            elif isinstance(seg, Free):
-                state = propagate(state, free_matrix(params.omega_m, seg.duration))
+            if isinstance(seg, Dissipate):
+                moments = _dissipated(*moments, gamma, seg.duration, n_env)
             else:
-                state = dissipate(state, params.gamma, seg.duration, n_env)
+                if isinstance(seg, Kick):
+                    n_p = params.n_p if seg.n_p is None else seg.n_p
+                    g_tilde = effective_stiffness(params.g, n_p, omega_m)
+                    entries = _kick_entries(g_tilde, omega_m, seg.duration)
+                else:
+                    entries = _free_entries(omega_m, seg.duration)
+                check_map(*entries)
+                moments = _propagated(*entries, *moments)
+            rows.append((*moments, check_state(*moments)))
         except QuadkickError as exc:
             raise InvariantViolation(
                 f"segment {i} ({seg.kind}) produced an invalid state: {exc}"
             ) from exc
-        folded.append((i + 1, state))
-    return folded
+    return _Fold(rows)
 
 
 def two_pulse_variance(

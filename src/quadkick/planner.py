@@ -16,6 +16,7 @@ from .kicks import (
     Kick,
     PhysicalParams,
     PulseSchedule,
+    _LazySequence,
     check_field,
     effective_stiffness,
     optimal_kick_duration,
@@ -162,10 +163,9 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
         return math.inf
 
 
-class _SweepCells(Sequence):
+class _SweepCells(_LazySequence):
     """``sweep``'s grid as columns: cell k has the value ``values[k]``, or the
-    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read.
-    Not a list: ``list(cells)`` for ``+``, ``sort`` or ``json.dumps``."""
+    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read."""
 
     def __init__(self, axes: tuple[SweepAxis, ...], values, errors: dict[int, str]):
         self.axes, self.values, self.errors = axes, values, errors
@@ -177,26 +177,10 @@ class _SweepCells(Sequence):
         """The index of cell k into each axis's values (axis-1 major)."""
         return divmod(k, len(self.axes[1].values)) if len(self.axes) == 2 else (k,)
 
-    def _cell(self, k: int) -> SweepCell:
+    def _item(self, k: int) -> SweepCell:
         coords = tuple((a.name, a.values[i]) for a, i in zip(self.axes, self.grid_index(k)))
         error = self.errors.get(k)
         return SweepCell(coords, None if error is not None else float(self.values[k]), error)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._cell(i) for i in range(len(self))[k]]
-        return self._cell(range(len(self))[k])
-
-    def __eq__(self, other):
-        # compares as the list of its cells would: with a list or another grid
-        if isinstance(other, (list, _SweepCells)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:

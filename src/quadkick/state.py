@@ -103,9 +103,9 @@ class GaussianState:
         return state
 
     @staticmethod
-    def _check(p: float, x: float, var_p: float, var_x: float, cross: float) -> None:
-        """Raise ``ParameterError`` unless the moments are finite, the variances
-        positive and det(cov) >= 1/4 within ``HEISENBERG_TOL``."""
+    def _check(p: float, x: float, var_p: float, var_x: float, cross: float) -> float:
+        """Return det(cov); raise ``ParameterError`` unless the moments are finite,
+        the variances positive and det(cov) >= 1/4 within ``HEISENBERG_TOL``."""
         isfinite = math.isfinite
         if not (isfinite(p) and isfinite(x) and isfinite(var_p) and isfinite(var_x)
                 and isfinite(cross)):
@@ -118,6 +118,7 @@ class GaussianState:
             raise ParameterError(f"covariance determinant must be finite, got {det!r}")
         if det < 0.25 - HEISENBERG_TOL:
             raise ParameterError(f"covariance violates the Heisenberg bound: det = {det!r} < 1/4")
+        return det
 
     @property
     def cov(self) -> np.ndarray:
@@ -165,11 +166,17 @@ def propagate(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     """Apply a symplectic map: mean -> M·mean, cov -> M·cov·Mᵀ."""
     (a, b), (c, d) = smap.m
     p, x = state.mean
-    vp, vx, cx = state.var_p, state.var_x, state.cross
+    return GaussianState._of(*_propagated(a, b, c, d, p, x, state.var_p, state.var_x, state.cross))
+
+
+def _propagated(
+    a: float, b: float, c: float, d: float, p: float, x: float, vp: float, vx: float, cx: float
+) -> tuple[float, float, float, float, float]:
+    """The moments (p, x, var_p, var_x, cross) after the map ((a, b), (c, d)), unchecked."""
     # rows of M·cov, then their products with the rows of M
     rp, rpx = a * vp + b * cx, a * cx + b * vx
     rxp, rx = c * vp + d * cx, c * cx + d * vx
-    return GaussianState._of(
+    return (
         a * p + b * x,
         c * p + d * x,
         rp * a + rpx * b,

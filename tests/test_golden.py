@@ -1,9 +1,9 @@
 """Golden CLI outputs: every command below must reproduce its committed bytes.
 
 Short outputs are stored whole in ``tests/golden/<name>``.  Readout traces
-(about 780 KB each) are stored as ``<name>.digest``: their ``# …`` summary
-lines in full (a JSON trace has none), then one ``sha256 = <hex>`` line over
-the whole output.
+(about 780 KB each) and long simulate runs are stored as ``<name>.digest``:
+their ``# …`` summary lines in full (a JSON trace and a simulate run have
+none), then one ``sha256 = <hex>`` line over the whole output.
 
 Regenerate the files (only when an output change is intended and explained)
 with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -23,6 +23,16 @@ from quadkick.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = ["sweep", "--axis", "n_p=1e6,3e7,1e8,2e11"]
+# 240 tokens, bare and valued, and 331 segments with --dissipation on; the
+# config's strong damping keeps every state's det(cov) clear of cancellation
+LONG_SCHEDULE = ";".join(
+    ["kick", "free", "kick:2e10", "free:7.5e-7", "diss", "kick:1e10", "diss:2e-5", "free",
+     "kick", "free:0", "kick"] * 22
+)
+LONG_SIMULATE = [
+    "simulate", "--config", str(GOLDEN / "simulate_long.cfg"), "--schedule", LONG_SCHEDULE,
+    "--dissipation", "on",
+]
 
 CASES = {
     "constants.csv": ["constants"],
@@ -32,6 +42,10 @@ CASES = {
         "simulate", "--schedule", "kick;free;kick:3e10;diss:1e-3", "--dissipation", "on",
         "--format", "json",
     ],
+    "simulate_long.digest": LONG_SIMULATE,
+    "simulate_long_json.digest": LONG_SIMULATE + ["--format", "json"],
+    # signed zero durations and photon numbers, and a bare token of each kind
+    "simulate_signed_zero.csv": ["simulate", "--schedule", "free:-0;kick:0;diss:0;kick;free;diss"],
     "readout_snapshot.digest": [
         "readout", "--var-p", "61078.5", "--var-x", "0.3140589569160997",
     ],

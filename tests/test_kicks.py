@@ -8,6 +8,7 @@ from quadkick import kicks
 from quadkick import (
     Dissipate,
     Free,
+    GaussianState,
     InvariantViolation,
     Kick,
     ParameterError,
@@ -15,10 +16,12 @@ from quadkick import (
     PulseSchedule,
     apply_schedule,
     coupling_from_physical,
+    dissipate,
     effective_stiffness,
     free_matrix,
     kick_matrix,
     optimal_kick_duration,
+    propagate,
     quarter_period,
     thermal_state,
     two_pulse_variance,
@@ -274,6 +277,57 @@ class TestApplySchedule:
         state = thermal_state(3.0)
         folded = apply_schedule(state, PulseSchedule(), params)
         assert folded == [(0, state)]
+
+    def test_fold_compares_as_its_list(self):
+        params = PhysicalParams()
+        g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
+        schedule = canonical_two_pulse(params)
+        kick = kick_matrix(g_tilde, params.omega_m, schedule.segments[0].duration)
+        free = free_matrix(params.omega_m, schedule.segments[1].duration)
+        states = [thermal_state(3.0)]
+        for smap in (kick, free, kick):
+            states.append(propagate(states[-1], smap))
+        expected = list(enumerate(states))
+        folded = apply_schedule(states[0], schedule, params)
+        assert folded == expected
+        assert expected == folded
+        assert folded == apply_schedule(states[0], schedule, params)
+        assert folded != expected[:-1]
+        assert folded != tuple(expected)
+        with pytest.raises(TypeError):
+            hash(folded)
+
+    def test_fold_indexing(self):
+        params = PhysicalParams()
+        schedule = PulseSchedule((*canonical_two_pulse(params).segments, Dissipate(1e-3)))
+        folded = apply_schedule(thermal_state(3.0), schedule, params)
+        items = list(folded)
+        assert len(folded) == len(items) == 5
+        assert [i for i, _ in items] == [0, 1, 2, 3, 4]
+        assert folded[-1] == items[-1] == items[4]
+        assert folded[-5] == items[0]
+        assert folded[1:3] == items[1:3]
+        assert folded[::-2] == items[::-2]
+        assert folded[7:] == []
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                folded[k]
+        assert repr(folded) == f"_Fold({items!r})"
+
+    def test_fold_items_are_checked_states(self):
+        params = PhysicalParams(gamma=1e4)
+        schedule = PulseSchedule((*canonical_two_pulse(params).segments, Dissipate(1e-5)))
+        initial = GaussianState(mean=(1.0, -2.0), var_p=3.0, var_x=0.4, cross=0.2)
+        folded = apply_schedule(initial, schedule, params)
+        assert folded[4][1] == dissipate(folded[3][1], params.gamma, 1e-5, params.occupancy())
+        for i, s in folded:
+            # the state the public constructor builds from the row's moments
+            assert type(s) is GaussianState
+            assert s == GaussianState(mean=s.mean, var_p=s.var_p, var_x=s.var_x, cross=s.cross)
+            assert folded.rows[i] == (*s.mean, s.var_p, s.var_x, s.cross, s.det_cov)
+        # a row is checked again when its state is built
+        with pytest.raises(ParameterError, match="Heisenberg bound"):
+            kicks._Fold([(0.0, 0.0, 0.1, 0.1, 0.0, 0.01)])[0]
 
     def test_segment_indices(self):
         params = PhysicalParams()

@@ -398,6 +398,24 @@ FOLD_TOKEN = st.one_of(
 )
 
 
+def _simulate(tmp_path_factory, gamma, T, spec, dissipation, fmt):
+    """``simulate`` of ``spec`` at (gamma, T) in-process: (exit code, stdout, stderr)."""
+    config = tmp_path_factory.getbasetemp() / "fold.cfg"
+    config.write_text(f"gamma = {gamma!r}\nT = {T!r}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(config), f"--schedule={spec}",
+                     "--dissipation", "on" if dissipation else "off", "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _segments(schedule):
+    """(index, kind, duration) of every row of a simulate output."""
+    return [(0, "initial", 0.0)] + [
+        (i + 1, seg.kind, seg.duration) for i, seg in enumerate(schedule.segments)
+    ]
+
+
 @DERANDOMIZED
 @given(
     tokens=st.lists(FOLD_TOKEN, max_size=16),
@@ -423,22 +441,47 @@ def test_fold_and_simulate_json_are_the_public_constructors(
     expected = _outcome(reference_fold, moved, schedule, params)
     assert _outcome(apply_schedule, moved, schedule, params) == expected
 
-    config = tmp_path_factory.getbasetemp() / "fold.cfg"
-    config.write_text(f"gamma = {gamma!r}\nT = {T!r}\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["simulate", "--config", str(config), f"--schedule={spec}",
-                     "--dissipation", "on" if dissipation else "off", "--format", "json"])
+    code, out, err = _simulate(tmp_path_factory, gamma, T, spec, dissipation, "json")
     if isinstance(expected, str):
         # the mean enters no second moment, so the thermal state fails alike
-        assert (code, out.getvalue(), err.getvalue()) == (4, "", f"error: {expected}\n")
+        assert (code, out, err) == (4, "", f"error: {expected}\n")
         return
     header = ("index", "kind", "duration", "var_p", "var_x", "cross", "det_cov", "x_squeezed")
-    segments = [(0, "initial", 0.0)]
-    segments += [(i + 1, seg.kind, seg.duration) for i, seg in enumerate(schedule.segments)]
     records = [
         dict(zip(header, (*segment, s.var_p, s.var_x, s.cross, s.det_cov, s.var_x < 0.5)))
-        for segment, (_, s) in zip(segments, reference_fold(initial, schedule, params))
+        for segment, (_, s) in zip(_segments(schedule), reference_fold(initial, schedule, params))
     ]
-    assert (code, err.getvalue()) == (0, "")
-    assert out.getvalue() == json.dumps(records, indent=2) + "\n"
+    assert (code, err) == (0, "")
+    assert out == json.dumps(records, indent=2) + "\n"
+
+
+@DERANDOMIZED
+@given(
+    tokens=st.lists(FOLD_TOKEN, max_size=16),
+    dissipation=st.booleans(),
+    gamma=decades(-2, 5),
+    T=decades(-6, -2),
+)
+@example(tokens=["free:-0", "kick:0", "diss", "kick", "free"], dissipation=True, gamma=1e3,
+         T=1e-4)
+@example(tokens=["kick", "free"] * 19, dissipation=False, gamma=0.1, T=1e-4)
+def test_fold_and_simulate_csv_are_the_public_constructors(
+    tmp_path_factory, tokens, dissipation, gamma, T
+):
+    # simulate's CSV is the "%.16e" text of the public constructors' fold, or its error
+    params = PhysicalParams(gamma=gamma, T=T)
+    spec = ";".join(tokens)
+    schedule = parse_schedule(spec, params, dissipation)
+    code, out, err = _simulate(tmp_path_factory, gamma, T, spec, dissipation, "csv")
+    try:
+        folded = reference_fold(thermal_state(params.occupancy()), schedule, params)
+    except InvariantViolation as exc:
+        assert (code, out, err) == (4, "", f"error: {exc}\n")
+        return
+    rows = [
+        "%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n"
+        % (*segment, s.var_p, s.var_x, s.cross, s.det_cov, "true" if s.var_x < 0.5 else "false")
+        for segment, (_, s) in zip(_segments(schedule), folded)
+    ]
+    assert (code, err) == (0, "")
+    assert out == "index,kind,duration,var_p,var_x,cross,det_cov,x_squeezed\n" + "".join(rows)
