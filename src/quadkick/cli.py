@@ -47,7 +47,6 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
     """
     segments: list = []
     tau_default = quarter_period(params.omega_m)
-    t_stars: dict = {}  # photon number (None: the params') -> optimal kick duration
     for pos, token in enumerate(t.strip() for t in spec.split(";")):
         if not token:
             continue
@@ -56,13 +55,10 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
         try:
             if kind == "kick":
                 n_p = float(arg) if arg else None
-                t_star = t_stars.get(n_p)
-                if t_star is None:
-                    g_tilde = effective_stiffness(
-                        params.g, params.n_p if n_p is None else n_p, params.omega_m
-                    )
-                    t_star = t_stars[n_p] = optimal_kick_duration(g_tilde, params.omega_m)
-                segments.append(Kick(t_star, n_p))
+                g_tilde = effective_stiffness(
+                    params.g, params.n_p if n_p is None else n_p, params.omega_m
+                )
+                segments.append(Kick(optimal_kick_duration(g_tilde, params.omega_m), n_p))
             elif kind == "free":
                 duration = float(arg) if arg else tau_default
                 segments.append(Free(duration))

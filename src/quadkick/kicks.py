@@ -257,30 +257,36 @@ class _LazySequence(Sequence):
 
 
 class _Fold(_LazySequence):
-    """``apply_schedule``'s states as rows of floats: row i holds the moments
-    (p, x, var_p, var_x, cross, det_cov) of state i, and item i is the pair
-    (i, ``GaussianState``), built when read."""
+    """``apply_schedule``'s result: item 0 is (0, the input state) and item
+    i >= 1 is (i, the ``GaussianState`` of ``rows[i]``), built when read.
 
-    def __init__(self, rows: list[tuple[float, float, float, float, float, float]]):
+    ``rows[i]`` is the tuple of floats (p, x, var_p, var_x, cross, det_cov)
+    of state i, with det_cov that state's ``det_cov``.  This layout is the
+    one ``cli``'s ``simulate`` reads its rows from.
+    """
+
+    def __init__(self, initial: GaussianState, rows: list[tuple[float, ...]]):
+        self.initial = initial
         self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def _item(self, k: int) -> tuple[int, GaussianState]:
-        return k, GaussianState._of(*self.rows[k][:5])
+        return k, self.initial if k == 0 else GaussianState._of(*self.rows[k][:5])
 
 
 def apply_schedule(
     state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
-) -> Sequence[tuple[int, GaussianState]]:
+) -> _Fold:
     """Fold ``state`` through the schedule, returning the state after every segment.
 
-    The result always starts with (0, input state); entry (i, s) for i >= 1
-    is the state after ``schedule.segments[i - 1]``.  An empty schedule
-    returns the input state alone.  Dissipate segments couple to the bath
-    at the params' temperature.  The result is a ``Sequence`` that holds
-    the moments and builds each state when it is read.
+    The result always starts with (0, input state), the input object itself;
+    entry (i, s) for i >= 1 is the state after ``schedule.segments[i - 1]``.
+    An empty schedule returns the input state alone.  Dissipate segments
+    couple to the bath at the params' temperature.  The result is a
+    ``Sequence`` that holds the moments and builds each later state when it
+    is read.
 
     The fold carries the moments as floats: each kick or free segment's map
     entries pass ``SymplecticMap``'s check and each result ``GaussianState``'s,
@@ -316,7 +322,7 @@ def apply_schedule(
             raise InvariantViolation(
                 f"segment {i} ({seg.kind}) produced an invalid state: {exc}"
             ) from exc
-    return _Fold(rows)
+    return _Fold(state, rows)
 
 
 def two_pulse_variance(

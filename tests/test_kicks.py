@@ -278,6 +278,18 @@ class TestApplySchedule:
         folded = apply_schedule(state, PulseSchedule(), params)
         assert folded == [(0, state)]
 
+    def test_first_item_is_the_input_object(self):
+        class Tagged(GaussianState):
+            pass
+
+        params = PhysicalParams()
+        state = Tagged(var_p=3.5, var_x=3.5)
+        for schedule in (PulseSchedule(), canonical_two_pulse(params)):
+            folded = apply_schedule(state, schedule, params)
+            assert folded[0][1] is state
+            assert folded[-len(folded)][1] is state
+            assert folded[:1][0][1] is state
+
     def test_fold_compares_as_its_list(self):
         params = PhysicalParams()
         g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
@@ -325,9 +337,9 @@ class TestApplySchedule:
             assert type(s) is GaussianState
             assert s == GaussianState(mean=s.mean, var_p=s.var_p, var_x=s.var_x, cross=s.cross)
             assert folded.rows[i] == (*s.mean, s.var_p, s.var_x, s.cross, s.det_cov)
-        # a row is checked again when its state is built
+        # a row after the first is checked again when its state is built
         with pytest.raises(ParameterError, match="Heisenberg bound"):
-            kicks._Fold([(0.0, 0.0, 0.1, 0.1, 0.0, 0.01)])[0]
+            kicks._Fold(initial, [folded.rows[0], (0.0, 0.0, 0.1, 0.1, 0.0, 0.01)])[1]
 
     def test_segment_indices(self):
         params = PhysicalParams()
