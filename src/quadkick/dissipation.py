@@ -15,9 +15,10 @@ def dissipate(state: GaussianState, gamma: float, tau: float, n_env: float) -> G
     e^{-γτ/2}.  The channel's fixed point is the bath thermal state.
     """
     p, x = state.mean
-    return GaussianState._of(
-        *_dissipated(p, x, state.var_p, state.var_x, state.cross, gamma, tau, n_env)
+    p, x, var_p, var_x, cross = _dissipated(
+        p, x, state.var_p, state.var_x, state.cross, gamma, tau, n_env
     )
+    return GaussianState((p, x), var_p, var_x, cross)
 
 
 def _dissipated(

@@ -116,7 +116,8 @@ def kick_matrix(g_tilde: float, omega_m: float, t: float) -> SymplecticMap:
     An elliptical rotation: at sqrt(g_tilde·omega_m)·t = π/2 the diagonal
     vanishes and the quadratures swap with reciprocal scale factors.
     """
-    return SymplecticMap._of(*_kick_entries(g_tilde, omega_m, t))
+    a, b, c, d = _kick_entries(g_tilde, omega_m, t)
+    return SymplecticMap(((a, b), (c, d)))
 
 
 def _kick_entries(g_tilde: float, omega_m: float, t: float) -> tuple[float, float, float, float]:
@@ -136,7 +137,8 @@ def _kick_entries(g_tilde: float, omega_m: float, t: float) -> tuple[float, floa
 
 def free_matrix(omega_m: float, tau: float) -> SymplecticMap:
     """Free harmonic evolution: rotation by omega_m·tau in (p, x)."""
-    return SymplecticMap._of(*_free_entries(omega_m, tau))
+    a, b, c, d = _free_entries(omega_m, tau)
+    return SymplecticMap(((a, b), (c, d)))
 
 
 def _free_entries(omega_m: float, tau: float) -> tuple[float, float, float, float]:
@@ -273,7 +275,8 @@ class _Fold(_LazySequence):
         return len(self.rows)
 
     def _item(self, k: int) -> tuple[int, GaussianState]:
-        return k, self.initial if k == 0 else GaussianState._of(*self.rows[k][:5])
+        p, x, var_p, var_x, cross, _ = self.rows[k]
+        return k, self.initial if k == 0 else GaussianState((p, x), var_p, var_x, cross)
 
 
 def apply_schedule(

@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 _AXIS_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
 OBSERVABLES = ("var_x", "var_p", "pulses_needed", "decoherence_term")
 MAX_PULSES = 64
+# Upper bound on the cells of one sweep grid, checked before anything is allocated.
+MAX_CELLS = 10**6
 
 
 class PlanResult(NamedTuple):
@@ -114,6 +116,7 @@ class SweepSpec:
     """Up to two axes, a base parameter set, and an observable selector.
 
     ``include_dissipation`` is read only by ``pulses_needed``; the others ignore it.
+    The grid has at most ``MAX_CELLS`` cells.
     """
 
     axes: tuple[SweepAxis, ...]
@@ -131,6 +134,9 @@ class SweepSpec:
             raise ParameterError(
                 f"unknown observable {self.observable!r}; choose from {OBSERVABLES}"
             )
+        cells = math.prod(len(a.values) for a in self.axes)
+        if cells > MAX_CELLS:
+            raise ParameterError(f"sweep grid has {cells} cells, more than the limit of {MAX_CELLS}")
 
 
 class SweepCell(NamedTuple):

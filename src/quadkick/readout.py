@@ -274,12 +274,13 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
             f"need t_end >= {settle + period!r}"
         )
     window_start = config.t_end - periods * period
-    sel = trace.times >= window_start - 1e-15
-    t = trace.times[sel]
+    # the times ascend, so the window is a view from its first step on
+    start = np.searchsorted(trace.times, window_start - 1e-15)
+    t = trace.times[start:]
 
     phase = 2.0 * omega_m * (t - t[0])
     design = np.column_stack([np.ones_like(t), np.cos(phase), np.sin(phase)])
-    coef, *_ = np.linalg.lstsq(design, trace.inferred_x2[sel], rcond=None)
+    coef, *_ = np.linalg.lstsq(design, trace.inferred_x2[start:], rcond=None)
     dc, b, c = coef.tolist()
     shift = 2.0 * config.coupling * abs(dc) / config.kappa
     if not shift > math.exp(-SETTLE_FACTOR):

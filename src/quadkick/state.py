@@ -2,9 +2,7 @@
 
 Quadratures are dimensionless and ordered (p, x) in every vector and matrix;
 the vacuum has variance 1/2 in each quadrature.  States are immutable: every
-operation returns a new ``GaussianState``.  The operations build their results
-from floats through ``_of``, which skips the conversions of the public
-constructor but runs the same ``_check``.
+operation returns a new ``GaussianState``.
 """
 
 from __future__ import annotations
@@ -42,15 +40,6 @@ class SymplecticMap:
             raise ParameterError(f"symplectic map must be 2x2, got {self.m!r}")
         self._check(*m[0], *m[1])
         object.__setattr__(self, "m", m)
-
-    @classmethod
-    def _of(cls, a: float, b: float, c: float, d: float) -> SymplecticMap:
-        """The map ((a, b), (c, d)) of floats, checked as the public constructor checks it."""
-        cls._check(a, b, c, d)
-        smap = object.__new__(cls)
-        # frozen: write the field into the instance dict, as __init__ would
-        smap.__dict__["m"] = ((a, b), (c, d))
-        return smap
 
     @staticmethod
     def _check(a: float, b: float, c: float, d: float) -> None:
@@ -92,15 +81,6 @@ class GaussianState:
         object.__setattr__(self, "var_p", vals[2])
         object.__setattr__(self, "var_x", vals[3])
         object.__setattr__(self, "cross", vals[4])
-
-    @classmethod
-    def _of(cls, p: float, x: float, var_p: float, var_x: float, cross: float) -> GaussianState:
-        """The state of these float moments, checked as the public constructor checks it."""
-        cls._check(p, x, var_p, var_x, cross)
-        state = object.__new__(cls)
-        # frozen: write the fields into the instance dict, as __init__ would
-        state.__dict__.update(mean=(p, x), var_p=var_p, var_x=var_x, cross=cross)
-        return state
 
     @staticmethod
     def _check(p: float, x: float, var_p: float, var_x: float, cross: float) -> float:
@@ -166,7 +146,8 @@ def propagate(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     """Apply a symplectic map: mean -> M·mean, cov -> M·cov·Mᵀ."""
     (a, b), (c, d) = smap.m
     p, x = state.mean
-    return GaussianState._of(*_propagated(a, b, c, d, p, x, state.var_p, state.var_x, state.cross))
+    p, x, var_p, var_x, cross = _propagated(a, b, c, d, p, x, state.var_p, state.var_x, state.cross)
+    return GaussianState((p, x), var_p, var_x, cross)
 
 
 def _propagated(

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadkick
-from quadkick import _rows, cli
+from quadkick import _rows, cli, planner
 from quadkick.cli import main
 from quadkick.config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
 from quadkick.errors import ParameterError
@@ -791,6 +791,19 @@ class TestSweep:
         for got, mag in zip(values, (4e-2, 4e-5, 4e-6)):
             assert mag / 1.1 <= got <= mag * 1.1
         assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("observable", ["var_x", "pulses_needed"])
+    def test_grid_limit_exits_2(self, observable, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(planner, "MAX_CELLS", 6)
+        base = ["sweep", "--observable", observable]
+        code, captured = run([*base, "--axis", "T=1e-4,1e-3", "--axis", "n_p=1e10,2e10,3e10"], capsys)
+        assert (code, captured.err) == (0, "")
+        out = tmp_path / "out.csv"
+        seven = "T=" + ",".join(f"{k}e-4" for k in range(1, 8))
+        code, captured = run([*base, "--axis", seven, "--axis", "n_p=1e10", "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: sweep grid has 7 cells, more than the limit of 6\n"
+        assert not out.exists()
 
     def test_jitter_sweep_middle_row_minimal(self, capsys):
         code, captured = run(["sweep", "--axis", "delta_tau=-1e-8,0,1e-8"], capsys)

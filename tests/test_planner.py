@@ -198,6 +198,17 @@ class TestSweepSpecValidation:
         with pytest.raises(ParameterError):
             SweepSpec(axes=(SweepAxis("T", (1.0,)),), base=PARAMS, observable="energy")
 
+    def test_grid_limit(self):
+        # a spec allocates no grid, so a spec at the real limit builds at once
+        n_p = SweepAxis("n_p", [1e10 + i for i in range(1000)])
+        SweepSpec(axes=(n_p, SweepAxis("T", [1e-4 + 1e-7 * i for i in range(1000)])), base=PARAMS)
+        over = (n_p, SweepAxis("T", [1e-4 + 1e-7 * i for i in range(1001)]))
+        with pytest.raises(ParameterError, match=f"has 1001000 cells.*limit of {planner.MAX_CELLS}$"):
+            SweepSpec(axes=over, base=PARAMS)
+        # the limit is checked last: an earlier error keeps its text
+        with pytest.raises(ParameterError, match="unknown observable"):
+            SweepSpec(axes=over, base=PARAMS, observable="energy")
+
 
 class TestSweep:
     def test_decoherence_across_temperatures(self):

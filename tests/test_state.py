@@ -183,12 +183,12 @@ MAP_FAILURES = {
 
 @pytest.mark.parametrize("name", sorted(STATE_FAILURES))
 def test_state_constructors_fail_alike(name):
-    # the fold's float constructor raises the public constructor's text
+    # the fold's check of its float moments raises the public constructor's text
     (p, x, var_p, var_x, cross), check = STATE_FAILURES[name]
     with pytest.raises(ParameterError, match=check) as public:
         GaussianState(mean=(p, x), var_p=var_p, var_x=var_x, cross=cross)
     with pytest.raises(ParameterError) as folded:
-        GaussianState._of(p, x, var_p, var_x, cross)
+        GaussianState._check(p, x, var_p, var_x, cross)
     assert str(folded.value) == str(public.value)
 
 
@@ -198,16 +198,17 @@ def test_map_constructors_fail_alike(name):
     with pytest.raises(ParameterError, match=check) as public:
         SymplecticMap(((a, b), (c, d)))
     with pytest.raises(ParameterError) as folded:
-        SymplecticMap._of(a, b, c, d)
+        SymplecticMap._check(a, b, c, d)
     assert str(folded.value) == str(public.value)
 
 
-def test_float_constructors_build_the_public_objects():
+def test_checks_pass_what_the_public_constructors_build():
     # on the Heisenberg bound's slack and on the unit determinant's
-    state = GaussianState._of(1.0, -2.0, 0.5, 0.5 - 1.9e-9, 0.0)
-    assert state == GaussianState(mean=(1.0, -2.0), var_p=0.5, var_x=0.5 - 1.9e-9)
-    smap = SymplecticMap._of(1.0 + 9e-13, 0.0, 0.0, 1.0)
-    assert smap == SymplecticMap(((1.0 + 9e-13, 0.0), (0.0, 1.0)))
+    state = GaussianState(mean=(1.0, -2.0), var_p=0.5, var_x=0.5 - 1.9e-9)
+    assert GaussianState._check(1.0, -2.0, 0.5, 0.5 - 1.9e-9, 0.0) == state.det_cov
+    smap = SymplecticMap(((1.0 + 9e-13, 0.0), (0.0, 1.0)))
+    assert SymplecticMap._check(1.0 + 9e-13, 0.0, 0.0, 1.0) is None
+    assert smap.m == ((1.0 + 9e-13, 0.0), (0.0, 1.0))
 
 
 class TestPropagate:
