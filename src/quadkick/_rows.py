@@ -275,8 +275,8 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     A block whose texts are all _FIXED_WIDTH bytes wide is built by copying
     each slot's fixed window, the text and the part after it, into one row
     buffer. Every block of a readout CSV trace is one: its values are never
-    negative. A block with a negative value or a text of another width
-    (negative sweep coordinates, the JSON writer's texts) drops the NUL
+    negative. A block with a negative value or a text of another width (the
+    nan of a sweep's ERROR cell, the JSON writer's texts) drops the NUL
     bytes of its slots instead.
     """
     # Each value's slot ends with the part after it, NUL-padded to whole
@@ -320,11 +320,3 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
         blocks[0] = parts[0] + blocks[0]
         blocks[-1] = blocks[-1][: len(blocks[-1]) - len(parts[0])]
     return blocks
-
-
-def _grid_rows(axis_values: list[tuple[float, ...]], values: np.ndarray) -> list[str]:
-    """CSV rows "coordinates,value,ok" of a grid's values, in the product
-    order of its axes (axis-1 major), as ``_float_rows`` blocks."""
-    columns = [c.ravel() for c in np.meshgrid(*axis_values, indexing="ij")]
-    parts = ("",) + (",",) * len(axis_values) + (",ok\n",)
-    return _float_rows(_sci_slots, parts, *columns, values)

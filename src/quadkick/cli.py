@@ -231,37 +231,29 @@ def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     cells = sweep(spec)
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
+    # coordinates formatted once per axis value, joined per cell in the grid's
+    # product order; an error cell's value is nan: its row is written, then replaced
     if args.format == "json":
         # the bytes of json.dumps: repr is a finite float's JSON text, and
         # every coordinate and value is finite
-        errors = cells.errors
         lines = [[f"      {json.dumps(k)}: {v!r}" for v in a.values] for k, a in zip(names, axes)]
-        rows = [
-            _JSON_SWEEP_CELL % (
-                ",\n".join(coords),
-                *(("null", json.dumps(errors[k])) if k in errors else (repr(float(v)), "null")),
-            )
-            for k, (coords, v) in enumerate(zip(itertools.product(*lines), cells.values))
-        ]
+        coords = [",\n".join(c) for c in itertools.product(*lines)]
+        rows = [_JSON_SWEEP_CELL % (c, repr(float(v)), "null") for c, v in zip(coords, cells.values)]
+        for k, error in cells.errors.items():
+            rows[k] = _JSON_SWEEP_CELL % (coords[k], "null", json.dumps(error))
         return ["[\n", ",\n".join(rows), "\n]\n"]
     header = ",".join(names + [args.observable, "status"]) + "\n"
-    # each coordinate formatted once; the cells are in the grid's product order
-    texts = [[_fmt(v) for v in a.values] for a in axes]
+    texts = [[_fmt(v) + "," for v in a.values] for a in axes]
+    coords = list(map("".join, itertools.product(*texts)))
     if args.observable == "pulses_needed":
-        # this path starts without the block writer: "%.16e" writes the bytes of _fmt, one row at a time
-        rows = ["%s,%.16e,ok" % (",".join(c), v) for c, v in zip(itertools.product(*texts), cells.values)]
+        # this path starts without the block writer: "%.16e" writes the bytes of _fmt
+        values = ["%.16e,ok" % v for v in cells.values]
     else:
-        from ._rows import _grid_rows  # lazy: the other commands start without it
-
-        blocks = _grid_rows([a.values for a in axes], cells.values)
-        if not cells.errors:
-            return [header, *blocks]
-        # splitting and rewriting by index beats a join that swaps rows in
-        rows = "".join(blocks)[:-1].split("\n")
-    # an error cell's value is nan: its row is rewritten
+        from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
+        values = "".join(_float_rows(_sci_slots, ("", ",ok\n"), cells.values))[:-1].split("\n")
+    rows = [c + v for c, v in zip(coords, values)]
     for k, error in cells.errors.items():
-        coords = ",".join(t[i] for t, i in zip(texts, cells.grid_index(k)))
-        rows[k] = coords + ",ERROR," + error.replace(",", ";")
+        rows[k] = coords[k] + "ERROR," + error.replace(",", ";")
     return [header, "\n".join(rows), "\n"]
 
 

@@ -691,14 +691,23 @@ class TestFixedWidthRows:
         assert run(argv) == 0
         assert answers == [True] * n_blocks
 
-    def test_negative_sweep_coordinate_takes_the_filter(self, monkeypatch, capsys):
-        answers = spy_fixed_width(monkeypatch)
+    def test_sweep_block_is_one_value_column(self, monkeypatch, capsys):
+        # coordinates go to _fmt: the block writer gets the values alone, so a
+        # negative coordinate takes the fixed path and an ERROR cell's nan does not
+        answers, columns = spy_fixed_width(monkeypatch), []
+        float_rows = _rows._float_rows
+        monkeypatch.setattr(_rows, "_float_rows", lambda slots_of, parts, *cols: (
+            columns.append([len(c) for c in cols]) or float_rows(slots_of, parts, *cols)))
         code, captured = run(["sweep", "--axis", "delta_tau=-1e-8,0,1e-8"], capsys)
-        assert (code, answers) == (0, [False])
+        assert (code, columns, answers) == (0, [[3]], [True])
         assert captured.out.splitlines()[1].startswith("-1.0000000000000000e-08,")
+        code, captured = run(["sweep", "--axis", "delta_tau=-1e-8,0,1e-8", "--axis", "g=1e-4,-1"], capsys)
+        assert (code, columns, answers) == (0, [[3], [6]], [True, False])
+        assert captured.out.splitlines()[2].startswith("-1.0000000000000000e-08,-1.0000000000000000e+00,ERROR,")
 
 
-# coordinates at 0, subnormal, ≥ 1e17 and huge, which the block writer hands to _fmt
+# coordinates at 0, subnormal, ≥ 1e17 and huge, which the CLI formats with _fmt
+# once per axis value; the block writer sees only the values
 SPECIAL_VALUES = (0.0, 5e-324, 1e-310, 1e17, 1e18, 1e30, 1e300)
 grid_values = st.builds(
     lambda m, e, sign: sign * m * 10.0**e,
@@ -736,8 +745,19 @@ def sweep_oracle(spec):
     return "\n".join(csv) + "\n", "[\n" + ",\n".join(rows) + "\n]\n"
 
 
+@st.composite
+def pulses_grids(draw):
+    """1- and 2-axis ``pulses_needed`` grids of at most 3 × 3 cells over any
+    axis, with negated (invalid) values, with and without dissipation."""
+    fields = [*KEY_TO_FIELD.values(), "delta_tau"]
+    names = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True))
+    axes = tuple(SweepAxis(name, draw(st.lists(grid_values, min_size=1, max_size=3)))
+                 for name in names)
+    return SweepSpec(axes, PhysicalParams(), "pulses_needed", draw(st.booleans()))
+
+
 class TestSweepWriters:
-    """Closed-form sweeps, written from columns, against ``sweep``'s cells row by row."""
+    """Sweeps, written from columns, against ``sweep``'s cells row by row."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(spec=closed_form_grids())
@@ -771,6 +791,29 @@ class TestSweepWriters:
         want = sweep_oracle(spec)
         assert got[0] == want[0]
         assert got[1] == want[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(spec=pulses_grids())
+    def test_pulses_cli_bytes_are_the_per_cell_oracle(self, spec):
+        argv = ["sweep", "--observable", "pulses_needed",
+                "--dissipation", "on" if spec.include_dissipation else "off"]
+        for axis in spec.axes:
+            argv.append(f"--axis={FIELD_TO_KEY.get(axis.name, axis.name)}="
+                        + ",".join(map(repr, axis.values)))
+        built = []
+        make, new = SweepCell._make.__func__, SweepCell.__new__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SweepCell, "_make", classmethod(lambda c, it: built.append(c) or make(c, it)))
+            mp.setattr(SweepCell, "__new__", lambda c, *a: built.append(c) or new(c, *a))
+            got = []
+            for fmt in ("csv", "json"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv + ["--format", fmt]) == 0
+                got.append(out.getvalue())
+        # the CLI writes from the columns: it reads no cell
+        assert built == []
+        assert tuple(got) == sweep_oracle(spec)
 
 
 class TestSweep:

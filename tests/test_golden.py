@@ -86,8 +86,8 @@ CASES = {
         "sweep", "--axis", "T=-1,1e-4", "--axis", "g=-1,1e-4", "--observable", "pulses_needed",
         "--dissipation", "on",
     ],
-    # values 3.3e-16 and 4.9e-32 and coordinates 0, 1e18 and 1e30 lie outside the
-    # block writer's digit kernel; the negative g gives ERROR rows
+    # values 3.3e-16 and 4.9e-32 lie outside the block writer's digit kernel, and
+    # coordinates 0, 1e18 and 1e30 go to _fmt; the negative g gives ERROR rows
     "sweep_var_x_g_n_p.csv": ["sweep", "--axis", "g=1e-4,-1", "--axis", "n_p=0,1e18,1e30"],
     # R enters no formula, but its invalid value still fails the cell
     "sweep_var_p_R.csv": ["sweep", "--axis", "R=1,0.5", "--observable", "var_p"],
