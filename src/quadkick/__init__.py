@@ -43,7 +43,6 @@ from .state import (
     GaussianState,
     SymplecticMap,
     free_x2_expectation,
-    is_squeezed,
     propagate,
     thermal_occupancy,
     thermal_state,

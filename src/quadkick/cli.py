@@ -15,15 +15,12 @@ import sys
 from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config, read_text
 from .errors import InvariantViolation, ParameterError
 from .kicks import (
-    Dissipate,
-    Free,
-    Kick,
     PhysicalParams,
-    PulseSchedule,
     apply_schedule,
     coupling_from_physical,
     effective_stiffness,
     optimal_kick_duration,
+    parse_schedule,
     quarter_period,
 )
 from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
@@ -36,41 +33,6 @@ DEFAULT_SCHEDULE = "kick;free;kick"
 def _fmt(x: float) -> str:
     # 17 significant digits: round-trip exact for doubles
     return format(float(x), ".16e")
-
-
-def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = False) -> PulseSchedule:
-    """Build a schedule from the mini-grammar ``kick[:photons];free[:s];diss[:s]``.
-
-    Omitted values fall back to the optimal kick duration and the quarter
-    mechanical period.  ``with_dissipation`` inserts a thermal-contact
-    segment of matching length after every free segment.
-    """
-    segments: list = []
-    tau_default = quarter_period(params.omega_m)
-    for pos, token in enumerate(t.strip() for t in spec.split(";")):
-        if not token:
-            continue
-        kind, _, arg = token.partition(":")
-        kind = kind.strip().lower()
-        try:
-            if kind == "kick":
-                n_p = float(arg) if arg else None
-                g_tilde = effective_stiffness(
-                    params.g, params.n_p if n_p is None else n_p, params.omega_m
-                )
-                segments.append(Kick(optimal_kick_duration(g_tilde, params.omega_m), n_p))
-            elif kind == "free":
-                duration = float(arg) if arg else tau_default
-                segments.append(Free(duration))
-                if with_dissipation:
-                    segments.append(Dissipate(duration))
-            elif kind == "diss":
-                segments.append(Dissipate(float(arg) if arg else tau_default))
-            else:
-                raise ParameterError(f"unknown kind {kind!r}")
-        except ValueError as exc:
-            raise ParameterError(f"schedule segment {pos}: {exc}")
-    return PulseSchedule(tuple(segments))
 
 
 def _cmd_constants(args, params: PhysicalParams) -> list[str]:

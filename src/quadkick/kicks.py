@@ -3,7 +3,9 @@
 A "kick" is a short interval during which an intense intracavity pulse
 stiffens the oscillator's spring constant from omega_m to
 g_tilde = 2 g n_p + omega_m.  Kicks and free segments are symplectic maps;
-dissipation segments are Gaussian thermal channels.
+dissipation segments are Gaussian thermal channels.  ``parse_schedule`` is
+the schedule grammar; its defaults, an optimal kick and a quarter-period
+wait, are the canonical protocol that the CLI and the planner both build.
 """
 
 from __future__ import annotations
@@ -230,6 +232,41 @@ class PulseSchedule:
         for seg in self.segments:
             if not isinstance(seg, (Kick, Free, Dissipate)):
                 raise ParameterError(f"unknown segment type {type(seg).__name__}")
+
+
+def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = False) -> PulseSchedule:
+    """Build a schedule from the mini-grammar ``kick[:photons];free[:s];diss[:s]``.
+
+    Omitted values fall back to the optimal kick duration and the quarter
+    mechanical period.  ``with_dissipation`` inserts a thermal-contact
+    segment of matching length after every free segment.
+    """
+    segments: list = []
+    tau_default = quarter_period(params.omega_m)
+    for pos, token in enumerate(t.strip() for t in spec.split(";")):
+        if not token:
+            continue
+        kind, _, arg = token.partition(":")
+        kind = kind.strip().lower()
+        try:
+            if kind == "kick":
+                n_p = float(arg) if arg else None
+                g_tilde = effective_stiffness(
+                    params.g, params.n_p if n_p is None else n_p, params.omega_m
+                )
+                segments.append(Kick(optimal_kick_duration(g_tilde, params.omega_m), n_p))
+            elif kind == "free":
+                duration = float(arg) if arg else tau_default
+                segments.append(Free(duration))
+                if with_dissipation:
+                    segments.append(Dissipate(duration))
+            elif kind == "diss":
+                segments.append(Dissipate(float(arg) if arg else tau_default))
+            else:
+                raise ParameterError(f"unknown kind {kind!r}")
+        except ValueError as exc:
+            raise ParameterError(f"schedule segment {pos}: {exc}")
+    return PulseSchedule(tuple(segments))
 
 
 class _LazySequence(Sequence):

@@ -11,15 +11,13 @@ from typing import TYPE_CHECKING, NamedTuple
 from .dissipation import decoherence_term
 from .errors import ParameterError, QuadkickError
 from .kicks import (
-    Dissipate,
-    Free,
-    Kick,
     PhysicalParams,
     PulseSchedule,
     _LazySequence,
     check_field,
     effective_stiffness,
     optimal_kick_duration,
+    parse_schedule,
     quarter_period,
     two_pulse_variance,
 )
@@ -66,9 +64,9 @@ def min_pulses(
 ) -> PlanResult:
     """Smallest number of pulses driving var_x strictly below the vacuum's 1/2.
 
-    The canonical protocol is optimal-duration kicks separated by
-    quarter-period free evolutions (each followed by a same-length thermal
-    contact when ``include_dissipation``).  A kick scales var_p into var_x by
+    The plan repeats ``parse_schedule("kick;free")``'s optimal kick and
+    quarter-period wait (a free evolution, then a same-length thermal contact
+    when ``include_dissipation``).  A kick scales var_p into var_x by
     r = omega_m/g_tilde and the quarter period swaps the quadratures, so
     var_x after kick k follows one scalar recurrence:
 
@@ -82,11 +80,8 @@ def min_pulses(
     The count is ``_pulse_count``'s over the params' fields; ``sweep`` counts over its table.
     """
     pulses = _pulse_count(vars(params), include_dissipation, occupancy)
-    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
-    kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
-    tau = quarter_period(params.omega_m)
-    step = (Free(tau), Dissipate(tau), kick) if include_dissipation else (Free(tau), kick)
-    return PlanResult(pulses, PulseSchedule((kick,) + step * (pulses - 1)))
+    kick, *wait = parse_schedule("kick;free", params, include_dissipation).segments
+    return PlanResult(pulses, PulseSchedule((kick,) + (*wait, kick) * (pulses - 1)))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ class ReadoutConfig:
     The step size must resolve the cavity relaxation with at least 20 points
     per 1/kappa; ``default_readout_config`` also resolves the x²(t) signal.
     The coupling must be positive with a finite calibration kappa/(2g): the
-    intensity shift that carries ⟨x²⟩ exists only through it.
+    intensity shift that carries ⟨x²⟩ exists only through it.  The baseline
+    (drive/kappa)² must be a finite double, which rejects kappa below ~7.46e-150.
     """
 
     kappa: float             # s^-1
@@ -92,6 +93,17 @@ class ReadoutConfig:
             raise ParameterError(
                 f"coupling g = {self.coupling!r} too small: calibration kappa/(2g) = "
                 f"{calibration!r}"
+            )
+        # last, so every earlier check keeps its message; ** raises OverflowError
+        # where the square overflows, and returns inf where drive/kappa already is
+        try:
+            baseline = baseline_intensity(self)
+        except OverflowError:
+            baseline = math.inf
+        if not math.isfinite(baseline):
+            raise ParameterError(
+                f"kappa = {self.kappa!r} too small: baseline intensity (drive/kappa)^2 = "
+                f"{baseline!r} is not finite"
             )
 
     @property

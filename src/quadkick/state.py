@@ -166,11 +166,6 @@ def _propagated(
     )
 
 
-def is_squeezed(state: GaussianState) -> tuple[bool, bool]:
-    """Return (x_squeezed, p_squeezed): variance strictly below the vacuum's 1/2."""
-    return state.var_x < VACUUM_VARIANCE, state.var_p < VACUUM_VARIANCE
-
-
 def free_x2_expectation(
     state: GaussianState, omega_m: float, t: float | np.ndarray
 ) -> float | np.ndarray:

@@ -243,6 +243,15 @@ class TestSimulate:
         assert captured.err.startswith("error: thermal occupancy overflows")
         assert captured.out == ""
 
+    def test_vacuum_row_is_not_squeezed(self, tmp_path, capsys):
+        # at T = 0 the initial var_x is the vacuum's 1/2, and squeezing is strictly below it
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text("T = 0\n")
+        code, captured = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == 0
+        row = parse_table_csv(captured.out)[0]
+        assert (row["var_x"], row["x_squeezed"]) == ("5.0000000000000000e-01", "false")
+
     def test_default_durations_where_twice_omega_overflows(self, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("omega_m = 1e308\nT = 0\n")
@@ -371,6 +380,19 @@ class TestReadout:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_overflowing_baseline_exit_2(self, tmp_path, capsys):
+        # omega_m ≈ kappa/2 keeps the grid near 2,800 steps, but (drive/kappa)² overflows
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("kappa = 1e-160\nomega_m = 5e-161\ng = 1e-161\n")
+        out = tmp_path / "trace.csv"
+        argv = ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1", "--out", str(out)]
+        code, captured = run(argv, capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: kappa = 1e-160 too small: baseline intensity (drive/kappa)^2 = inf is not finite\n"
+        )
+        assert not out.exists()
 
     def test_uncoupled_rejected_before_integrating(self, tmp_path, capsys, monkeypatch):
         def no_integration(*args):

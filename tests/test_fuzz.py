@@ -10,8 +10,10 @@ A third writes drawn bytes (raw, UTF-8 text or JSON) as a config file and as
 the ``readout --from-simulation`` input, the latter with a ``:ROW`` suffix of
 drawn text or none: each run exits 0 or 2, and a config error's line number
 is no larger than the file's line count.
-``readout`` is otherwise covered by explicit cases in ``test_cli.py``: a
-drawn omega_m near 1e3 gives a legal 10**7-step grid, about 10 s a run.
+A fourth runs ``readout``, with ``--free-evolution`` on and off, on drawn
+kappa, omega_m and g under the first contract.  A drawn omega_m near 1e3
+gives a legal 10**7-step grid, about 10 s a run, so a draw whose default
+grid has more than 50,000 steps is skipped; a grid the config rejects runs.
 """
 
 import contextlib
@@ -19,12 +21,15 @@ import io
 import json
 import re
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadkick.cli import main
 from quadkick.config import KEY_TO_FIELD
+from quadkick.errors import ParameterError
+from quadkick.kicks import PhysicalParams
 from quadkick.planner import OBSERVABLES
+from quadkick.readout import default_readout_config
 
 EXTREMES = (
     0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e160, 1e300, 1e308, 1.7976931348623157e308,
@@ -137,3 +142,32 @@ def test_input_file_bytes_contract(tmp_path_factory, data, row):
         if line:
             with open(path, encoding="utf-8") as fh:
                 assert int(line[1]) <= len(fh.readlines()), (data, err)
+
+
+# a readout run on a grid of more than this many steps is skipped
+READOUT_STEPS = 50_000
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    rates=st.fixed_dictionaries({k: st.none() | VALUE for k in ("kappa", "omega_m", "g")}),
+    state=st.sampled_from((("1", "1"), ("3", "0.2"))),
+    free_evolution=st.sampled_from(("on", "off")),
+)
+# (drive/kappa)² overflows at kappa = 1e-160, on a grid of about 2,800 steps
+@example(rates={"kappa": 1e-160, "omega_m": 5e-161, "g": 1e-161}, state=("1", "1"),
+         free_evolution="off")
+def test_readout_contract(tmp_path_factory, rates, state, free_evolution):
+    rates = {k: v for k, v in rates.items() if v is not None}
+    p = vars(PhysicalParams()) | rates
+    try:
+        steps = default_readout_config(p["kappa"], p["g"], p["omega_m"]).n_steps
+    except ParameterError:
+        steps = 0  # rejected before anything is integrated
+    assume(steps <= READOUT_STEPS)
+    config = tmp_path_factory.getbasetemp() / "readout.cfg"
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in rates.items()))
+    check_contract(
+        ["readout", "--config", str(config), "--var-p", state[0], "--var-x", state[1],
+         "--free-evolution", free_evolution, "--format", "json"]
+    )

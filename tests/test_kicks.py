@@ -155,6 +155,12 @@ class TestFreeMatrix:
         with pytest.raises(ParameterError, match="angle"):
             free_matrix(1e6, 1e303)
 
+    def test_domain(self):
+        with pytest.raises(ParameterError, match="^omega_m must be positive, got 0.0$"):
+            free_matrix(0.0, 1.0)
+        with pytest.raises(ParameterError, match="^duration must be non-negative, got -1.0$"):
+            free_matrix(1e6, -1.0)
+
 
 class TestOptimalKickDuration:
     def test_reference_value(self):
@@ -173,6 +179,10 @@ class TestOptimalKickDuration:
         # g_tilde*omega_m underflows to 0 or overflows to inf
         with pytest.raises(ParameterError, match="out of range"):
             optimal_kick_duration(g_tilde, omega)
+
+    def test_domain(self):
+        with pytest.raises(ParameterError, match=r"^optimal duration needs g_tilde > 0 and omega_m > 0$"):
+            optimal_kick_duration(0.0, 1e6)
 
     def test_overflowing_quarter_period_rejected(self):
         with pytest.raises(ParameterError, match="quarter period overflows"):
@@ -244,6 +254,10 @@ class TestScheduleTypes:
     def test_negative_photons_rejected(self):
         with pytest.raises(ParameterError):
             Kick(1e-7, n_p=-1.0)
+
+    def test_unknown_segment_type_rejected(self):
+        with pytest.raises(ParameterError, match="^unknown segment type float$"):
+            PulseSchedule((1.0,))
 
     def test_empty_schedule_allowed(self):
         assert PulseSchedule().segments == ()
@@ -422,6 +436,12 @@ class TestTwoPulseVariance:
         # a wait cannot be negative, as for free_matrix
         with pytest.raises(ParameterError, match="duration must be non-negative"):
             two_pulse_variance(-1e-12, 2.1e7, 1e6, 138.0)
+
+    def test_domain(self):
+        with pytest.raises(ParameterError, match="^two-pulse variance needs g_tilde > 0 and omega_m > 0$"):
+            two_pulse_variance(1e-6, 0.0, 1e6, 1.0)
+        with pytest.raises(ParameterError, match="^occupancy must be non-negative, got -1.0$"):
+            two_pulse_variance(1e-6, 2.1e7, 1e6, -1.0)
 
     def test_var_x_minimized_at_quarter_period(self):
         taus = np.linspace(0.0, math.pi / 1e6, 201)  # odd count: includes pi/2 exactly

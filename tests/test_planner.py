@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from quadkick import (
+    Dissipate,
+    Free,
     InvariantViolation,
+    Kick,
     ParameterError,
     PhysicalParams,
     SweepAxis,
@@ -13,8 +16,8 @@ from quadkick import (
     apply_schedule,
     decoherence_term,
     effective_stiffness,
-    is_squeezed,
     min_pulses,
+    optimal_kick_duration,
     quarter_period,
     sweep,
     thermal_occupancy,
@@ -23,6 +26,7 @@ from quadkick import (
 )
 from quadkick import kicks, planner
 from quadkick.planner import MAX_PULSES
+from quadkick.state import VACUUM_VARIANCE
 
 PARAMS = PhysicalParams()
 
@@ -39,7 +43,7 @@ class TestMinPulses:
         plan = min_pulses(PARAMS, occupancy=138.0)
         assert plan.pulses == 2
         final = fold_plan(plan, PARAMS, 138.0)[-1]
-        assert is_squeezed(final)[0]
+        assert final.var_x < VACUUM_VARIANCE
         assert final.var_x == pytest.approx(138.5 / 441.0, rel=1e-12)
         assert [seg.kind for seg in plan.schedule.segments] == ["kick", "free", "kick"]
 
@@ -64,7 +68,7 @@ class TestMinPulses:
         params = PhysicalParams(n_p=5e7)
         plan = min_pulses(params)
         assert plan.pulses == MAX_PULSES == 64
-        assert not is_squeezed(fold_plan(plan, params)[-1])[0]
+        assert not fold_plan(plan, params)[-1].var_x < VACUUM_VARIANCE
 
     def test_agrees_with_analytic_count(self):
         rng = np.random.default_rng(41)
@@ -146,6 +150,25 @@ def test_min_pulses_is_the_schedule_fold(params, include_dissipation):
     assert len(before_last) == plan.pulses - 1
     assert all(s.var_x >= 0.5 for s in before_last)
     assert (last.var_x < 0.5) == (plan.pulses < MAX_PULSES)
+
+
+@pytest.mark.parametrize("include_dissipation", [False, True])
+@pytest.mark.parametrize(
+    "params, occupancy, pulses",
+    [(PARAMS, 0.0, 1), (PARAMS, None, 2), (PhysicalParams(n_p=5e7), None, MAX_PULSES)],
+)
+def test_plan_is_the_canonical_kick_and_wait(params, occupancy, pulses, include_dissipation):
+    # optimal kicks at t* separated by quarter-period waits τ, each followed by a
+    # thermal contact of length τ with dissipation, and one kick object throughout
+    plan = min_pulses(params, include_dissipation, occupancy)
+    g_tilde = effective_stiffness(params.g, params.n_p, params.omega_m)
+    kick = Kick(optimal_kick_duration(g_tilde, params.omega_m))
+    tau = quarter_period(params.omega_m)
+    wait = (Free(tau), Dissipate(tau)) if include_dissipation else (Free(tau),)
+    assert plan.pulses == pulses
+    assert plan.schedule.segments == (kick,) + (*wait, kick) * (pulses - 1)
+    kicks_of_plan = [seg for seg in plan.schedule.segments if seg.kind == "kick"]
+    assert all(seg is kicks_of_plan[0] for seg in kicks_of_plan)
 
 
 def _jitter(delta_tau, observable="var_x"):

@@ -54,6 +54,8 @@ class TestReadoutConfig:
             reference_config(kappa=0.0)
         with pytest.raises(ParameterError):
             reference_config(coupling=-1e-4)
+        with pytest.raises(ParameterError, match="^dt must be positive, got 0.0$"):
+            ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=1e-6, dt=0.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -100,6 +102,20 @@ class TestReadoutConfig:
     def test_tiny_coupling_calibration_rejected(self):
         with pytest.raises(ParameterError, match=r"calibration kappa/\(2g\) = inf"):
             reference_config(coupling=1e-320)
+
+    @pytest.mark.parametrize("kappa", [1e-160, 5e-324])
+    def test_overflowing_baseline_rejected(self, kappa):
+        # (drive/kappa)² overflows below about 7.46e-150; at 5e-324 drive/kappa is inf already
+        message = rf"^kappa = {kappa!r} too small: baseline intensity \(drive/kappa\)\^2 = inf"
+        with pytest.raises(ParameterError, match=message):
+            ReadoutConfig(kappa=kappa, coupling=1e-4, t_end=1.0, dt=1.0)
+
+    def test_smallest_kappa_with_finite_baseline(self):
+        edge = 7.458340731200208e-150
+        cfg = ReadoutConfig(kappa=edge, coupling=1e-4, t_end=1.0, dt=1.0)
+        assert baseline_intensity(cfg) == 1.7976931348623155e308
+        with pytest.raises(ParameterError, match="baseline intensity"):
+            ReadoutConfig(kappa=math.nextafter(edge, 0.0), coupling=1e-4, t_end=1.0, dt=1.0)
 
     def test_largest_default_grid_accepted(self):
         cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
@@ -172,6 +188,8 @@ class TestInferX2:
             infer_x2(1e-4, 0.0, 1e-4, 1e7)
         with pytest.raises(ParameterError):
             infer_x2(1e-4, 1e-4, 0.0, 1e7)
+        with pytest.raises(ParameterError, match="^kappa must be positive, got 0.0$"):
+            infer_x2(1.0, 1.0, 1.0, 0.0)
 
 
 class TestIntegrateLangevin:
@@ -205,6 +223,13 @@ class TestIntegrateLangevin:
     def test_non_finite_x2_rejected(self):
         with pytest.raises(ParameterError, match="coupling"):
             integrate_langevin(reference_config(), lambda t: math.nan)
+
+    def test_diverging_trace_rejected(self):
+        # x² < 0 turns the damping kappa + g·x² negative: the resolved trace grows
+        # as e^(5e6·t) and overflows by t_end = 2e-4
+        cfg = ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=2e-4, dt=2.5e-9)
+        with np.errstate(all="ignore"), pytest.raises(ParameterError, match="^readout trace is not finite$"):
+            integrate_langevin(cfg, lambda t: -1.5e11)
 
     def test_inferred_x2_settles_to_input(self):
         cfg = reference_config()

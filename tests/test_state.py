@@ -9,7 +9,6 @@ from quadkick import (
     SymplecticMap,
     free_matrix,
     free_x2_expectation,
-    is_squeezed,
     kick_matrix,
     propagate,
     thermal_occupancy,
@@ -256,19 +255,6 @@ class TestPropagate:
         rot = free_matrix(1e6, math.pi / 2e6)  # quarter turn
         out = propagate(state, rot)
         assert out.mean == pytest.approx([2.0, 1.0], abs=1e-12)
-
-
-class TestAccessors:
-    def test_vacuum_not_squeezed(self):
-        # the boundary is strict
-        assert is_squeezed(thermal_state(0.0)) == (False, False)
-
-    def test_squeezed_x_only(self):
-        state = GaussianState(var_p=441 * 138.5, var_x=0.314)
-        assert is_squeezed(state) == (True, False)
-
-    def test_hot_thermal_not_squeezed(self):
-        assert is_squeezed(thermal_state(138.0)) == (False, False)
 
 
 class TestFreeX2Expectation:
