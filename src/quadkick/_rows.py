@@ -1,7 +1,7 @@
-"""The block row writer: float columns as text rows with the bytes of ``_fmt``
-or ``repr``. The CLI's only numpy code, with tables built at import: ``cli``
-imports it on first use, in ``readout`` and closed-form ``sweep``, so the
-other commands start without numpy.
+"""The block row writer: float columns as text rows with the bytes of ``_fmt``,
+for CSV and JSON alike. The CLI's only numpy code, with tables built at
+import: ``cli`` imports it on first use, in ``readout`` and closed-form
+``sweep``, so the other commands start without numpy.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from .cli import _fmt
 _SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
 _FIXED_WIDTH = 22  # _fmt of a value >= 0 with a two-digit exponent: "1.0000000000000000e-05"
 _FMT_BLOCK_ROWS = 8192
-_MAX_POW = 27     # the writers scale by 10**k for k = 0 … 27, and 5**27 < 2**63
+_MAX_POW = 27     # the writer scales by 10**k for k = 0 … 27, and 5**27 < 2**63
 
 
 def _words(strings) -> np.ndarray:
@@ -60,51 +60,16 @@ def _exact_tables() -> tuple:
 _BINADE_K, _BINADE_S, _BINADE_EDGE, _POW5, _LOWEST = _exact_tables()
 
 
-def _repr_layout(digits: str, decpt: int) -> str:
-    """``repr``'s layout of the significant digits 0.ddd × 10**decpt."""
-    if -4 < decpt <= 16:
-        if decpt <= 0:
-            return "0." + "0" * -decpt + digits
-        if len(digits) <= decpt:
-            return digits + "0" * (decpt - len(digits)) + ".0"
-        return digits[:decpt] + "." + digits[decpt:]
-    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-    return f"{mantissa}e{decpt - 1:+03d}"
-
-
-def _repr_tables() -> np.ndarray:
-    """The gather table of ``_repr_slots``.
-
-    Row k·17 + digits - 1 lists, for each of the _SCI_WIDTH output bytes,
-    its byte in the source of the gather: the text right-aligned, NUL before it.
-    """
-    letters = "ABCDEFGHIJKLMNOPQ"
-    # the source: NUL, sign, lead digit, '.', 16 digits, "e±XX" (repr's exponent
-    # too), "0000"
-    source = {"\0": 0, "-": 1, "A": 2, ".": 3, "0": 24}
-    source.update((c, 3 + k) for k, c in enumerate(letters) if k)
-    rows = []
-    for k in range(_MAX_POW + 1):
-        for n in range(1, 18):
-            mantissa, e, _ = _repr_layout(letters[:n], 17 - k).partition("e")
-            row = [source[c] for c in "-" + mantissa] + ([20, 21, 22, 23] if e else [])
-            rows.append([0] * (_SCI_WIDTH - len(row)) + row)
-    return np.array(rows, dtype=np.intp)
-
-
-_REPR_GATHER = _repr_tables()
-
-
 def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The exact value of each |x| scaled to 17 digits before the point.
 
-    Returns (n, frac, k, s, slow): |x|·10**k = n + frac/2**64 exactly, with
-    n the uint64 in [1e16, 1e17), k in [0, 27] and s = -(q + k) in [-4, 62]
-    as below. Where ``slow`` (0, subnormal, non-finite, or |x| outside
+    Returns (n, frac, k, slow): |x|·10**k = n + frac/2**64 exactly, with
+    n the uint64 in [1e16, 1e17) and k in [0, 27]. Where ``slow`` (0, subnormal, non-finite, or |x| outside
     [1e-11, 1e17)) the rest are fillers.
 
     |x| = m·2**q from the bits, and k = 16 - exp with exp the decade of |x|,
-    exact from a table of binades, so |x|·10**k = m·5**k·2**-s. The product
+    exact from a table of binades, so |x|·10**k = m·5**k·2**-s with
+    s = -(q + k) in [-4, 62]. The product
     m·5**k < 2**116 is formed from 32-bit limbs whose products are exact in
     uint64 (as Ryu and Schubfach do for one value) and shifted right by s:
     n is above the point and frac below it. numpy's shifts by 64 bits or
@@ -148,7 +113,7 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     n = np.left_shift(hi, t, out=hi)
     n |= below
     frac = np.left_shift(lo, t, out=lo)
-    return n, frac, k, s, slow
+    return n, frac, k, slow
 
 
 def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.ndarray) -> None:
@@ -169,19 +134,12 @@ def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.nda
     words[:, 5] = _EXPS[k]
 
 
-def _carry(digits: np.ndarray, k: np.ndarray) -> None:
-    """Rounding up to 10**17 carries into the next decade: 10**16, one k less."""
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    k -= carry
-
-
-def _splice(slots: np.ndarray, x: np.ndarray, slow: np.ndarray, text_of) -> None:
-    """Write ``text_of(v)``, right-aligned, over the slot of each value of
-    ``x`` that is ``slow``."""
+def _splice(slots: np.ndarray, x: np.ndarray, slow: np.ndarray) -> None:
+    """Write ``_fmt(v)``, right-aligned, over the slot of each value of ``x``
+    that is ``slow``."""
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = "".join([text_of(v).rjust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
+        text = "".join([_fmt(v).rjust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
         slots[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
             -1, _SCI_WIDTH
         )
@@ -194,67 +152,15 @@ def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
     The 17 digits are those of ``_sci_digits`` rounded half to even, exactly
     as ``"%.16e"`` rounds; only its ``slow`` values go through ``_fmt``.
     """
-    digits, frac, k, _, slow = _sci_digits(x)
+    digits, frac, k, slow = _sci_digits(x)
     # frac's low bits are 0, so frac + 1 passes half only at a tie with odd digits
     digits += frac + (digits & 1) > 2**63
-    _carry(digits, k)
+    # rounding up to 10**17 carries into the next decade: 10**16, one k less
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k -= carry
     _digit_words(x, digits, k, out.view(np.uint32))
-    _splice(out, x, slow, _fmt)
-
-
-def _repr_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``repr`` of each value into ``out[:, :_SCI_WIDTH]``, right-aligned
-    after NUL bytes.
-
-    ``repr`` gives the shortest digits that read back as x, the nearest to x
-    of those. From the exact n + frac/2**64 of ``_sci_digits``: the nearest
-    15-digit decimal if it lies strictly within the half gap of x, else the
-    nearest 16-digit one, else the 17 digits rounded (half a 17th digit is
-    always within the half gap, which is over 0.55 of it). The half gap,
-    ulp·10**k/2 = 5**k·2**(-s - 1), is split the same way into whole and
-    part/2**64. Values whose answer hangs on a rule this does not follow go
-    through ``repr``: an exact tie between two candidates, a candidate
-    exactly on the interval's edge, and powers of two, whose lower gap is
-    half the upper.
-    """
-    digits, frac, k, s, slow = _sci_digits(x)
-    t = np.maximum(s, 0)
-    gap = _POW5[k] << (t - s).view(np.uint64)
-    t = t.view(np.uint64)
-    gap_whole, gap_part = gap >> (t + 1), gap << (63 - t)
-    chosen = digits.copy()
-    settled = np.zeros(x.size, dtype=bool)
-    above = frac != 0
-    for step in (100, 10):
-        quotient = digits // step
-        rem = digits - quotient * step
-        # the distance to the nearest multiple of step: whole + part/2**64
-        up = (rem > step // 2) | ((rem == step // 2) & above)
-        whole = np.where(up, step - rem - above, rem)
-        part = np.where(up, 0 - frac, frac)
-        edge = ~settled & (whole == gap_whole)
-        slow |= edge & (part == gap_part)
-        take = ~settled & ((whole < gap_whole) | (edge & (part < gap_part)))
-        if step == 10:
-            slow |= take & (rem == 5) & ~above
-        chosen = np.where(take, (quotient + up) * step, chosen)
-        settled |= take
-    slow |= ~settled & (frac == 2**63)
-    chosen += ~settled & (frac > 2**63)
-    slow |= (x.view(np.int64) & (2**52 - 1)) == 0
-    _carry(chosen, k)
-
-    # the source of the gather: _fmt of the chosen digits, then "0000"
-    src = np.empty((x.size, 7), dtype=np.uint32)
-    _digit_words(x, chosen, k, src)
-    src = src.view(np.uint8)
-    src[:, _SCI_WIDTH:] = ord("0")
-    # bytes 3..19 are '.' and 16 digits: the '.' ends the run of trailing '0's
-    n_digits = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
-    gather = _REPR_GATHER[k * 17 + n_digits - 1]
-    gather += np.arange(0, src.size, src.shape[1])[:, None]
-    np.take(src.ravel(), gather, out=out[:, :_SCI_WIDTH])
-    _splice(out, x, slow, repr)
+    _splice(out, x, slow)
 
 
 def _fixed_width(slots: np.ndarray) -> bool:
@@ -270,14 +176,14 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     """Rows ``parts[0] + f(a) + parts[1] + f(b) + … + parts[-1]`` of float
     columns, one string per block of rows, where ``slots_of(x, out)`` writes
     f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, right-aligned
-    after NUL bytes (``_sci_slots`` for ``_fmt``, ``_repr_slots`` for ``repr``).
+    after NUL bytes (``_sci_slots``, for ``_fmt``).
 
     A block whose texts are all _FIXED_WIDTH bytes wide is built by copying
     each slot's fixed window, the text and the part after it, into one row
-    buffer. Every block of a readout CSV trace is one: its values are never
-    negative. A block with a negative value or a text of another width (the
-    nan of a sweep's ERROR cell, the JSON writer's texts) drops the NUL
-    bytes of its slots instead.
+    buffer. Every block of a readout trace is one, CSV or JSON: its values
+    are never negative. A block with a negative value or a text of another
+    width (the nan of a sweep's ERROR cell) drops the NUL bytes of its slots
+    instead.
     """
     # Each value's slot ends with the part after it, NUL-padded to whole
     # words; a row's first part ends the slot of the last value before it.
@@ -286,8 +192,8 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     tails = b"".join(a.encode("ascii").ljust(pad, b"\0") for a in after)
     tails = np.frombuffer(tails, np.uint32).reshape(len(after), -1)
     width = _SCI_WIDTH + pad
-    table = np.column_stack(columns)
-    n_rows = min(len(table), _FMT_BLOCK_ROWS)
+    n_total = len(columns[0])
+    n_rows = min(n_total, _FMT_BLOCK_ROWS)
     # one buffer for every block, as a fresh one per block costs page faults;
     # slots_of writes only the texts, so the parts are written once
     buf = np.empty((n_rows, len(after), width), dtype=np.uint8)
@@ -298,8 +204,9 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     starts = list(itertools.accumulate(sizes, initial=0))
     rows = None  # made on first use: an unused row buffer still costs page faults
     blocks = []
-    for i in range(0, len(table), _FMT_BLOCK_ROWS):
-        x = table[i : i + _FMT_BLOCK_ROWS]
+    for i in range(0, n_total, _FMT_BLOCK_ROWS):
+        # a block's values only: a copy of the whole table faults on every call
+        x = np.column_stack([c[i : i + _FMT_BLOCK_ROWS] for c in columns])
         slots = buf[: len(x)]
         texts = slots.reshape(-1, width)
         slots_of(x.ravel(), texts)

@@ -46,18 +46,20 @@ def _cmd_constants(args, params: PhysicalParams) -> list[str]:
         ("reduction_factor", params.omega_m / g_tilde),
         ("quarter_period", quarter_period(params.omega_m)),
     ]
+    texts = [(k, _fmt(v)) for k, v in rows]
     if args.format == "json":
-        return [json.dumps({k: v for k, v in rows}, indent=2), "\n"]
-    return ["key,value\n", "".join(f"{k},{_fmt(v)}\n" for k, v in rows)]
+        # the layout of json.dumps({…}, indent=2)
+        return ["{\n", ",\n".join(f'  "{k}": {t}' for k, t in texts), "\n}\n"]
+    return ["key,value\n", "".join(f"{k},{t}\n" for k, t in texts)]
 
 
 _SIMULATE_HEADER = "index,kind,duration,var_p,var_x,cross,det_cov,x_squeezed\n"
 # "%.16e" writes the bytes of _fmt
 _CSV_SIMULATE_ROW = "%d,%s,%.16e,%.16e,%.16e,%.16e,%.16e,%s\n"
-# a row of json.dumps([{"index": …, "kind": …, …}, …], indent=2)
+# a row in the layout of json.dumps([{"index": …, "kind": …, …}, …], indent=2)
 _JSON_SIMULATE_ROW = (
-    '  {\n    "index": %d,\n    "kind": "%s",\n    "duration": %r,\n    "var_p": %r,\n'
-    '    "var_x": %r,\n    "cross": %r,\n    "det_cov": %r,\n    "x_squeezed": %s\n  }'
+    '  {\n    "index": %d,\n    "kind": "%s",\n    "duration": %.16e,\n    "var_p": %.16e,\n'
+    '    "var_x": %.16e,\n    "cross": %.16e,\n    "det_cov": %.16e,\n    "x_squeezed": %s\n  }'
 )
 
 
@@ -74,8 +76,8 @@ def _cmd_simulate(args, params: PhysicalParams) -> list[str]:
         squeezed = "true" if var_x < VACUUM_VARIANCE else "false"
         cells += (i, kind, duration, var_p, var_x, cross, det, squeezed)
     if args.format == "json":
-        # the bytes of json.dumps([{…}, …], indent=2): segment durations and
-        # state moments are checked finite, so repr is their JSON text
+        # segment durations and state moments are checked finite, so _fmt's
+        # text is a JSON number
         return ["[\n", ",\n".join([_JSON_SIMULATE_ROW] * len(segments)) % tuple(cells), "\n]\n"]
     return [_SIMULATE_HEADER, _CSV_SIMULATE_ROW * len(segments) % tuple(cells)]
 
@@ -131,12 +133,13 @@ def _state_from_simulation(ref: str) -> GaussianState:
 
 
 _CSV_TRACE_ROW = ("", ",", ",", "\n")
-# a trace row of json.dumps(…, indent=2), and the ",\n" that joins it to the next
+# a trace row in the layout of json.dumps(…, indent=2), and the ",\n" that
+# joins it to the next
 _JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    },\n")
 
 
 def _cmd_readout(args, params: PhysicalParams) -> list[str]:
-    from ._rows import _float_rows, _repr_slots, _sci_slots  # lazy: the other commands start without it
+    from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
 
     state = _state_from_args(args)
     cfg = default_readout_config(
@@ -150,21 +153,20 @@ def _cmd_readout(args, params: PhysicalParams) -> list[str]:
     trace = integrate_langevin(cfg, x2_of_t)
     report = analyze_trace(trace, cfg, params.omega_m)
     columns = (trace.times, trace.intensity, trace.inferred_x2)
-    summary = {
-        "dc_shift": report.dc_shift,
-        "ripple_amplitude": report.ripple_amplitude,
-        "kappa_over_2omega": report.kappa_over_2omega,
-        "baseline": trace.baseline,
-    }
+    summary = [
+        ("dc_shift", _fmt(report.dc_shift)),
+        ("ripple_amplitude", _fmt(report.ripple_amplitude)),
+        ("kappa_over_2omega", _fmt(report.kappa_over_2omega)),
+        ("baseline", _fmt(trace.baseline)),
+    ]
     if args.format == "json":
-        # the bytes of json.dumps({"summary": …, "trace": […]}, indent=2): _repr_slots
-        # writes repr's digits, which are a finite float's JSON text, and
-        # integrate_langevin rejects non-finite ones
-        head = json.dumps({"summary": summary}, indent=2)[: -len("\n}")]
-        body = _float_rows(_repr_slots, _JSON_TRACE_ROW, *columns)
+        # the layout of json.dumps({"summary": …, "trace": […]}, indent=2);
+        # integrate_langevin rejects non-finite values, so every text is a JSON number
+        head = ",\n".join(f'    "{k}": {t}' for k, t in summary)
+        body = _float_rows(_sci_slots, _JSON_TRACE_ROW, *columns)
         body[-1] = body[-1][: -len(",\n")]
-        return [head, ',\n  "trace": [\n', *body, "\n  ]\n}\n"]
-    head = "".join(f"# {k} = {_fmt(v)}\n" for k, v in summary.items())
+        return ['{\n  "summary": {\n', head, '\n  },\n  "trace": [\n', *body, "\n  ]\n}\n"]
+    head = "".join(f"# {k} = {t}\n" for k, t in summary)
     return [head, "t,intensity,inferred_x2\n", *_float_rows(_sci_slots, _CSV_TRACE_ROW, *columns)]
 
 
@@ -183,7 +185,7 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(KEY_TO_FIELD.get(name, name), values)
 
 
-# a cell of json.dumps([{"coords": …, "value": …, "error": …}, …], indent=2)
+# a cell in the layout of json.dumps([{"coords": …, "value": …, "error": …}, …], indent=2)
 _JSON_SWEEP_CELL = '  {\n    "coords": {\n%s\n    },\n    "value": %s,\n    "error": %s\n  }'
 
 
@@ -193,27 +195,27 @@ def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     cells = sweep(spec)
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
-    # coordinates formatted once per axis value, joined per cell in the grid's
-    # product order; an error cell's value is nan: its row is written, then replaced
+    # one _fmt text per coordinate and per value, which each format only lays
+    # out: coordinates are formatted once per axis value and joined per cell in
+    # the grid's product order; an error cell's value is nan: its row is
+    # written, then replaced. Every other text is finite, so it is a JSON number.
+    texts = [[_fmt(v) for v in a.values] for a in axes]
+    if args.observable == "pulses_needed":
+        # this path starts without the block writer: "%.16e" writes the bytes of _fmt
+        values = ["%.16e" % v for v in cells.values]
+    else:
+        from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
+        values = "".join(_float_rows(_sci_slots, ("", "\n"), cells.values))[:-1].split("\n")
     if args.format == "json":
-        # the bytes of json.dumps: repr is a finite float's JSON text, and
-        # every coordinate and value is finite
-        lines = [[f"      {json.dumps(k)}: {v!r}" for v in a.values] for k, a in zip(names, axes)]
+        lines = [[f'      "{k}": {t}' for t in a] for k, a in zip(names, texts)]
         coords = [",\n".join(c) for c in itertools.product(*lines)]
-        rows = [_JSON_SWEEP_CELL % (c, repr(float(v)), "null") for c, v in zip(coords, cells.values)]
+        rows = [_JSON_SWEEP_CELL % (c, v, "null") for c, v in zip(coords, values)]
         for k, error in cells.errors.items():
             rows[k] = _JSON_SWEEP_CELL % (coords[k], "null", json.dumps(error))
         return ["[\n", ",\n".join(rows), "\n]\n"]
     header = ",".join(names + [args.observable, "status"]) + "\n"
-    texts = [[_fmt(v) + "," for v in a.values] for a in axes]
-    coords = list(map("".join, itertools.product(*texts)))
-    if args.observable == "pulses_needed":
-        # this path starts without the block writer: "%.16e" writes the bytes of _fmt
-        values = ["%.16e,ok" % v for v in cells.values]
-    else:
-        from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
-        values = "".join(_float_rows(_sci_slots, ("", ",ok\n"), cells.values))[:-1].split("\n")
-    rows = [c + v for c, v in zip(coords, values)]
+    coords = list(map("".join, itertools.product(*[[t + "," for t in a] for a in texts])))
+    rows = [f"{c}{v},ok" for c, v in zip(coords, values)]
     for k, error in cells.errors.items():
         rows[k] = coords[k] + "ERROR," + error.replace(",", ";")
     return [header, "\n".join(rows), "\n"]

@@ -1,5 +1,6 @@
 """Operational planning on top of the dynamics: minimal pulse counts and
-parameter-grid sweeps (timing jitter is the sweep's ``delta_tau`` axis)."""
+parameter-grid sweeps (the sweep's ``delta_tau`` axis is one deterministic
+offset added to every wait, not random timing jitter)."""
 
 from __future__ import annotations
 

@@ -20,6 +20,7 @@ CMU-CS-90-190, 1990).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -54,7 +55,8 @@ class ReadoutConfig:
     per 1/kappa; ``default_readout_config`` also resolves the x²(t) signal.
     The coupling must be positive with a finite calibration kappa/(2g): the
     intensity shift that carries ⟨x²⟩ exists only through it.  The baseline
-    (drive/kappa)² must be a finite double, which rejects kappa below ~7.46e-150.
+    (drive/kappa)² must be a normal double, which rejects kappa below ~7.46e-150
+    and above ~6.7e158.
     """
 
     kappa: float             # s^-1
@@ -104,6 +106,11 @@ class ReadoutConfig:
             raise ParameterError(
                 f"kappa = {self.kappa!r} too small: baseline intensity (drive/kappa)^2 = "
                 f"{baseline!r} is not finite"
+            )
+        if baseline < sys.float_info.min:
+            raise ParameterError(
+                f"kappa = {self.kappa!r} too large: baseline intensity (drive/kappa)^2 = "
+                f"{baseline!r} is below the smallest normal double"
             )
 
     @property
@@ -286,8 +293,9 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
             f"need t_end >= {settle + period!r}"
         )
     window_start = config.t_end - periods * period
-    # the times ascend, so the window is a view from its first step on
-    start = np.searchsorted(trace.times, window_start - 1e-15)
+    # the times ascend, so the window is a view from its first step on; a time
+    # within round-off of the start, a tolerance relative to the step, is in it
+    start = np.searchsorted(trace.times, window_start - 1e-9 * config.t_end / config.n_steps)
     t = trace.times[start:]
 
     phase = 2.0 * omega_m * (t - t[0])
@@ -334,9 +342,10 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
             f"probe window {SETTLE_FACTOR:g}/kappa + {N_PERIODS}*pi/omega_m overflows "
             f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
         )
-    return ReadoutConfig(
-        kappa=kappa,
-        coupling=coupling,
-        t_end=t_end,
-        dt=1.0 / (20.0 * max(kappa, 2.0 * omega_m)),
-    )
+    rate = 20.0 * max(kappa, 2.0 * omega_m)
+    if rate == math.inf:
+        raise ParameterError(
+            f"step 1/(20*max(kappa, 2*omega_m)) underflows to 0 "
+            f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
+        )
+    return ReadoutConfig(kappa=kappa, coupling=coupling, t_end=t_end, dt=1.0 / rate)

@@ -54,6 +54,32 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def json_layout(value, float_text, indent=""):
+    """The text of ``json.dumps(value, indent=2)``, with ``float_text(x)`` for
+    every float x: ``repr`` gives json.dumps' own bytes, ``"%.16e".__mod__``
+    the CLI's."""
+    inner = indent + "  "
+    if isinstance(value, float):
+        return float_text(value)
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {json_layout(v, float_text, inner)}" for k, v in value.items()]
+    elif isinstance(value, list) and value:
+        items = [inner + json_layout(v, float_text, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def assert_cli_json(text):
+    """``text`` is the CLI's JSON: json.dumps' layout with every float as
+    ``"%.16e"``, which json.dumps' own bytes confirm; returns the payload."""
+    payload = json.loads(text, parse_constant=reject_constant)
+    assert json_layout(payload, repr) == json.dumps(payload, indent=2)
+    assert_same_text(text, json_layout(payload, "%.16e".__mod__) + "\n")
+    return payload
+
+
 def parse_summary(text):
     out = {}
     for line in text.splitlines():
@@ -305,7 +331,7 @@ class TestReadout:
 
     @pytest.mark.parametrize("source", ["kappa_1e8", "from_simulation"])
     def test_json_trace_is_json_dumps(self, tmp_path, source):
-        # the trace writer's bytes are those of json.dumps(…, indent=2)
+        # the layout of json.dumps(…, indent=2), with "%.16e" for every float
         if source == "kappa_1e8":
             cfg = tmp_path / "fast_cavity.cfg"
             cfg.write_text("kappa = 1e8\n")
@@ -317,10 +343,8 @@ class TestReadout:
         out = tmp_path / "trace.json"
         code = run(["readout", *argv, "--free-evolution", "on", "--format", "json", "--out", str(out)])
         assert code == 0
-        text = out.read_text()
-        payload = json.loads(text)
+        payload = assert_cli_json(out.read_text())
         assert len(payload["trace"]) > 10**4
-        assert_same_text(text, json.dumps(payload, indent=2) + "\n")
 
     def test_free_evolution_mode_reports_ripple(self, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -392,6 +416,27 @@ class TestReadout:
         assert captured.err == (
             "error: kappa = 1e-160 too small: baseline intensity (drive/kappa)^2 = inf is not finite\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        # (drive/kappa)² is 0.0 at kappa = 1e200 and subnormal at 1e160
+        ("kappa = 1e200\nomega_m = 5e199\ng = 1e192\n",
+         "kappa = 1e+200 too large: baseline intensity (drive/kappa)^2 = 0.0 "
+         "is below the smallest normal double"),
+        ("kappa = 1e160\nomega_m = 5e159\ng = 1e152\n",
+         "kappa = 1e+160 too large: baseline intensity (drive/kappa)^2 = 1e-310 "
+         "is below the smallest normal double"),
+        # 20·kappa overflows, so the step 1/(20·kappa) would be 0.0
+        ("kappa = 1e307\n",
+         "step 1/(20*max(kappa, 2*omega_m)) underflows to 0 at kappa = 1e+307, omega_m = 1000000.0"),
+    ], ids=["baseline_zero", "baseline_subnormal", "step_zero"])
+    def test_huge_kappa_exit_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "trace.csv"
+        argv = ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1", "--out", str(out)]
+        code, captured = run(argv, capsys)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
     def test_uncoupled_rejected_before_integrating(self, tmp_path, capsys, monkeypatch):
@@ -467,7 +512,7 @@ class TestReadout:
 
 
 def all_slow(monkeypatch):
-    """Send every value through the writers' fallback, ``_fmt`` or ``repr``."""
+    """Send every value through the writer's fallback, ``_fmt``."""
     kernel = _rows._sci_digits
 
     def slow_kernel(x):
@@ -518,67 +563,10 @@ class TestFmtRows:
         assert_same_text(got, self.expected(columns))
 
 
-class TestReprRows:
-    """The vectorised JSON value writer writes exactly the bytes of ``repr``."""
-
-    PARTS = ("[", ", ", "; ", "]\n")
-
-    @staticmethod
-    def decimals(rng, n, digits, tail=""):
-        """``n`` decimals of ``digits`` significant digits (then ``tail``), as doubles."""
-        mantissas = rng.integers(10 ** (digits - 1), 10**digits, n)
-        exponents = rng.integers(-30, 20, n)
-        return [float(f"{m}{tail}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
-
-    @classmethod
-    def columns(cls):
-        rng = np.random.default_rng(12)
-        n = 30000
-        up, down = (lambda v: math.nextafter(v, math.inf)), (lambda v: math.nextafter(v, -math.inf))
-        edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
-                1e-310, 1.7976931348623157e308, 0.1, 1 / 3, 0.5, 1e-11, 1e17, 2.0**53,
-                1234567890123456.5, 123456789012345.25]
-        powers = [10.0**k for k in range(-16, 20)] + [2.0**k for k in range(-64, 80)]
-        near_pow = [s * f(v) for v in powers for s in (1, -1) for f in (up, down, float)]
-        # notation switches: repr's e-notation below decpt -3 and above 16
-        switch = [s * v * 10.0**k for k in (-6, -5, -4, -3, 14, 15, 16, 17) for s in (1, -1)
-                  for v in rng.uniform(1, 10, 200)]
-        # decimals of 1-17 digits, and halfway cases at 15, 16 and 17 digits
-        short = [v for d in range(1, 18) for v in cls.decimals(rng, 600, d)]
-        halfway = [v for d in (15, 16, 17) for v in cls.decimals(rng, 3000, d, "5")]
-        # odd multiples of powers of two: exact decimals, some of them exact ties
-        dyadic = (rng.integers(1, 2**20, n // 4) * 2 + 1) * 2.0 ** rng.integers(-80, 40, n // 4)
-        values = np.concatenate([
-            edge, near_pow, switch, short, halfway, dyadic,
-            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
-            rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-13, 18, n),
-        ])
-        values = values[: len(values) // 3 * 3]
-        return values[0::3], values[1::3], values[2::3]
-
-    @classmethod
-    def expected(cls, columns):
-        head, sep1, sep2, tail = cls.PARTS
-        return "".join(
-            f"{head}{a!r}{sep1}{b!r}{sep2}{c!r}{tail}" for a, b, c in zip(*(c.tolist() for c in columns))
-        )
-
-    def test_matches_repr(self):
-        columns = self.columns()
-        got = "".join(_rows._float_rows(_rows._repr_slots, self.PARTS, *columns))
-        assert_same_text(got, self.expected(columns))
-
-    def test_fallback_path_matches_repr(self, monkeypatch):
-        all_slow(monkeypatch)
-        columns = tuple(c[::20] for c in self.columns())
-        got = "".join(_rows._float_rows(_rows._repr_slots, self.PARTS, *columns))
-        assert_same_text(got, self.expected(columns))
-
-
 class TestExactDigits:
-    """The integer digit kernel, against ``_fmt`` and ``repr`` one by one."""
+    """The integer digit kernel, against ``_fmt`` one by one."""
 
-    WRITERS = {"fmt": (_rows._sci_slots, cli._fmt), "repr": (_rows._repr_slots, repr)}
+    WRITERS = {"fmt": (_rows._sci_slots, cli._fmt)}
 
     @staticmethod
     def random_bits(seed):
@@ -617,15 +605,15 @@ class TestExactDigits:
 
     @pytest.mark.parametrize("kappa", ["default", "1e8"])
     def test_trace_takes_no_fallback(self, kappa, tmp_path, monkeypatch):
-        # the readout_free_evolution golden's state: in each writer only the
+        # the readout_free_evolution golden's state: in each format only the
         # first row's zeros (t = 0 and the empty cavity's intensity) go
-        # through _fmt or repr
+        # through _fmt
         spliced = []
         splice = _rows._splice
 
-        def spy(slots, x, slow, text_of):
-            spliced.append((text_of, np.flatnonzero(slow).tolist(), x[slow].tolist()))
-            splice(slots, x, slow, text_of)
+        def spy(slots, x, slow):
+            spliced.append((np.flatnonzero(slow).tolist(), x[slow].tolist()))
+            splice(slots, x, slow)
 
         monkeypatch.setattr(_rows, "_splice", spy)
         argv = ["--var-p", "3", "--var-x", "0.2", "--cross", "0.1", "--free-evolution", "on"]
@@ -636,8 +624,8 @@ class TestExactDigits:
         for fmt in ("csv", "json"):
             out = tmp_path / f"trace.{fmt}"
             assert run(["readout", *argv, "--format", fmt, "--out", str(out)]) == 0
-        first = [(f, rows, values) for f, rows, values in spliced if rows]
-        assert first == [(cli._fmt, [0, 1], [0.0, 0.0]), (repr, [0, 1], [0.0, 0.0])]
+        first = [(rows, values) for rows, values in spliced if rows]
+        assert first == [([0, 1], [0.0, 0.0])] * 2
 
 
 # 22-byte texts that _fmt writes (zero, |x| < 1e-11, ≥ 1e17), and texts of other widths
@@ -760,8 +748,8 @@ def sweep_oracle(spec):
         else:
             csv.append(coords + ",ERROR," + cell.error.replace(",", ";"))
         rows.append(cli._JSON_SWEEP_CELL % (
-            ",\n".join(f"      {json.dumps(k)}: {v!r}" for k, (_, v) in zip(keys, cell.coords)),
-            "null" if cell.value is None else repr(cell.value),
+            ",\n".join(f"      {json.dumps(k)}: %.16e" % v for k, (_, v) in zip(keys, cell.coords)),
+            "null" if cell.value is None else "%.16e" % cell.value,
             "null" if cell.error is None else json.dumps(cell.error),
         ))
     return "\n".join(csv) + "\n", "[\n" + ",\n".join(rows) + "\n]\n"
@@ -836,6 +824,69 @@ class TestSweepWriters:
         # the CLI writes from the columns: it reads no cell
         assert built == []
         assert tuple(got) == sweep_oracle(spec)
+
+
+class TestJsonReadsAsCsv:
+    """json.loads of each command's JSON gives the doubles of its CSV, bit for bit."""
+
+    CASES = {
+        "constants": ["constants"],
+        # signed zero durations, which the JSON writes as -0.0000000000000000e+00
+        "simulate_signed_zero": ["simulate", "--schedule", "free:-0;kick:0;diss:0;kick;free;diss"],
+        "readout_1e7": ["readout", "--var-p", "3", "--var-x", "0.2", "--cross", "0.1",
+                        "--free-evolution", "on"],
+        "readout_1e8": ["readout", "--var-p", "3", "--var-x", "0.2", "--cross", "0.1",
+                        "--free-evolution", "on", "--config", "KAPPA_1E8"],
+        "sweep_var_x_errors": ["sweep", "--axis", "g=0,1e-4,1e300,-1",
+                               "--axis", "omega_m=1e6,-1,1e-310,2.5e5"],
+        "sweep_pulses_errors": ["sweep", "--axis", "n_p=1e6,3e7", "--axis", "g=0,1e-4,-1",
+                                "--observable", "pulses_needed", "--dissipation", "on"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_json_gives_the_csv_doubles(self, case, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("kappa = 1e8\n")
+        argv = [str(cfg) if a == "KAPPA_1E8" else a for a in self.CASES[case]]
+        texts = []
+        for fmt in ("csv", "json"):
+            code, captured = run(argv + ["--format", fmt], capsys)
+            assert (code, captured.err) == (0, "")
+            texts.append(captured.out)
+        csv, payload = texts[0], assert_cli_json(texts[1])
+        rows = [line.split(",") for line in csv.splitlines() if not line.startswith("#")]
+        header, rows = rows[0], rows[1:]
+        # (CSV text, JSON double) of every float, and the other cells as texts
+        floats, others = [], []
+        if argv[0] == "constants":
+            assert [k for k, _ in rows] == list(payload)
+            floats = [(v, payload[k]) for k, v in rows]
+        elif argv[0] == "readout":
+            summary = [line[2:].split(" = ") for line in csv.splitlines() if line.startswith("#")]
+            assert [k for k, _ in summary] == list(payload["summary"])
+            assert [header] == [list(r) for r in payload["trace"][:1]]
+            floats = [(v, payload["summary"][k]) for k, v in summary]
+            floats += [(c, v) for row, r in zip(rows, payload["trace"]) for c, v in zip(row, r.values())]
+            assert len(rows) == len(payload["trace"]) > 10**4
+        elif argv[0] == "simulate":
+            assert [header] == [list(r) for r in payload[:1]]
+            for row, r in zip(rows, payload):
+                floats += zip(row[2:7], list(r.values())[2:7])
+                others.append((row[:2] + row[7:], [str(r["index"]), r["kind"], json.dumps(r["x_squeezed"])]))
+        else:
+            assert header[:-2] == list(payload[0]["coords"])
+            for row, r in zip(rows, payload):
+                coords = list(r["coords"].values())
+                floats += zip(row[: len(coords)], coords)
+                if r["error"] is None:
+                    floats.append((row[-2], r["value"]))
+                    others.append((row[-1], "ok"))
+                else:
+                    others.append((row[-2:], ["ERROR", r["error"].replace(",", ";")]))
+            assert any(r["error"] for r in payload) and any(r["error"] is None for r in payload)
+        assert argv[0] in ("constants", "readout") or len(rows) == len(payload)
+        assert [float(c).hex() for c, _ in floats] == [v.hex() for _, v in floats]
+        assert all(csv_cells == json_cells for csv_cells, json_cells in others)
 
 
 class TestSweep:

@@ -14,11 +14,13 @@ A fourth runs ``readout``, with ``--free-evolution`` on and off, on drawn
 kappa, omega_m and g under the first contract.  A drawn omega_m near 1e3
 gives a legal 10**7-step grid, about 10 s a run, so a draw whose default
 grid has more than 50,000 steps is skipped; a grid the config rejects runs.
+A fifth checks that every readout that exits 0 reads back its closed form.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 
 from hypothesis import assume, example, given, settings
@@ -29,7 +31,7 @@ from quadkick.config import KEY_TO_FIELD
 from quadkick.errors import ParameterError
 from quadkick.kicks import PhysicalParams
 from quadkick.planner import OBSERVABLES
-from quadkick.readout import default_readout_config
+from quadkick.readout import SETTLE_FACTOR, default_readout_config
 
 EXTREMES = (
     0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e160, 1e300, 1e308, 1.7976931348623157e308,
@@ -171,3 +173,37 @@ def test_readout_contract(tmp_path_factory, rates, state, free_evolution):
         ["readout", "--config", str(config), "--var-p", state[0], "--var-x", state[1],
          "--free-evolution", free_evolution, "--format", "json"]
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    log_kappa=st.floats(3.0, 24.0),
+    log_omega=st.floats(-1.7, 1.5),
+    log_g=st.floats(-17.0, -3.0),
+    state=st.sampled_from(((1.0, 1.0), (3.0, 0.2))),
+    free_evolution=st.sampled_from(("on", "off")),
+)
+# a window found with an absolute tolerance of 1e-15 s took in the empty
+# cavity's transient here and read 5.33e5
+@example(log_kappa=17.0, log_omega=math.log10(0.5), log_g=-8.0, state=(1.0, 1.0),
+         free_evolution="off")
+def test_readout_reads_its_closed_form(tmp_path_factory, log_kappa, log_omega, log_g, state,
+                                       free_evolution):
+    # dc_shift is (var_p + var_x)/2 under free evolution and var_x for a snapshot,
+    # to the steady-state expansion's relative error, about 1.5·g·x²/kappa (2.07
+    # times eps = g·x²/kappa at the worst state), plus the residual transient
+    # exp(-SETTLE_FACTOR) that analyze_trace admits, relative to the shift eps
+    kappa = 10.0**log_kappa
+    p = {"kappa": kappa, "omega_m": kappa * 10.0**log_omega, "g": kappa * 10.0**log_g}
+    assume(default_readout_config(p["kappa"], p["g"], p["omega_m"]).n_steps <= READOUT_STEPS)
+    config = tmp_path_factory.getbasetemp() / "closed_form.cfg"
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in p.items()))
+    var_p, var_x = state
+    code, out, err = run(["readout", "--config", str(config), "--var-p", repr(var_p),
+                          "--var-x", repr(var_x), "--free-evolution", free_evolution])
+    assert code in (0, 2), err
+    if code == 0:
+        expected = (var_p + var_x) / 2 if free_evolution == "on" else var_x
+        eps = p["g"] * expected / kappa
+        dc_shift = float(out.partition("\n")[0].removeprefix("# dc_shift = "))
+        assert abs(dc_shift - expected) <= 3.0 * (eps + math.exp(-SETTLE_FACTOR) / eps) * expected

@@ -432,7 +432,8 @@ def test_fold_and_simulate_json_are_the_public_constructors(
     tmp_path_factory, tokens, dissipation, gamma, T, mean
 ):
     # the fold's checked float constructors give the bits, or the error text,
-    # of the public ones; simulate's JSON is the bytes of json.dumps
+    # of the public ones; simulate's JSON is json.dumps' layout with "%.16e"
+    # for every float, one row at a time
     params = PhysicalParams(gamma=gamma, T=T)
     spec = ";".join(tokens)
     schedule = parse_schedule(spec, params, dissipation)
@@ -451,8 +452,15 @@ def test_fold_and_simulate_json_are_the_public_constructors(
         dict(zip(header, (*segment, s.var_p, s.var_x, s.cross, s.det_cov, s.var_x < 0.5)))
         for segment, (_, s) in zip(_segments(schedule), reference_fold(initial, schedule, params))
     ]
+    rows = [
+        "  {\n" + ",\n".join(
+            f"    {json.dumps(k)}: " + ("%.16e" % v if isinstance(v, float) else json.dumps(v))
+            for k, v in record.items()
+        ) + "\n  }"
+        for record in records
+    ]
     assert (code, err) == (0, "")
-    assert out == json.dumps(records, indent=2) + "\n"
+    assert out == "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 @DERANDOMIZED
