@@ -42,7 +42,7 @@ from .readout import (
 from .state import (
     GaussianState,
     SymplecticMap,
-    free_x2_expectation,
+    free_x2_harmonics,
     propagate,
     thermal_occupancy,
     thermal_state,

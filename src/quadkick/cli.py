@@ -25,7 +25,7 @@ from .kicks import (
 )
 from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
 from .readout import analyze_trace, default_readout_config, integrate_langevin
-from .state import VACUUM_VARIANCE, GaussianState, free_x2_expectation, thermal_state
+from .state import VACUUM_VARIANCE, GaussianState, free_x2_harmonics, thermal_state
 
 DEFAULT_SCHEDULE = "kick;free;kick"
 
@@ -146,11 +146,11 @@ def _cmd_readout(args, params: PhysicalParams) -> list[str]:
         kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
     )
     if args.free_evolution == "on":
-        x2_of_t = lambda t: free_x2_expectation(state, params.omega_m, t)
+        signal = free_x2_harmonics(state)
     else:
         # snapshot probe: x² held at the state's position variance
-        x2_of_t = lambda t: state.var_x
-    trace = integrate_langevin(cfg, x2_of_t)
+        signal = (state.var_x, 0.0, 0.0)
+    trace = integrate_langevin(cfg, signal, params.omega_m)
     report = analyze_trace(trace, cfg, params.omega_m)
     columns = (trace.times, trace.intensity, trace.inferred_x2)
     summary = [

@@ -8,13 +8,22 @@ both that closed form and a brute-force fixed-step RK4 integration of the
 amplitude equation that validates it and quantifies the residual ripple at
 twice the mechanical frequency.
 
+The probed signal is one harmonic, x²(t) = dc + a·cos 2ω_m·t + b·sin 2ω_m·t,
+passed as the triple (dc, a, b): a snapshot is (var_x, 0, 0), a freely
+evolving state gives ``state.free_x2_harmonics``.  Its cos/sin on an evenly
+spaced grid come from angle addition over two short tables, one of coarse
+and one of fine angles, each evaluated once by numpy, not from a numpy call
+per sample.
+
 The integration runs in the real deviation u = c/c0 - 1 from the uncoupled
 steady field c0 = drive/kappa, so the tiny shift is carried by u itself
 rather than left as the difference of two nearly equal intensities.  Each
 RK4 step of du/dt = -(kappa + g·x²)·u - g·x² is exactly u' = a·u + b; the a
-and b of all steps are built with numpy and the recurrence is solved as a
-blocked prefix scan (G. Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190, 1990).
+and b of all steps are built with numpy from x² on the half-step grid
+j·h/2, and the recurrence is solved as a blocked prefix scan (G. Blelloch,
+"Prefix sums and their applications", CMU-CS-90-190, 1990).  The fit of the
+steady trace solves the 3×3 normal equations of dc and the two quadratures,
+with the phase taken from the probe switch-on t = 0.
 """
 
 from __future__ import annotations
@@ -22,10 +31,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
-from .state import GaussianState, free_x2_expectation
+from .state import GaussianState, free_x2_harmonics
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,6 +45,10 @@ MAX_STEPS = 10**7
 # Steps whose step coefficients are held as numpy arrays at one time, which
 # keeps the temporaries of a long trace small.
 CHUNK_STEPS = 8192
+# Fine angles of the angle-addition tables: a power of 2 that divides
+# 2·CHUNK_STEPS, so every half-step index j = q·FINE_ANGLES + i splits into the
+# same coarse q and fine i whichever block it falls in.
+FINE_ANGLES = 128
 # Steps of one run of the scan: the running product of the step factors a,
 # each about e^(-h·kappa) >= e^(-1/10), stays far from underflow over a run.
 RUN_STEPS = 64
@@ -174,8 +187,9 @@ def _step_coefficients(
     """a and b of each RK4 step u' = a·u + b of du/dt = (s - kappa)·u + s.
 
     ``s1``, ``s2`` and ``s4`` hold s = -g·x² at the start, the middle and
-    the end of each step.  The RK4 stages are linear in u: the stages of
-    u = 1 without the source give a, those of u = 0 give b.
+    the end of each step, as arrays, or as floats for a constant x².  The
+    RK4 stages are linear in u: the stages of u = 1 without the source give
+    a, those of u = 0 give b.
     """
     half = 0.5 * h
     r1, r2, r4 = s1 - kappa, s2 - kappa, s4 - kappa
@@ -214,37 +228,55 @@ def _scan(a: np.ndarray, b: np.ndarray, u0: float) -> np.ndarray:
     return (prod * (np.array(starts)[:, None] + acc)).ravel()[:n]
 
 
+def _phasors(start: int, count: int, step: float) -> np.ndarray:
+    """e^(i·j·``step``) = cos + i·sin of j·step, j = ``start`` … ``start + count - 1``.
+
+    Each j = q·FINE_ANGLES + i is split into a coarse angle (q·FINE_ANGLES)·step
+    and a fine angle i·step, and the two are joined by angle addition, one
+    complex product: numpy evaluates cos and sin only on the coarse and fine
+    tables, about count/FINE_ANGLES + FINE_ANGLES angles, not on every j.  The
+    value at j depends on j and ``step`` alone, not on ``start`` or ``count``.
+    """
+    import numpy as np
+
+    first, offset = divmod(start, FINE_ANGLES)
+    rows = (offset + count + FINE_ANGLES - 1) // FINE_ANGLES
+    fine = np.exp(1j * (np.arange(FINE_ANGLES) * step))
+    coarse = np.exp(1j * (np.arange(first, first + rows) * FINE_ANGLES * step))
+    return np.multiply.outer(coarse, fine).ravel()[offset : offset + count]
+
+
 def integrate_langevin(
-    config: ReadoutConfig, x2_of_t: Callable[[np.ndarray], np.ndarray | float]
+    config: ReadoutConfig, signal: tuple[float, float, float], omega_m: float
 ) -> ReadoutTrace:
     """Integrate the cavity amplitude equation with a fixed-step RK4 scheme.
 
     dc/dt = -(kappa + g·x²(t))·c + drive, starting from an empty cavity at
     t = 0, integrated as the real deviation u = c/c0 - 1 from the uncoupled
-    steady field c0 = drive/kappa (u = -1 at t = 0).  ``x2_of_t`` is called
-    once for each of the three RK4 stage grids, with the numpy array of
-    times t_k, t_k + h/2 and t_k + h (k = 0 … n_steps - 1); it returns x²
-    there as an array or as a scalar that holds for every time.  The trace's
-    ``inferred_x2`` column is the literal steady-state expansion
+    steady field c0 = drive/kappa (u = -1 at t = 0).  ``signal`` is the
+    triple (dc, a, b) of x²(t) = dc + a·cos 2·omega_m·t + b·sin 2·omega_m·t.
+    x² is taken once per block of CHUNK_STEPS steps on the half-step grid
+    j·h/2, whose even, odd and next even points are the three RK4 stage
+    times of each step; a constant signal (a = b = 0) takes no cos or sin.
+    The trace's ``inferred_x2`` column is the literal steady-state expansion
     (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·u + u² without
     cancellation.  Deterministic given the config.
 
-    Raises ``ParameterError`` when the step does not resolve the coupling
-    rate g·x² with 20 points, i.e. h·g·max|x²| > 1/20: RK4 diverges there;
-    and when any trace value is not finite.
+    Raises ``ParameterError`` when omega_m is not positive and finite; when
+    the step does not resolve the coupling rate with 20 points,
+    h·g·(|dc| + hypot(a, b)) > 1/20, the bound of h·g·|x²| (RK4 diverges
+    there); and when any trace value is not finite.
     """
     import numpy as np
 
+    if not 0.0 < omega_m < math.inf:
+        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
+    dc, amp_cos, amp_sin = (float(v) for v in signal)
     n_steps = config.n_steps
     h = config.t_end / n_steps
     g = config.coupling
     times = np.arange(n_steps + 1) * h
-    t_k = times[:-1]
-    x2_grids = [
-        np.broadcast_to(np.asarray(x2_of_t(t), dtype=float), t.shape)
-        for t in (t_k, t_k + 0.5 * h, t_k + h)
-    ]
-    rate = h * g * max(float(np.max(np.abs(x2))) for x2 in x2_grids)
+    rate = h * g * (abs(dc) + math.hypot(amp_cos, amp_sin))
     if not rate <= 0.05:
         raise ParameterError(f"step too coarse for the coupling: h*g*max(x^2) = {rate!r} > 1/20")
 
@@ -253,9 +285,20 @@ def integrate_langevin(
     shift = np.empty(n_steps + 1)
     intensity[0], shift[0] = 0.0, -1.0
     u = -1.0
+    constant = amp_cos == 0.0 and amp_sin == 0.0
+    if constant:
+        s = -g * dc
+        steady = _step_coefficients(s, s, s, config.kappa, h)
     for start in range(0, n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, n_steps)
-        a, b = _step_coefficients(*(-g * x2[start:stop] for x2 in x2_grids), config.kappa, h)
+        if constant:
+            a, b = (np.full(stop - start, c) for c in steady)
+        else:
+            # x² on the half steps 2·start … 2·stop, 2·omega_m·(h/2) apart: the
+            # real part of (a - i·b)·e^(i·phase) is a·cos + b·sin
+            phasors = _phasors(2 * start, 2 * (stop - start) + 1, omega_m * h)
+            s = -g * (((amp_cos - 1j * amp_sin) * phasors).real + dc)
+            a, b = _step_coefficients(s[:-1:2], s[1::2], s[2::2], config.kappa, h)
         block = _scan(a, b, u)
         u = float(block[-1])
         intensity[start + 1 : stop + 1] = (1.0 + block) ** 2
@@ -276,9 +319,13 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
     The fit runs on the ``inferred_x2`` column, so its d.c. term is the
     inferred ⟨x²⟩ and its ripple, scaled back by 2g/kappa, the relative
-    intensity ripple.  Raises ``ParameterError`` when the relative shift
-    2g·|dc|/kappa is not above the transient e^(-SETTLE_FACTOR) left in the
-    window, which the calibration would pass off as ⟨x²⟩.
+    intensity ripple.  It solves the 3×3 normal equations of dc and the
+    cos/sin quadratures, whose phase is 2·omega_m·t from the probe
+    switch-on t = 0; over whole periods the normal matrix is close to
+    diag(N, N/2, N/2).  Raises ``ParameterError`` when the relative shift
+    2g·|dc|/kappa is not above 1e3 times the transient e^(-SETTLE_FACTOR)
+    left in the window, which the calibration would pass off as ⟨x²⟩, and
+    when the grid does not resolve the 2·omega_m quadratures.
     """
     import numpy as np
 
@@ -295,18 +342,28 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     window_start = config.t_end - periods * period
     # the times ascend, so the window is a view from its first step on; a time
     # within round-off of the start, a tolerance relative to the step, is in it
-    start = np.searchsorted(trace.times, window_start - 1e-9 * config.t_end / config.n_steps)
-    t = trace.times[start:]
-
-    phase = 2.0 * omega_m * (t - t[0])
-    design = np.column_stack([np.ones_like(t), np.cos(phase), np.sin(phase)])
-    coef, *_ = np.linalg.lstsq(design, trace.inferred_x2[start:], rcond=None)
-    dc, b, c = coef.tolist()
+    h = config.t_end / config.n_steps
+    start = int(np.searchsorted(trace.times, window_start - 1e-9 * h))
+    y = trace.inferred_x2[start:]
+    phasors = _phasors(start, len(y), 2.0 * omega_m * h)
+    cos, sin = phasors.real, phasors.imag
+    sum_cos, sum_sin, cos_sin = cos.sum(), sin.sum(), cos @ sin
+    normal = [
+        [len(y), sum_cos, sum_sin], [sum_cos, cos @ cos, cos_sin], [sum_sin, cos_sin, sin @ sin]
+    ]
+    try:
+        dc, b, c = np.linalg.solve(normal, [y.sum(), y @ cos, y @ sin]).tolist()
+    except np.linalg.LinAlgError:
+        raise ParameterError(
+            f"fit is singular: the step h = {h!r} does not resolve the 2*omega_m quadratures"
+        )
     shift = 2.0 * config.coupling * abs(dc) / config.kappa
-    if not shift > math.exp(-SETTLE_FACTOR):
+    # the transient left in the window stays below 1e-3 of the shift it rides on
+    if not shift > 1e3 * math.exp(-SETTLE_FACTOR):
         raise ParameterError(
             f"coupling g = {config.coupling!r} too small: relative shift 2g*|dc|/kappa = "
-            f"{shift!r} is not above the residual transient exp(-{SETTLE_FACTOR:g})"
+            f"{shift!r} is not above the residual transient exp(-{SETTLE_FACTOR:g}) "
+            "by a factor of 1e3"
         )
     return RippleReport(
         dc_shift=dc,
@@ -322,7 +379,7 @@ def ripple_report(config: ReadoutConfig, state: GaussianState, omega_m: float) -
     evolution from the probe switch-on, then extracts the mean shift (as
     inferred ⟨x²⟩) and the relative 2·omega_m ripple of the steady trace.
     """
-    trace = integrate_langevin(config, lambda t: free_x2_expectation(state, omega_m, t))
+    trace = integrate_langevin(config, free_x2_harmonics(state), omega_m)
     return analyze_trace(trace, config, omega_m)
 
 

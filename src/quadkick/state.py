@@ -2,7 +2,9 @@
 
 Quadratures are dimensionless and ordered (p, x) in every vector and matrix;
 the vacuum has variance 1/2 in each quadrature.  States are immutable: every
-operation returns a new ``GaussianState``.
+operation returns a new ``GaussianState``.  Free evolution is kept in
+closed form as well: ``free_x2_harmonics`` gives ⟨x²(t)⟩ as the three
+coefficients of one 2ω_m harmonic, which the readout probes.
 """
 
 from __future__ import annotations
@@ -166,24 +168,17 @@ def _propagated(
     )
 
 
-def free_x2_expectation(
-    state: GaussianState, omega_m: float, t: float | np.ndarray
-) -> float | np.ndarray:
-    """⟨x²⟩ of ``state`` after free harmonic evolution for time ``t``.
+def free_x2_harmonics(state: GaussianState) -> tuple[float, float, float]:
+    """(dc, a, b) of ⟨x²(t)⟩ = dc + a·cos 2ω_m·t + b·sin 2ω_m·t under free evolution.
 
-    Under the free rotation the position picks up the momentum moments:
-    the result is a constant plus an oscillation at twice the mechanical
-    frequency.  Equivalent to propagating with the free-evolution map and
-    reading off var_x + x̄², written in closed form so a whole numpy array
-    of times is evaluated in one call.
+    Under the free rotation the position picks up the momentum moments, so
+    ⟨x²⟩ is a constant plus one oscillation at twice the mechanical
+    frequency, whatever that frequency is.  Equivalent to propagating with
+    the free-evolution map for time t and reading off var_x + x̄².
     """
-    import numpy as np
-
-    if not 0.0 < omega_m < math.inf:
-        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     p0, x0 = state.mean
-    dc = 0.5 * (state.var_p + state.var_x + p0 * p0 + x0 * x0)
-    amp_cos = 0.5 * (state.var_x - state.var_p + x0 * x0 - p0 * p0)
-    amp_sin = state.cross + p0 * x0
-    phase = 2.0 * omega_m * t
-    return dc + amp_cos * np.cos(phase) + amp_sin * np.sin(phase)
+    return (
+        0.5 * (state.var_p + state.var_x + p0 * p0 + x0 * x0),
+        0.5 * (state.var_x - state.var_p + x0 * x0 - p0 * p0),
+        state.cross + p0 * x0,
+    )

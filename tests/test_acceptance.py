@@ -169,7 +169,7 @@ def test_criterion_09_readout_magnitude():
         t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.5, 13.5, 138.5):
-        trace = integrate_langevin(cfg, lambda t: x2)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), 1e6)
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
         assert shift == pytest.approx(2.0 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
 

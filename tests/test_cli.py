@@ -456,11 +456,11 @@ class TestReadout:
     @pytest.mark.parametrize("g", ["1e-320", "1e-300", "1e-10"])
     def test_tiny_coupling_exit_2_or_finite_output(self, tmp_path, capsys, g, fmt):
         # kappa/(2g) overflows at g = 1e-320; at 1e-300 the calibration is finite
-        # but the shift 2g·x²/kappa = 2e-307 lies below the residual transient;
-        # at 1e-10 the shift, 2e-17, clears it
+        # but the shift 2g·x²/kappa = 2e-304 lies below the residual transient;
+        # at 1e-10 the shift, 2e-14, clears 1e3 times it
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(f"g = {g}\n")
-        argv = ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1", "--format", fmt]
+        argv = ["readout", "--config", str(cfg), "--var-p", "1000", "--var-x", "1000", "--format", fmt]
         code, captured = run(argv, capsys)
         if g == "1e-320":
             assert (code, captured.out) == (2, "")
@@ -483,6 +483,19 @@ class TestReadout:
             values = [float(line.partition(" = ")[2]) for line in lines[:4]]
             values += [float(v) for line in lines[5:] for v in line.split(",")]
         assert np.all(np.isfinite(values))
+
+    def test_shift_near_the_transient_exit_2(self, tmp_path, capsys):
+        # the snapshot shift 2g·x²/kappa = 4.2e-18 sits at the transient e^-40 left
+        # in the window: with the floor at e^-40 itself this read dc_shift 0.3365
+        # for var_x = 0.2 and exited 0; the floor is 1e3·e^-40 = 4.25e-15
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("kappa = 4.25e14\nomega_m = 7.7775e15\ng = 0.004505\n")
+        code, captured = run(
+            ["readout", "--config", str(cfg), "--var-p", "3", "--var-x", "0.2"], capsys
+        )
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: coupling g = 0.004505 too small: relative shift")
+        assert captured.err.endswith("is not above the residual transient exp(-40) by a factor of 1e3\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_bytes_are_the_out_file(self, fmt, tmp_path, capsys):

@@ -286,7 +286,7 @@ ERRORS = {
     "readout_below_transient": (
         {"c.cfg": "g = 1e-300\n"}, ["readout", "--config", "c.cfg", "--var-p", "1", "--var-x", "1"],
         2, "error: coupling g = 1e-300 too small: relative shift 2g*|dc|/kappa = "
-        "1.6539325499080152e-20 is not above the residual transient exp(-40)\n",
+        "1.653932549908023e-20 is not above the residual transient exp(-40) by a factor of 1e3\n",
     ),
     "readout_tiny_omega_m": (
         {"c.cfg": "omega_m = 1e-320\n"},

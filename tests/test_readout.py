@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadkick import (
     GaussianState,
@@ -12,13 +14,22 @@ from quadkick import (
     analyze_trace,
     baseline_intensity,
     default_readout_config,
-    free_x2_expectation,
+    free_x2_harmonics,
     infer_x2,
     integrate_langevin,
     ripple_report,
     thermal_state,
 )
-from quadkick.readout import CHUNK_STEPS, DRIVE_AMPLITUDE, MAX_STEPS, N_PERIODS, SETTLE_FACTOR
+from quadkick import readout
+from quadkick.readout import (
+    CHUNK_STEPS,
+    DRIVE_AMPLITUDE,
+    FINE_ANGLES,
+    MAX_STEPS,
+    N_PERIODS,
+    SETTLE_FACTOR,
+    _phasors,
+)
 
 OMEGA_M = 1e6
 
@@ -152,7 +163,7 @@ class TestAdiabaticIntensity:
         # the integrator settles at I/I0 - 1 = (1 + eps)^-2 - 1 = -2·eps + 3·eps² - …,
         # eps = g·x²/kappa; the closed form's I/I0 - 1 is itself rounded to about 1e-16
         cfg = reference_config(coupling=coupling, t_end=1e-5)  # 100 lifetimes
-        trace = integrate_langevin(cfg, lambda t: x2)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), OMEGA_M)
         integrated = -trace.inferred_x2[-1] * 2.0 * coupling / cfg.kappa
         closed_form = adiabatic_intensity(x2, cfg) / baseline_intensity(cfg) - 1.0
         eps = coupling * x2 / cfg.kappa
@@ -195,7 +206,7 @@ class TestInferX2:
 class TestIntegrateLangevin:
     def test_trace_shapes_and_positivity(self):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, lambda t: 13.5)
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
         assert len(trace.times) == len(trace.intensity) == len(trace.inferred_x2)
         assert np.all(trace.intensity >= 0.0)
         assert trace.times[0] == 0.0
@@ -204,7 +215,7 @@ class TestIntegrateLangevin:
     @pytest.mark.parametrize("x2", [0.5, 13.5, 138.5])
     def test_constant_x2_steady_state(self, x2):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, lambda t: x2)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), OMEGA_M)
         closed_form = (DRIVE_AMPLITUDE / (cfg.kappa + cfg.coupling * x2)) ** 2
         assert trace.intensity[-1] == pytest.approx(closed_form, rel=1e-10)
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
@@ -214,32 +225,32 @@ class TestIntegrateLangevin:
     def test_step_must_resolve_coupling_rate(self, coupling):
         # h = 5e-9 and x² = 1: h·g·x² > 1/20 diverges under RK4
         with pytest.raises(ParameterError, match=r"h\*g\*max\(x\^2\)"):
-            integrate_langevin(reference_config(coupling=coupling), lambda t: 1.0)
+            integrate_langevin(reference_config(coupling=coupling), (1.0, 0.0, 0.0), OMEGA_M)
 
     def test_step_resolving_coupling_rate_accepted(self):
-        trace = integrate_langevin(reference_config(coupling=9e6), lambda t: 1.0)
+        trace = integrate_langevin(reference_config(coupling=9e6), (1.0, 0.0, 0.0), OMEGA_M)
         assert np.all(np.isfinite(trace.intensity))
 
     def test_non_finite_x2_rejected(self):
         with pytest.raises(ParameterError, match="coupling"):
-            integrate_langevin(reference_config(), lambda t: math.nan)
+            integrate_langevin(reference_config(), (math.nan, 0.0, 0.0), OMEGA_M)
 
     def test_diverging_trace_rejected(self):
         # x² < 0 turns the damping kappa + g·x² negative: the resolved trace grows
         # as e^(5e6·t) and overflows by t_end = 2e-4
         cfg = ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=2e-4, dt=2.5e-9)
         with np.errstate(all="ignore"), pytest.raises(ParameterError, match="^readout trace is not finite$"):
-            integrate_langevin(cfg, lambda t: -1.5e11)
+            integrate_langevin(cfg, (-1.5e11, 0.0, 0.0), OMEGA_M)
 
     def test_inferred_x2_settles_to_input(self):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, lambda t: 13.5)
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
         assert trace.inferred_x2[-1] == pytest.approx(13.5, rel=1e-2)
 
     def test_halving_dt_converged(self):
-        for x2_of_t in (lambda t: 138.5, lambda t: 137.9 + 137.2 * np.cos(2 * OMEGA_M * t)):
-            coarse = integrate_langevin(reference_config(), x2_of_t)
-            fine = integrate_langevin(reference_config(dt=2.5e-9), x2_of_t)
+        for signal in ((138.5, 0.0, 0.0), (137.9, 137.2, 0.0)):
+            coarse = integrate_langevin(reference_config(), signal, OMEGA_M)
+            fine = integrate_langevin(reference_config(dt=2.5e-9), signal, OMEGA_M)
             assert fine.intensity[-1] == pytest.approx(coarse.intensity[-1], rel=1e-8)
 
     def test_ripple_transfer_function(self):
@@ -249,7 +260,7 @@ class TestIntegrateLangevin:
         ripples = {}
         for kappa in (1e7, 1e8):
             cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-            trace = integrate_langevin(cfg, lambda t: a + b * np.cos(2 * OMEGA_M * t))
+            trace = integrate_langevin(cfg, (a, b, 0.0), OMEGA_M)
             report = analyze_trace(trace, cfg, OMEGA_M)
             expected = 2 * cfg.coupling * b / math.sqrt(kappa**2 + 4 * OMEGA_M**2)
             assert report.ripple_amplitude == pytest.approx(expected, rel=1e-3)
@@ -260,43 +271,52 @@ class TestIntegrateLangevin:
         assert ripples[1e8] < ripples[1e7]
 
 
-def per_step_rk4(config, x2_of_t, rate, y0):
-    """The per-step RK4 loop of dy/dt = rate(y, g·x²(t)) from y0, evaluating
-    x²(t) at every stage of every step; returns the times and y after each step."""
+def per_step_rk4(config, x2_half, rate, y0):
+    """The per-step RK4 loop of dy/dt = rate(y, g·x²) from y0, reading x² at
+    every stage of every step from ``x2_half``, x² at the half steps j·h/2;
+    returns the times and y after each step."""
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-9))
     h = config.t_end / n_steps
 
-    def deriv(t, y):
-        return rate(y, config.coupling * float(x2_of_t(t)))
+    def deriv(j, y):
+        return rate(y, config.coupling * float(x2_half[j]))
 
     y, ys = y0, [y0]
     for k in range(n_steps):
-        t = k * h
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
+        k1 = deriv(2 * k, y)
+        k2 = deriv(2 * k + 1, y + 0.5 * h * k1)
+        k3 = deriv(2 * k + 1, y + 0.5 * h * k2)
+        k4 = deriv(2 * k + 2, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ys.append(y)
     return np.array([k * h for k in range(n_steps + 1)]), np.array(ys)
 
 
-def deviation_loop(config, x2_of_t):
+def half_step_x2(config, signal):
+    """x² = dc + a·cos + b·sin at the half steps j·h/2, j = 0 … 2·n_steps, as
+    the integrator takes it; one call over the whole grid gives the values
+    of its per-block calls, since a phasor depends on its index alone."""
+    dc, a, b = signal
+    n_steps = config.n_steps
+    if a == b == 0.0:
+        return np.full(2 * n_steps + 1, dc)
+    h = config.t_end / n_steps
+    return ((a - 1j * b) * _phasors(0, 2 * n_steps + 1, OMEGA_M * h)).real + dc
+
+
+def deviation_loop(config, signal):
     """Sequential RK4 of du/dt = -(kappa + g·x²)·u - g·x² from u = -1."""
-    return per_step_rk4(config, x2_of_t, lambda u, gx2: -(config.kappa + gx2) * u - gx2, -1.0)
+    rate = lambda u, gx2: -(config.kappa + gx2) * u - gx2
+    return per_step_rk4(config, half_step_x2(config, signal), rate, -1.0)
 
 
-def amplitude_loop(config, x2_of_t):
+def amplitude_loop(config, signal):
     """Sequential RK4 of the amplitude itself, dc/dt = -(kappa + g·x²)·c + drive, from c = 0."""
     rate = lambda c, gx2: -(config.kappa + gx2) * c + DRIVE_AMPLITUDE
-    return per_step_rk4(config, x2_of_t, rate, 0.0)
+    return per_step_rk4(config, half_step_x2(config, signal), rate, 0.0)
 
 
 SQUEEZED = GaussianState(mean=(0.3, -1.2), var_p=275.1, var_x=0.624, cross=3.1)
-
-
-def free_x2(t):
-    return free_x2_expectation(SQUEEZED, OMEGA_M, t)
 
 
 ORACLE_CASES = pytest.mark.parametrize(
@@ -313,15 +333,18 @@ def oracle_config(overrides):
     return reference_config(**{"coupling": 1e4, **overrides})
 
 
+def oracle_signal(free):
+    return free_x2_harmonics(SQUEEZED) if free else (13.5, 0.0, 0.0)
+
+
 class TestIntegratorOracle:
     @ORACLE_CASES
     def test_matches_per_step_loop(self, overrides, free):
         # the scan reorders the arithmetic of the sequential deviation loop:
         # equal to a few units of 1e-16, relative to each value
         cfg = oracle_config(overrides)
-        x2_of_t = free_x2 if free else (lambda t: 13.5)
-        times, u = deviation_loop(cfg, x2_of_t)
-        trace = integrate_langevin(cfg, x2_of_t)
+        times, u = deviation_loop(cfg, oracle_signal(free))
+        trace = integrate_langevin(cfg, oracle_signal(free), OMEGA_M)
         assert np.array_equal(trace.times, times)
         intensity = trace.baseline * (1.0 + u) ** 2
         assert np.allclose(trace.intensity, intensity, rtol=1e-14, atol=0.0)
@@ -334,29 +357,111 @@ class TestIntegratorOracle:
         # I/I0 - 1 only to a few units of eps absolute (its inferred x² to
         # eps·kappa/(2g)): the two intensities agree to that, not better
         cfg = oracle_config(overrides)
-        x2_of_t = free_x2 if free else (lambda t: 13.5)
-        _, c = amplitude_loop(cfg, x2_of_t)
-        trace = integrate_langevin(cfg, x2_of_t)
+        _, c = amplitude_loop(cfg, oracle_signal(free))
+        trace = integrate_langevin(cfg, oracle_signal(free), OMEGA_M)
         tolerance = 64 * np.finfo(float).eps * trace.baseline
         assert np.max(np.abs(c**2 - trace.intensity)) <= tolerance
 
     def test_multi_chunk_case_spans_chunks(self):
         assert CHUNK_STEPS < reference_config(t_end=5.1e-5).n_steps < 2 * CHUNK_STEPS
 
-    def test_provider_called_once_per_stage_grid(self):
-        cfg = reference_config()
-        calls = []
+    def test_constant_signal_calls_no_trig(self, monkeypatch):
+        # a snapshot's x² is one number: no cos, sin or phasor is taken, and
+        # the trace is the per-step loop's
+        def no_trig(*args, **kwargs):
+            raise AssertionError("trig called")
 
-        def x2_of_t(t):
-            calls.append(t)
-            return np.full(t.shape, 13.5)
+        for name in ("cos", "sin", "exp"):
+            monkeypatch.setattr(np, name, no_trig)
+        monkeypatch.setattr(readout, "_phasors", no_trig)
+        cfg = oracle_config({"t_end": 5.1e-5})
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
+        monkeypatch.undo()
+        _, u = deviation_loop(cfg, (13.5, 0.0, 0.0))
+        assert np.allclose(trace.intensity, trace.baseline * (1.0 + u) ** 2, rtol=1e-14, atol=0.0)
 
-        integrate_langevin(cfg, x2_of_t)
-        h = cfg.t_end / cfg.n_steps
-        assert len(calls) == 3
-        assert all(t.shape == (cfg.n_steps,) for t in calls)
-        assert calls[0][0] == 0.0
-        assert np.array_equal(calls[2], calls[0] + h)
+
+def window_lstsq(trace, config, omega_m):
+    """(dc, a, b) of analyze_trace's window by numpy's least squares on the
+    n×3 design [1, cos 2·omega_m·t, sin 2·omega_m·t], with np.cos/np.sin."""
+    period = math.pi / omega_m
+    periods = math.floor((config.t_end - SETTLE_FACTOR / config.kappa) / period + 1e-9)
+    h = config.t_end / config.n_steps
+    start = np.searchsorted(trace.times, config.t_end - periods * period - 1e-9 * h)
+    phase = 2.0 * omega_m * trace.times[start:]
+    design = np.column_stack([np.ones_like(phase), np.cos(phase), np.sin(phase)])
+    return np.linalg.lstsq(design, trace.inferred_x2[start:], rcond=None)[0]
+
+
+@st.composite
+def squeezed_states(draw):
+    """A zero-mean rotated squeezed thermal state: det(cov) = v² >= 1/4."""
+    v = draw(st.floats(0.5, 20.0))
+    r = draw(st.floats(0.0, 2.0))
+    theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    big, small = v * math.exp(2.0 * r), v * math.exp(-2.0 * r)
+    return GaussianState(
+        var_p=big * c * c + small * s * s, var_x=big * s * s + small * c * c, cross=(big - small) * c * s
+    )
+
+
+# |phasor - (cos, sin)| <= PHASOR_C·eps·(|j·step| + 1); measured up to 0.95 over
+# 3,000 drawn (start, count, step) with total angles from 1e-3 to 1e4 rad
+PHASOR_C = 2.0
+# analyze_trace's (dc, ripple) against window_lstsq, relative to the larger of
+# |dc| and the fitted amplitude; measured up to 1.2e-14 on 60 drawn traces
+FIT_RTOL = 1e-13
+
+
+class TestReadoutKernels:
+    """The angle-addition phasors and the normal-equation fit against numpy."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        count=st.sampled_from((1, 2, 127, 128, 129, 1000, 16385, 40000))
+        | st.integers(1, 3 * 2 * CHUNK_STEPS),
+        start=st.sampled_from((0, 1, FINE_ANGLES - 1, 2 * CHUNK_STEPS)) | st.integers(0, 10**5),
+        total=st.floats(1e-3, 1e4),
+    )
+    def test_phasors_match_numpy_trig(self, count, start, total):
+        step = total / (start + count)
+        angles = (start + np.arange(count)) * step
+        phasors = _phasors(start, count, step)
+        bound = PHASOR_C * np.finfo(float).eps * (np.abs(angles) + 1.0)
+        assert phasors.shape == (count,)
+        assert np.all(np.abs(phasors.real - np.cos(angles)) <= bound)
+        assert np.all(np.abs(phasors.imag - np.sin(angles)) <= bound)
+
+    def test_phasors_from_zero_match_numpy_trig(self):
+        # the form the integrator and the fit take: cos/sin(arange(count)·step)
+        for count, step in ((1, 0.3), (3 * 2 * CHUNK_STEPS + 5, 1e4 / (6 * CHUNK_STEPS)), (999, 1e-3)):
+            angles = np.arange(count) * step
+            phasors = _phasors(0, count, step)
+            bound = PHASOR_C * np.finfo(float).eps * (angles + 1.0)
+            assert np.all(np.abs(phasors.real - np.cos(angles)) <= bound)
+            assert np.all(np.abs(phasors.imag - np.sin(angles)) <= bound)
+
+    def test_phasor_depends_on_its_index_alone(self):
+        # the integrator takes one block at a time: any slice of the grid is
+        # the same bits as the whole grid taken at once
+        whole = _phasors(0, 5 * 2 * CHUNK_STEPS + 1, 0.0123)
+        for start, count in ((0, 1), (2 * CHUNK_STEPS, 2 * CHUNK_STEPS + 1), (77, 1000), (40000, 3)):
+            assert np.array_equal(_phasors(start, count, 0.0123), whole[start : start + count])
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(state=squeezed_states(), kappa=st.floats(3e6, 1e8), free=st.booleans())
+    def test_fit_matches_lstsq(self, state, kappa, free):
+        cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+        signal = free_x2_harmonics(state) if free else (state.var_x, 0.0, 0.0)
+        trace = integrate_langevin(cfg, signal, OMEGA_M)
+        report = analyze_trace(trace, cfg, OMEGA_M)
+        dc, a, b = window_lstsq(trace, cfg, OMEGA_M)
+        ripple = math.hypot(a, b)
+        scale = max(abs(dc), ripple)
+        assert abs(report.dc_shift - dc) <= FIT_RTOL * scale
+        calibration = 2.0 * cfg.coupling / cfg.kappa
+        assert abs(report.ripple_amplitude / calibration - ripple) <= FIT_RTOL * scale
 
 
 class TestRippleReport:
@@ -387,7 +492,7 @@ class TestRippleReport:
         cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
         state = GaussianState(var_p=3.0, var_x=0.2, cross=0.1)
         assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(1.6, rel=1e-7)
-        snapshot = integrate_langevin(cfg, lambda t: 0.314)
+        snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0), OMEGA_M)
         assert analyze_trace(snapshot, cfg, OMEGA_M).dc_shift == pytest.approx(0.314, rel=1e-7)
 
     @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
@@ -400,9 +505,17 @@ class TestRippleReport:
     @pytest.mark.parametrize("omega_m", [0.0, math.nan, math.inf])
     def test_omega_m_must_be_positive_and_finite(self, omega_m):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, lambda t: 1.0)
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
         with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
             analyze_trace(trace, cfg, omega_m)
+
+    def test_one_sample_window_rejected(self):
+        # a period of 0.8 steps leaves one grid point in the window: the normal
+        # equations of dc and two quadratures are singular there
+        cfg = reference_config(t_end=4.006e-6)
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
+        with pytest.raises(ParameterError, match="^fit is singular: the step h = .* does not resolve"):
+            analyze_trace(trace, cfg, math.pi / 4e-9)
 
     def test_window_too_short_rejected(self):
         cfg = reference_config(t_end=1e-6)
@@ -414,7 +527,7 @@ class TestRippleReport:
         # 2g·x²/kappa <= 2e-19 sits below the transient e^-40 left in the window,
         # which the calibration kappa/(2g) would report as ⟨x²⟩
         cfg = default_readout_config(kappa=kappa, coupling=coupling, omega_m=OMEGA_M)
-        trace = integrate_langevin(cfg, lambda t: 1.0)
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
         with pytest.raises(ParameterError, match="not above the residual transient"):
             analyze_trace(trace, cfg, OMEGA_M)
 

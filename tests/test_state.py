@@ -6,9 +6,11 @@ import pytest
 from quadkick import (
     GaussianState,
     ParameterError,
+    ReadoutConfig,
     SymplecticMap,
     free_matrix,
-    free_x2_expectation,
+    free_x2_harmonics,
+    integrate_langevin,
     kick_matrix,
     propagate,
     thermal_occupancy,
@@ -257,20 +259,28 @@ class TestPropagate:
         assert out.mean == pytest.approx([2.0, 1.0], abs=1e-12)
 
 
+def free_x2(state, omega_m, t):
+    """⟨x²(t)⟩ from the harmonics (dc, a, b) of ``free_x2_harmonics``."""
+    dc, a, b = free_x2_harmonics(state)
+    return dc + a * math.cos(2.0 * omega_m * t) + b * math.sin(2.0 * omega_m * t)
+
+
 class TestFreeX2Expectation:
     def test_vacuum_constant(self):
+        assert free_x2_harmonics(thermal_state(0.0)) == (0.5, 0.0, 0.0)
         for t in (0.0, 1e-7, 3e-6, 1e-3):
-            assert free_x2_expectation(thermal_state(0.0), 1e6, t) == pytest.approx(0.5, rel=1e-14)
+            assert free_x2(thermal_state(0.0), 1e6, t) == pytest.approx(0.5, rel=1e-14)
 
     def test_thermal_time_independent(self):
         state = thermal_state(12.6)
-        values = [free_x2_expectation(state, 1e6, t) for t in np.linspace(0, 1e-5, 17)]
+        assert free_x2_harmonics(state)[1:] == (0.0, 0.0)
+        values = [free_x2(state, 1e6, t) for t in np.linspace(0, 1e-5, 17)]
         assert np.allclose(values, 13.1, rtol=1e-14)
 
     def test_quarter_period_swaps_variances(self):
         state = GaussianState(var_p=275.1, var_x=0.624)
         t = math.pi / 2e6  # omega_m * t = pi / 2
-        assert free_x2_expectation(state, 1e6, t) == pytest.approx(275.1, rel=1e-9)
+        assert free_x2(state, 1e6, t) == pytest.approx(275.1, rel=1e-9)
 
     def test_matches_matrix_propagation(self):
         # independent oracle: rotate the full state, then read var_x + mean_x^2
@@ -286,21 +296,23 @@ class TestFreeX2Expectation:
             t = rng.uniform(0, 10 * math.pi / omega)
             rotated = propagate(state, free_matrix(omega, t))
             expected = rotated.var_x + rotated.mean[1] ** 2
-            assert free_x2_expectation(state, omega, t) == pytest.approx(expected, rel=1e-10)
+            assert free_x2(state, omega, t) == pytest.approx(expected, rel=1e-10)
 
     def test_periodic_in_half_mechanical_period(self):
         state = GaussianState(var_p=5.0, var_x=0.8, cross=0.7)
         omega = 1e6
         period = math.pi / omega
         for t in np.linspace(0, period, 13):
-            assert free_x2_expectation(state, omega, t) == pytest.approx(
-                free_x2_expectation(state, omega, t + period), rel=1e-10
+            assert free_x2(state, omega, t) == pytest.approx(
+                free_x2(state, omega, t + period), rel=1e-10
             )
 
     @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan, math.inf])
     def test_omega_m_must_be_positive_and_finite(self, omega_m):
+        # the harmonics hold for every frequency; the probe that evolves them checks it
+        cfg = ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=5e-6, dt=5e-9)
         with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
-            free_x2_expectation(thermal_state(1.0), omega_m, 0.0)
+            integrate_langevin(cfg, free_x2_harmonics(thermal_state(1.0)), omega_m)
 
     def test_isotropic_state_rotation_invariant(self):
         state = thermal_state(7.0)
