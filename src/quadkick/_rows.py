@@ -1,7 +1,7 @@
-"""The block row writer: float columns as text rows with the bytes of ``_fmt``,
-for CSV and JSON alike. The CLI's only numpy code, with tables built at
-import: ``cli`` imports it on first use, in ``readout`` and closed-form
-``sweep``, so the other commands start without numpy.
+"""The block row writer: float columns as text rows with the bytes of ``"%.16e"``
+(``cli._fmt``), for CSV and JSON alike. The CLI's only numpy code, a leaf that
+builds its tables at import: ``cli`` imports it on first use, in ``readout`` and
+a sweep whose values are an array, so the other commands start without numpy.
 """
 
 import itertools
@@ -9,10 +9,8 @@ import math
 
 import numpy as np
 
-from .cli import _fmt
-
-_SCI_WIDTH = 24   # widest _fmt of a double: "-1.0000000000000000e-308"
-_FIXED_WIDTH = 22  # _fmt of a value >= 0 with a two-digit exponent: "1.0000000000000000e-05"
+_SCI_WIDTH = 24   # widest text of a double: "-1.0000000000000000e-308"
+_FIXED_WIDTH = 22  # text of a value >= 0 with a two-digit exponent: "1.0000000000000000e-05"
 _FMT_BLOCK_ROWS = 8192
 _MAX_POW = 27     # the writer scales by 10**k for k = 0 … 27, and 5**27 < 2**63
 
@@ -117,7 +115,7 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.ndarray) -> None:
-    """Write ``_fmt`` of each value of ``x``, given its 17 ``digits`` and
+    """Write the text of each value of ``x``, given its 17 ``digits`` and
     ``k``, into ``words[:, :6]``: [NUL, sign, lead digit, '.'], the other
     16 digits, "e±XX". A value that is not negative leaves the sign NUL."""
     # a // by a constant is several times faster than % or divmod; numpy
@@ -135,22 +133,22 @@ def _digit_words(x: np.ndarray, digits: np.ndarray, k: np.ndarray, words: np.nda
 
 
 def _splice(slots: np.ndarray, x: np.ndarray, slow: np.ndarray) -> None:
-    """Write ``_fmt(v)``, right-aligned, over the slot of each value of ``x``
+    """Write the text, right-aligned, over the slot of each value of ``x``
     that is ``slow``."""
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = "".join([_fmt(v).rjust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
+        text = "".join([("%.16e" % v).rjust(_SCI_WIDTH, "\0") for v in x[slow].tolist()])
         slots[slow, :_SCI_WIDTH] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
             -1, _SCI_WIDTH
         )
 
 
 def _sci_slots(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``_fmt`` of each value into ``out[:, :_SCI_WIDTH]``, right-aligned
+    """Write the text of each value into ``out[:, :_SCI_WIDTH]``, right-aligned
     after NUL bytes.
 
     The 17 digits are those of ``_sci_digits`` rounded half to even, exactly
-    as ``"%.16e"`` rounds; only its ``slow`` values go through ``_fmt``.
+    as ``"%.16e"`` rounds; only its ``slow`` values go through ``_splice``.
     """
     digits, frac, k, slow = _sci_digits(x)
     # frac's low bits are 0, so frac + 1 passes half only at a tie with odd digits
@@ -172,11 +170,9 @@ def _fixed_width(slots: np.ndarray) -> bool:
     return bool(before == 0 and first == len(slots))
 
 
-def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
+def _float_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
     """Rows ``parts[0] + f(a) + parts[1] + f(b) + … + parts[-1]`` of float
-    columns, one string per block of rows, where ``slots_of(x, out)`` writes
-    f of each value of ``x`` into ``out[:, :_SCI_WIDTH]``, right-aligned
-    after NUL bytes (``_sci_slots``, for ``_fmt``).
+    columns, one string per block of rows, with f(v) = ``"%.16e" % v``.
 
     A block whose texts are all _FIXED_WIDTH bytes wide is built by copying
     each slot's fixed window, the text and the part after it, into one row
@@ -195,7 +191,7 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
     n_total = len(columns[0])
     n_rows = min(n_total, _FMT_BLOCK_ROWS)
     # one buffer for every block, as a fresh one per block costs page faults;
-    # slots_of writes only the texts, so the parts are written once
+    # _sci_slots writes only the texts, so the parts are written once
     buf = np.empty((n_rows, len(after), width), dtype=np.uint8)
     buf.view(np.uint32)[:, :, _SCI_WIDTH // 4 :] = tails
     # a fixed window: bytes lead … _SCI_WIDTH + len(a) of a slot
@@ -209,7 +205,7 @@ def _float_rows(slots_of, parts: tuple[str, ...], *columns: np.ndarray) -> list[
         x = np.column_stack([c[i : i + _FMT_BLOCK_ROWS] for c in columns])
         slots = buf[: len(x)]
         texts = slots.reshape(-1, width)
-        slots_of(x.ravel(), texts)
+        _sci_slots(x.ravel(), texts)
         if _fixed_width(texts):
             if rows is None:
                 rows = np.empty((n_rows, starts[-1]), dtype=np.uint8)

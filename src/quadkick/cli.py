@@ -139,7 +139,7 @@ _JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "in
 
 
 def _cmd_readout(args, params: PhysicalParams) -> list[str]:
-    from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
+    from ._rows import _float_rows  # lazy: the other commands start without it
 
     state = _state_from_args(args)
     cfg = default_readout_config(
@@ -163,11 +163,11 @@ def _cmd_readout(args, params: PhysicalParams) -> list[str]:
         # the layout of json.dumps({"summary": …, "trace": […]}, indent=2);
         # integrate_langevin rejects non-finite values, so every text is a JSON number
         head = ",\n".join(f'    "{k}": {t}' for k, t in summary)
-        body = _float_rows(_sci_slots, _JSON_TRACE_ROW, *columns)
+        body = _float_rows(_JSON_TRACE_ROW, *columns)
         body[-1] = body[-1][: -len(",\n")]
         return ['{\n  "summary": {\n', head, '\n  },\n  "trace": [\n', *body, "\n  ]\n}\n"]
     head = "".join(f"# {k} = {t}\n" for k, t in summary)
-    return [head, "t,intensity,inferred_x2\n", *_float_rows(_sci_slots, _CSV_TRACE_ROW, *columns)]
+    return [head, "t,intensity,inferred_x2\n", *_float_rows(_CSV_TRACE_ROW, *columns)]
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -200,12 +200,11 @@ def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     # the grid's product order; an error cell's value is nan: its row is
     # written, then replaced. Every other text is finite, so it is a JSON number.
     texts = [[_fmt(v) for v in a.values] for a in axes]
-    if args.observable == "pulses_needed":
-        # this path starts without the block writer: "%.16e" writes the bytes of _fmt
-        values = ["%.16e" % v for v in cells.values]
+    if isinstance(cells.values, list):  # sweep() ran without numpy: so does this path
+        values = ["%.16e" % v for v in cells.values]  # the bytes of _fmt
     else:
-        from ._rows import _float_rows, _sci_slots  # lazy: the other commands start without it
-        values = "".join(_float_rows(_sci_slots, ("", "\n"), cells.values))[:-1].split("\n")
+        from ._rows import _float_rows  # lazy: the other commands start without it
+        values = "".join(_float_rows(("", "\n"), cells.values))[:-1].split("\n")
     if args.format == "json":
         lines = [[f'      "{k}": {t}' for t in a] for k, a in zip(names, texts)]
         coords = [",\n".join(c) for c in itertools.product(*lines)]

@@ -187,9 +187,12 @@ class _SweepCells(_LazySequence):
 
 def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:
     """The closed-form observable of every cell, axis-1 major, with the axes
-    laid over the field ``table``, and the cells it leaves open (nan): those
-    with an invalid axis value (a text in ``errors``) or any value the scalar
-    ``_evaluate_cell`` would reject.
+    laid over the field ``table``, and the cells it leaves open (nan) for
+    the scalar ``_evaluate_cell``, the one source of error texts: an invalid
+    axis value (a text in ``errors``), a negative wait, an infinite angle or
+    wait, or a non-finite result.  An overflowing stiffness, occupancy or
+    quarter period gives one of these, and g̃ >= omega_m keeps (g̃/omega_m)²
+    from underflowing, so no other cell raises there.
 
     The arithmetic repeats the scalar code's IEEE operations in its order on
     arrays broadcast over the axes, so every other cell is the double
@@ -216,11 +219,10 @@ def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.nd
     with np.errstate(all="ignore"):
         omega_m = p["omega_m"]
         n_bar = of_math(_occupancy_or_inf, p["T"], omega_m)
-        # one term per raise of the scalar path, in its order
         if spec.observable == "decoherence_term":
             tau_wait = math.pi / omega_m
             value = -of_math(math.expm1, -p["gamma"] * tau_wait) * (n_bar + 0.5)
-            bad = bad | ~np.isfinite(n_bar) | (tau_wait == math.inf)
+            bad = bad | (tau_wait == math.inf) | ~np.isfinite(value)
         else:
             g_tilde = 2.0 * p["g"] * p["n_p"] + omega_m
             quarter = 0.5 * math.pi / omega_m
@@ -235,11 +237,7 @@ def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.nd
             var_p = (c * c + ratio * ratio * (s * s)) * v0
             var_x = (c * c + s * s / (ratio * ratio)) * v0
             value = var_p if spec.observable == "var_p" else var_x
-            bad = (
-                bad | ~np.isfinite(g_tilde) | (quarter == math.inf) | ~np.isfinite(n_bar)
-                | (tau < 0.0) | ~finite_angle | (ratio * ratio == 0.0)
-                | ~np.isfinite(var_p) | ~np.isfinite(var_x)
-            )
+            bad = bad | (tau < 0.0) | ~finite_angle | ~np.isfinite(var_p) | ~np.isfinite(var_x)
         # bad spans every axis, so this is the whole grid
         return np.where(bad, math.nan, value).reshape(-1), np.flatnonzero(bad).tolist()
 
@@ -255,9 +253,9 @@ def sweep(spec: SweepSpec) -> Sequence[SweepCell]:
     values laid over it; none builds a ``PhysicalParams``.  Only ``var_x``
     and ``var_p`` read ``delta_tau``.  Closed-form observables are computed
     for the whole grid at once, into a float64 array; the cells it leaves
-    open and ``pulses_needed`` cells (a count, no schedule, into a list) are
-    scalar.  The cells come as a read-only sequence over those columns,
-    equal to the list of its cells but not a list.
+    open and ``pulses_needed`` cells (a count, no schedule, into a list,
+    without numpy) are scalar.  The cells come as a read-only sequence over
+    those columns, equal to the list of its cells but not a list.
     """
     errors = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
               for a in spec.axes]

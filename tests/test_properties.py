@@ -281,6 +281,21 @@ def assert_sweep_is_reference(spec):
 @example(spec=SweepSpec(
     (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(T=0.0), "decoherence_term"
 ))
+# the grid leaves a cell open on its wait, angle or result alone: an overflowing
+# stiffness g̃ at a zero sine (tau = 0) gives a finite var_x but a nan var_p,
+@example(spec=SweepSpec(
+    (SweepAxis("delta_tau", (-1.5707963267948967e-06, 0.0)),), PhysicalParams(g=1e10, n_p=1e300),
+    "var_x",
+))
+# an overflowing occupancy a non-finite result, with and without decay,
+@example(spec=SweepSpec((SweepAxis("omega_m", (1e-300, 1e6)),), PhysicalParams(g=0.0), "var_p"))
+@example(spec=SweepSpec(
+    (SweepAxis("gamma", (0.0, 0.1)),), PhysicalParams(omega_m=1e-300), "decoherence_term"
+))
+# and an overflowing quarter period an infinite angle
+@example(spec=SweepSpec(
+    (SweepAxis("omega_m", (5e-324, 1e6)),), PhysicalParams(g=0.0, T=0.0), "var_x"
+))
 def test_closed_form_grid_is_the_scalar_cell(spec):
     # the grid evaluation gives every cell's double, or its exact error text
     assert_sweep_is_reference(spec)
