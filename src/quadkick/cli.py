@@ -150,8 +150,8 @@ def _cmd_readout(args, params: PhysicalParams) -> list[str]:
     else:
         # snapshot probe: x² held at the state's position variance
         signal = (state.var_x, 0.0, 0.0)
-    trace = integrate_langevin(cfg, signal, params.omega_m)
-    report = analyze_trace(trace, cfg, params.omega_m)
+    trace = integrate_langevin(cfg, signal)
+    report = analyze_trace(trace, cfg)
     columns = (trace.times, trace.intensity, trace.inferred_x2)
     summary = [
         ("dc_shift", _fmt(report.dc_shift)),

@@ -62,10 +62,12 @@ N_PERIODS = 16
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Cavity and integration-grid settings of the resonant probe, run from 0 to ``t_end``.
+    """The resonant probe of an oscillator at ``omega_m``, run from 0 to ``t_end``.
 
-    The step size must resolve the cavity relaxation with at least 20 points
-    per 1/kappa; ``default_readout_config`` also resolves the x²(t) signal.
+    Every readout function reads kappa, g and omega_m from here, where they
+    are checked once.  The step size must resolve the cavity relaxation with
+    at least 20 points per 1/kappa; ``default_readout_config`` also resolves
+    the x²(t) signal.
     The coupling must be positive with a finite calibration kappa/(2g): the
     intensity shift that carries ⟨x²⟩ exists only through it.  The baseline
     (drive/kappa)² must be a normal double, which rejects kappa below ~7.46e-150
@@ -74,6 +76,7 @@ class ReadoutConfig:
 
     kappa: float             # s^-1
     coupling: float          # quadratic coupling g, s^-1
+    omega_m: float           # mechanical frequency, rad/s
     t_end: float
     dt: float
 
@@ -84,6 +87,8 @@ class ReadoutConfig:
                 raise ParameterError(f"{field.name} must be finite, got {value!r}")
         if self.kappa <= 0.0:
             raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
+        if self.omega_m <= 0.0:
+            raise ParameterError(f"omega_m must be positive, got {self.omega_m!r}")
         if self.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not self.t_end > 0.0:
@@ -170,15 +175,9 @@ def adiabatic_intensity(x2: float, config: ReadoutConfig) -> float:
     return baseline_intensity(config) * (1.0 - 2.0 * config.coupling / config.kappa * x2)
 
 
-def infer_x2(intensity: float, baseline: float, g: float, kappa: float) -> float:
+def infer_x2(intensity: float, config: ReadoutConfig) -> float:
     """Invert the first-order intensity shift back to ⟨x²⟩: (1 - I/I0)·kappa/(2g)."""
-    if baseline <= 0.0:
-        raise ParameterError(f"baseline must be positive, got {baseline!r}")
-    if g <= 0.0:
-        raise ParameterError(f"coupling must be positive, got {g!r}")
-    if kappa <= 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    return (1.0 - intensity / baseline) * kappa / (2.0 * g)
+    return (1.0 - intensity / baseline_intensity(config)) * config.kappa / (2.0 * config.coupling)
 
 
 def _step_coefficients(
@@ -246,15 +245,14 @@ def _phasors(start: int, count: int, step: float) -> np.ndarray:
     return np.multiply.outer(coarse, fine).ravel()[offset : offset + count]
 
 
-def integrate_langevin(
-    config: ReadoutConfig, signal: tuple[float, float, float], omega_m: float
-) -> ReadoutTrace:
+def integrate_langevin(config: ReadoutConfig, signal: tuple[float, float, float]) -> ReadoutTrace:
     """Integrate the cavity amplitude equation with a fixed-step RK4 scheme.
 
     dc/dt = -(kappa + g·x²(t))·c + drive, starting from an empty cavity at
     t = 0, integrated as the real deviation u = c/c0 - 1 from the uncoupled
     steady field c0 = drive/kappa (u = -1 at t = 0).  ``signal`` is the
-    triple (dc, a, b) of x²(t) = dc + a·cos 2·omega_m·t + b·sin 2·omega_m·t.
+    triple (dc, a, b) of x²(t) = dc + a·cos 2·omega_m·t + b·sin 2·omega_m·t
+    at the config's omega_m.
     x² is taken once per block of CHUNK_STEPS steps on the half-step grid
     j·h/2, whose even, odd and next even points are the three RK4 stage
     times of each step; a constant signal (a = b = 0) takes no cos or sin.
@@ -262,15 +260,12 @@ def integrate_langevin(
     (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·u + u² without
     cancellation.  Deterministic given the config.
 
-    Raises ``ParameterError`` when omega_m is not positive and finite; when
-    the step does not resolve the coupling rate with 20 points,
-    h·g·(|dc| + hypot(a, b)) > 1/20, the bound of h·g·|x²| (RK4 diverges
-    there); and when any trace value is not finite.
+    Raises ``ParameterError`` when the step does not resolve the coupling
+    rate with 20 points, h·g·(|dc| + hypot(a, b)) > 1/20, the bound of
+    h·g·|x²| (RK4 diverges there), and when any trace value is not finite.
     """
     import numpy as np
 
-    if not 0.0 < omega_m < math.inf:
-        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
     dc, amp_cos, amp_sin = (float(v) for v in signal)
     n_steps = config.n_steps
     h = config.t_end / n_steps
@@ -296,7 +291,7 @@ def integrate_langevin(
         else:
             # x² on the half steps 2·start … 2·stop, 2·omega_m·(h/2) apart: the
             # real part of (a - i·b)·e^(i·phase) is a·cos + b·sin
-            phasors = _phasors(2 * start, 2 * (stop - start) + 1, omega_m * h)
+            phasors = _phasors(2 * start, 2 * (stop - start) + 1, config.omega_m * h)
             s = -g * (((amp_cos - 1j * amp_sin) * phasors).real + dc)
             a, b = _step_coefficients(s[:-1:2], s[1::2], s[2::2], config.kappa, h)
         block = _scan(a, b, u)
@@ -306,13 +301,13 @@ def integrate_langevin(
 
     i0 = baseline_intensity(config)
     intensity *= i0
-    inferred = shift * -(config.kappa / (2.0 * g))
-    if not (np.isfinite(intensity).all() and np.isfinite(inferred).all()):
+    shift *= -(config.kappa / (2.0 * g))  # now the inferred x²
+    if not (np.isfinite(intensity).all() and np.isfinite(shift).all()):
         raise ParameterError("readout trace is not finite")
-    return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=inferred)
+    return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=shift)
 
 
-def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) -> RippleReport:
+def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig) -> RippleReport:
     """Fit dc + 2·omega_m quadratures to the steady part of a trace.
 
     The analysis window is the largest whole number of π/omega_m periods
@@ -329,9 +324,7 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     """
     import numpy as np
 
-    if not 0.0 < omega_m < math.inf:
-        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
-    period = math.pi / omega_m
+    period = math.pi / config.omega_m
     settle = SETTLE_FACTOR / config.kappa
     periods = math.floor((config.t_end - settle) / period + 1e-9)
     if periods < 1:
@@ -345,7 +338,7 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     h = config.t_end / config.n_steps
     start = int(np.searchsorted(trace.times, window_start - 1e-9 * h))
     y = trace.inferred_x2[start:]
-    phasors = _phasors(start, len(y), 2.0 * omega_m * h)
+    phasors = _phasors(start, len(y), 2.0 * config.omega_m * h)
     cos, sin = phasors.real, phasors.imag
     sum_cos, sum_sin, cos_sin = cos.sum(), sin.sum(), cos @ sin
     normal = [
@@ -368,19 +361,18 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig, omega_m: float) ->
     return RippleReport(
         dc_shift=dc,
         ripple_amplitude=math.hypot(b, c) * (2.0 * config.coupling / config.kappa),
-        kappa_over_2omega=config.kappa / (2.0 * omega_m),
+        kappa_over_2omega=config.kappa / (2.0 * config.omega_m),
     )
 
 
-def ripple_report(config: ReadoutConfig, state: GaussianState, omega_m: float) -> RippleReport:
+def ripple_report(config: ReadoutConfig, state: GaussianState) -> RippleReport:
     """Probe a freely evolving state and summarize its intensity trace.
 
     Runs the amplitude integration with x²(t) following the state's free
     evolution from the probe switch-on, then extracts the mean shift (as
     inferred ⟨x²⟩) and the relative 2·omega_m ripple of the steady trace.
     """
-    trace = integrate_langevin(config, free_x2_harmonics(state), omega_m)
-    return analyze_trace(trace, config, omega_m)
+    return analyze_trace(integrate_langevin(config, free_x2_harmonics(state)), config)
 
 
 def default_readout_config(kappa: float, coupling: float, omega_m: float) -> ReadoutConfig:
@@ -405,4 +397,6 @@ def default_readout_config(kappa: float, coupling: float, omega_m: float) -> Rea
             f"step 1/(20*max(kappa, 2*omega_m)) underflows to 0 "
             f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
         )
-    return ReadoutConfig(kappa=kappa, coupling=coupling, t_end=t_end, dt=1.0 / rate)
+    return ReadoutConfig(
+        kappa=kappa, coupling=coupling, omega_m=omega_m, t_end=t_end, dt=1.0 / rate
+    )

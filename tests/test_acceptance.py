@@ -17,7 +17,6 @@ from quadkick import (
     ReadoutConfig,
     adiabatic_intensity,
     apply_schedule,
-    baseline_intensity,
     coupling_from_physical,
     default_readout_config,
     dissipate,
@@ -165,25 +164,22 @@ def test_criterion_08_thermal_channel_fixed_point():
 
 def test_criterion_09_readout_magnitude():
     cfg = ReadoutConfig(
-        kappa=1e7, coupling=1e-4,
+        kappa=1e7, coupling=1e-4, omega_m=1e6,
         t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.5, 13.5, 138.5):
-        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), 1e6)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
         assert shift == pytest.approx(2.0 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
 
     # algebraic inversion: exercised at an order-one fractional shift, where
     # the identity is not drowned by float cancellation
     strong = ReadoutConfig(
-        kappa=1e7, coupling=1e6,
+        kappa=1e7, coupling=1e6, omega_m=1e6,
         t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.1, 1.0, 10.0, 100.0, 1e3):
-        back = infer_x2(
-            adiabatic_intensity(x2, strong), baseline_intensity(strong),
-            strong.coupling, strong.kappa,
-        )
+        back = infer_x2(adiabatic_intensity(x2, strong), strong)
         assert back == pytest.approx(x2, rel=1e-12)
     report(9, "intensity shift magnitude is (2g/kappa)<x^2> within 1%; inversion exact to 1e-12")
 
@@ -193,7 +189,7 @@ def test_criterion_10_adiabatic_validity():
     ratios = []
     for kappa in (5e6, 1e7, 5e7, 1e8):
         cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=1e6)
-        rep = ripple_report(cfg, state, 1e6)
+        rep = ripple_report(cfg, state)
         ratios.append(rep.ripple_amplitude / rep.dc_shift)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     report(10, "2-omega ripple-to-dc ratio strictly decreasing across kappa grid")

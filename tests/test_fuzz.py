@@ -212,3 +212,13 @@ def test_readout_reads_its_closed_form(tmp_path_factory, log_kappa, log_omega, l
         eps = p["g"] * expected / kappa
         dc_shift = float(out.partition("\n")[0].removeprefix("# dc_shift = "))
         assert abs(dc_shift - expected) <= 3.0 * (eps + math.exp(-SETTLE_FACTOR) / eps) * expected
+        # the ripple is the first-order response (2g/kappa)·hypot(a, b)/|1 + 2i·omega_m/kappa|
+        # of the harmonic a·cos + b·sin, hypot(a, b) = |var_p - var_x|/2 here, and 0 for a
+        # snapshot; to the same relative error of the intensity shift dc = 2g·x²/kappa, plus
+        # 1e-7·dc for the grid's 2·omega_m response (measured up to 1.1e-8·dc)
+        amplitude = abs(var_p - var_x) / 2 if free_evolution == "on" else 0.0
+        calibration = 2.0 * p["g"] / kappa
+        ripple_closed = calibration * amplitude / abs(1.0 + 2j * p["omega_m"] / kappa)
+        ripple = float(out.split("\n")[1].removeprefix("# ripple_amplitude = "))
+        bound = 3.0 * (eps + math.exp(-SETTLE_FACTOR) / eps) + 1e-7
+        assert abs(ripple - ripple_closed) <= bound * calibration * expected

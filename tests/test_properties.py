@@ -80,7 +80,7 @@ def test_dc_shift_is_mean_x2(state, kappa):
     # a zero-mean state's ⟨x²(t)⟩ oscillates about (var_p + var_x)/2
     cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
     mean_x2 = 0.5 * (state.var_p + state.var_x)
-    assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(mean_x2, rel=1e-7)
+    assert ripple_report(cfg, state).dc_shift == pytest.approx(mean_x2, rel=1e-7)
 
 
 @READOUT
@@ -88,7 +88,7 @@ def test_dc_shift_is_mean_x2(state, kappa):
 def test_dc_shift_has_the_sign_of_the_adiabatic_intensity(state, kappa):
     # the intensity falls by 2g·dc_shift/kappa: below the baseline, as the closed form
     cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-    integrated = -2.0 * cfg.coupling * ripple_report(cfg, state, OMEGA_M).dc_shift / kappa
+    integrated = -2.0 * cfg.coupling * ripple_report(cfg, state).dc_shift / kappa
     mean_x2 = 0.5 * (state.var_p + state.var_x)
     closed_form = adiabatic_intensity(mean_x2, cfg) / baseline_intensity(cfg) - 1.0
     assert integrated < 0.0 and closed_form < 0.0

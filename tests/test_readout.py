@@ -38,6 +38,7 @@ def reference_config(**overrides):
     settings = dict(
         kappa=1e7,
         coupling=1e-4,
+        omega_m=OMEGA_M,
         t_end=5e-6,   # 50 cavity lifetimes
         dt=5e-9,
     )
@@ -66,7 +67,7 @@ class TestReadoutConfig:
         with pytest.raises(ParameterError):
             reference_config(coupling=-1e-4)
         with pytest.raises(ParameterError, match="^dt must be positive, got 0.0$"):
-            ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=1e-6, dt=0.0)
+            ReadoutConfig(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M, t_end=1e-6, dt=0.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -80,6 +81,12 @@ class TestReadoutConfig:
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             reference_config(**{field: value})
+
+    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan, math.inf])
+    def test_omega_m_must_be_positive_and_finite(self, omega_m):
+        # checked here once: the integration, the fit and its report all read it
+        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
+            reference_config(omega_m=omega_m)
 
     def test_step_count_bound(self):
         with pytest.raises(ParameterError, match=f"needs 20000000 RK4 steps.*{MAX_STEPS}"):
@@ -119,14 +126,14 @@ class TestReadoutConfig:
         # (drive/kappa)² overflows below about 7.46e-150; at 5e-324 drive/kappa is inf already
         message = rf"^kappa = {kappa!r} too small: baseline intensity \(drive/kappa\)\^2 = inf"
         with pytest.raises(ParameterError, match=message):
-            ReadoutConfig(kappa=kappa, coupling=1e-4, t_end=1.0, dt=1.0)
+            ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M, t_end=1.0, dt=1.0)
 
     def test_smallest_kappa_with_finite_baseline(self):
         edge = 7.458340731200208e-150
-        cfg = ReadoutConfig(kappa=edge, coupling=1e-4, t_end=1.0, dt=1.0)
+        cfg = reference_config(kappa=edge, t_end=1.0, dt=1.0)
         assert baseline_intensity(cfg) == 1.7976931348623155e308
         with pytest.raises(ParameterError, match="baseline intensity"):
-            ReadoutConfig(kappa=math.nextafter(edge, 0.0), coupling=1e-4, t_end=1.0, dt=1.0)
+            reference_config(kappa=math.nextafter(edge, 0.0), t_end=1.0, dt=1.0)
 
     def test_largest_default_grid_accepted(self):
         cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
@@ -134,7 +141,8 @@ class TestReadoutConfig:
 
     def test_default_is_the_fixed_probe(self):
         cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        assert [f.name for f in fields(cfg)] == ["kappa", "coupling", "t_end", "dt"]
+        assert [f.name for f in fields(cfg)] == ["kappa", "coupling", "omega_m", "t_end", "dt"]
+        assert cfg.omega_m == OMEGA_M
         assert baseline_intensity(cfg) == (DRIVE_AMPLITUDE / 1e7) ** 2
         assert cfg.t_end == SETTLE_FACTOR / 1e7 + N_PERIODS * math.pi / OMEGA_M
         assert cfg.dt == 1.0 / (20.0 * 1e7)
@@ -163,7 +171,7 @@ class TestAdiabaticIntensity:
         # the integrator settles at I/I0 - 1 = (1 + eps)^-2 - 1 = -2·eps + 3·eps² - …,
         # eps = g·x²/kappa; the closed form's I/I0 - 1 is itself rounded to about 1e-16
         cfg = reference_config(coupling=coupling, t_end=1e-5)  # 100 lifetimes
-        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
         integrated = -trace.inferred_x2[-1] * 2.0 * coupling / cfg.kappa
         closed_form = adiabatic_intensity(x2, cfg) / baseline_intensity(cfg) - 1.0
         eps = coupling * x2 / cfg.kappa
@@ -173,10 +181,13 @@ class TestAdiabaticIntensity:
 
 class TestInferX2:
     def test_identity_shift(self):
-        assert infer_x2(1e-4, 1e-4, 1e-4, 1e7) == 0.0
+        cfg = reference_config()
+        assert infer_x2(baseline_intensity(cfg), cfg) == 0.0
 
     def test_inverts_reference_shift(self):
-        assert infer_x2(1e-4 * (1 - 2.7e-10), 1e-4, 1e-4, 1e7) == pytest.approx(13.5, rel=1e-5)
+        cfg = reference_config()
+        intensity = baseline_intensity(cfg) * (1 - 2.7e-10)
+        assert infer_x2(intensity, cfg) == pytest.approx(13.5, rel=1e-5)
 
     def test_round_trip_with_order_one_shift(self):
         # relative accuracy of the round trip scales as eps/(2 g x2 / kappa),
@@ -184,29 +195,21 @@ class TestInferX2:
         cfg = reference_config(coupling=1e6)  # 2g/kappa = 0.2
         for x2 in (0.1, 1.0, 100.0, 1e3):
             intensity = adiabatic_intensity(x2, cfg)
-            back = infer_x2(intensity, baseline_intensity(cfg), cfg.coupling, cfg.kappa)
+            back = infer_x2(intensity, cfg)
             assert back == pytest.approx(x2, rel=1e-12)
 
     def test_round_trip_at_reference_coupling(self):
         cfg = reference_config()
         for x2 in (0.1, 1.0, 100.0):
             intensity = adiabatic_intensity(x2, cfg)
-            back = infer_x2(intensity, baseline_intensity(cfg), cfg.coupling, cfg.kappa)
+            back = infer_x2(intensity, cfg)
             assert back == pytest.approx(x2, rel=1e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            infer_x2(1e-4, 0.0, 1e-4, 1e7)
-        with pytest.raises(ParameterError):
-            infer_x2(1e-4, 1e-4, 0.0, 1e7)
-        with pytest.raises(ParameterError, match="^kappa must be positive, got 0.0$"):
-            infer_x2(1.0, 1.0, 1.0, 0.0)
 
 
 class TestIntegrateLangevin:
     def test_trace_shapes_and_positivity(self):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0))
         assert len(trace.times) == len(trace.intensity) == len(trace.inferred_x2)
         assert np.all(trace.intensity >= 0.0)
         assert trace.times[0] == 0.0
@@ -215,7 +218,7 @@ class TestIntegrateLangevin:
     @pytest.mark.parametrize("x2", [0.5, 13.5, 138.5])
     def test_constant_x2_steady_state(self, x2):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, (x2, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
         closed_form = (DRIVE_AMPLITUDE / (cfg.kappa + cfg.coupling * x2)) ** 2
         assert trace.intensity[-1] == pytest.approx(closed_form, rel=1e-10)
         shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
@@ -225,32 +228,32 @@ class TestIntegrateLangevin:
     def test_step_must_resolve_coupling_rate(self, coupling):
         # h = 5e-9 and x² = 1: h·g·x² > 1/20 diverges under RK4
         with pytest.raises(ParameterError, match=r"h\*g\*max\(x\^2\)"):
-            integrate_langevin(reference_config(coupling=coupling), (1.0, 0.0, 0.0), OMEGA_M)
+            integrate_langevin(reference_config(coupling=coupling), (1.0, 0.0, 0.0))
 
     def test_step_resolving_coupling_rate_accepted(self):
-        trace = integrate_langevin(reference_config(coupling=9e6), (1.0, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(reference_config(coupling=9e6), (1.0, 0.0, 0.0))
         assert np.all(np.isfinite(trace.intensity))
 
     def test_non_finite_x2_rejected(self):
         with pytest.raises(ParameterError, match="coupling"):
-            integrate_langevin(reference_config(), (math.nan, 0.0, 0.0), OMEGA_M)
+            integrate_langevin(reference_config(), (math.nan, 0.0, 0.0))
 
     def test_diverging_trace_rejected(self):
         # x² < 0 turns the damping kappa + g·x² negative: the resolved trace grows
         # as e^(5e6·t) and overflows by t_end = 2e-4
-        cfg = ReadoutConfig(kappa=1e7, coupling=1e-4, t_end=2e-4, dt=2.5e-9)
+        cfg = reference_config(t_end=2e-4, dt=2.5e-9)
         with np.errstate(all="ignore"), pytest.raises(ParameterError, match="^readout trace is not finite$"):
-            integrate_langevin(cfg, (-1.5e11, 0.0, 0.0), OMEGA_M)
+            integrate_langevin(cfg, (-1.5e11, 0.0, 0.0))
 
     def test_inferred_x2_settles_to_input(self):
         cfg = reference_config()
-        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0))
         assert trace.inferred_x2[-1] == pytest.approx(13.5, rel=1e-2)
 
     def test_halving_dt_converged(self):
         for signal in ((138.5, 0.0, 0.0), (137.9, 137.2, 0.0)):
-            coarse = integrate_langevin(reference_config(), signal, OMEGA_M)
-            fine = integrate_langevin(reference_config(dt=2.5e-9), signal, OMEGA_M)
+            coarse = integrate_langevin(reference_config(), signal)
+            fine = integrate_langevin(reference_config(dt=2.5e-9), signal)
             assert fine.intensity[-1] == pytest.approx(coarse.intensity[-1], rel=1e-8)
 
     def test_ripple_transfer_function(self):
@@ -260,8 +263,8 @@ class TestIntegrateLangevin:
         ripples = {}
         for kappa in (1e7, 1e8):
             cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-            trace = integrate_langevin(cfg, (a, b, 0.0), OMEGA_M)
-            report = analyze_trace(trace, cfg, OMEGA_M)
+            trace = integrate_langevin(cfg, (a, b, 0.0))
+            report = analyze_trace(trace, cfg)
             expected = 2 * cfg.coupling * b / math.sqrt(kappa**2 + 4 * OMEGA_M**2)
             assert report.ripple_amplitude == pytest.approx(expected, rel=1e-3)
             assert expected == pytest.approx(
@@ -301,7 +304,7 @@ def half_step_x2(config, signal):
     if a == b == 0.0:
         return np.full(2 * n_steps + 1, dc)
     h = config.t_end / n_steps
-    return ((a - 1j * b) * _phasors(0, 2 * n_steps + 1, OMEGA_M * h)).real + dc
+    return ((a - 1j * b) * _phasors(0, 2 * n_steps + 1, config.omega_m * h)).real + dc
 
 
 def deviation_loop(config, signal):
@@ -344,7 +347,7 @@ class TestIntegratorOracle:
         # equal to a few units of 1e-16, relative to each value
         cfg = oracle_config(overrides)
         times, u = deviation_loop(cfg, oracle_signal(free))
-        trace = integrate_langevin(cfg, oracle_signal(free), OMEGA_M)
+        trace = integrate_langevin(cfg, oracle_signal(free))
         assert np.array_equal(trace.times, times)
         intensity = trace.baseline * (1.0 + u) ** 2
         assert np.allclose(trace.intensity, intensity, rtol=1e-14, atol=0.0)
@@ -358,7 +361,7 @@ class TestIntegratorOracle:
         # eps·kappa/(2g)): the two intensities agree to that, not better
         cfg = oracle_config(overrides)
         _, c = amplitude_loop(cfg, oracle_signal(free))
-        trace = integrate_langevin(cfg, oracle_signal(free), OMEGA_M)
+        trace = integrate_langevin(cfg, oracle_signal(free))
         tolerance = 64 * np.finfo(float).eps * trace.baseline
         assert np.max(np.abs(c**2 - trace.intensity)) <= tolerance
 
@@ -375,15 +378,16 @@ class TestIntegratorOracle:
             monkeypatch.setattr(np, name, no_trig)
         monkeypatch.setattr(readout, "_phasors", no_trig)
         cfg = oracle_config({"t_end": 5.1e-5})
-        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (13.5, 0.0, 0.0))
         monkeypatch.undo()
         _, u = deviation_loop(cfg, (13.5, 0.0, 0.0))
         assert np.allclose(trace.intensity, trace.baseline * (1.0 + u) ** 2, rtol=1e-14, atol=0.0)
 
 
-def window_lstsq(trace, config, omega_m):
+def window_lstsq(trace, config):
     """(dc, a, b) of analyze_trace's window by numpy's least squares on the
     n×3 design [1, cos 2·omega_m·t, sin 2·omega_m·t], with np.cos/np.sin."""
+    omega_m = config.omega_m
     period = math.pi / omega_m
     periods = math.floor((config.t_end - SETTLE_FACTOR / config.kappa) / period + 1e-9)
     h = config.t_end / config.n_steps
@@ -454,9 +458,9 @@ class TestReadoutKernels:
     def test_fit_matches_lstsq(self, state, kappa, free):
         cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
         signal = free_x2_harmonics(state) if free else (state.var_x, 0.0, 0.0)
-        trace = integrate_langevin(cfg, signal, OMEGA_M)
-        report = analyze_trace(trace, cfg, OMEGA_M)
-        dc, a, b = window_lstsq(trace, cfg, OMEGA_M)
+        trace = integrate_langevin(cfg, signal)
+        report = analyze_trace(trace, cfg)
+        dc, a, b = window_lstsq(trace, cfg)
         ripple = math.hypot(a, b)
         scale = max(abs(dc), ripple)
         assert abs(report.dc_shift - dc) <= FIT_RTOL * scale
@@ -467,7 +471,7 @@ class TestReadoutKernels:
 class TestRippleReport:
     def test_isotropic_state_has_no_ripple(self):
         cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        report = ripple_report(cfg, thermal_state(13.0), OMEGA_M)
+        report = ripple_report(cfg, thermal_state(13.0))
         assert report.dc_shift == pytest.approx(13.5, rel=1e-2)
         assert report.ripple_amplitude <= 1e-12 * report.dc_shift
         assert report.kappa_over_2omega == 5.0
@@ -475,7 +479,7 @@ class TestRippleReport:
     def test_anisotropic_state_dc_is_time_average(self):
         state = GaussianState(var_p=275.1, var_x=0.624)
         cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        report = ripple_report(cfg, state, OMEGA_M)
+        report = ripple_report(cfg, state)
         assert report.ripple_amplitude > 0.0
         assert report.dc_shift == pytest.approx((275.1 + 0.624) / 2, rel=5e-2)
 
@@ -484,52 +488,38 @@ class TestRippleReport:
         amplitudes = []
         for kappa in (1e7, 1e8):
             cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-            amplitudes.append(ripple_report(cfg, state, OMEGA_M).ripple_amplitude)
+            amplitudes.append(ripple_report(cfg, state).ripple_amplitude)
         assert amplitudes[1] < amplitudes[0]
 
     @pytest.mark.parametrize("kappa", [5e6, 1e7, 1e8])
     def test_dc_shift_is_mean_x2(self, kappa):
         cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
         state = GaussianState(var_p=3.0, var_x=0.2, cross=0.1)
-        assert ripple_report(cfg, state, OMEGA_M).dc_shift == pytest.approx(1.6, rel=1e-7)
-        snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0), OMEGA_M)
-        assert analyze_trace(snapshot, cfg, OMEGA_M).dc_shift == pytest.approx(0.314, rel=1e-7)
-
-    @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
-    def test_ripple_report_blames_omega_m(self, omega_m):
-        # not the coupling: the x² of a free evolution at a bad omega_m is nan
-        cfg = reference_config()
-        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
-            ripple_report(cfg, thermal_state(13.0), omega_m)
-
-    @pytest.mark.parametrize("omega_m", [0.0, math.nan, math.inf])
-    def test_omega_m_must_be_positive_and_finite(self, omega_m):
-        cfg = reference_config()
-        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
-        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
-            analyze_trace(trace, cfg, omega_m)
+        assert ripple_report(cfg, state).dc_shift == pytest.approx(1.6, rel=1e-7)
+        snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0))
+        assert analyze_trace(snapshot, cfg).dc_shift == pytest.approx(0.314, rel=1e-7)
 
     def test_one_sample_window_rejected(self):
         # a period of 0.8 steps leaves one grid point in the window: the normal
         # equations of dc and two quadratures are singular there
-        cfg = reference_config(t_end=4.006e-6)
-        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
+        cfg = reference_config(t_end=4.006e-6, omega_m=math.pi / 4e-9)
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
         with pytest.raises(ParameterError, match="^fit is singular: the step h = .* does not resolve"):
-            analyze_trace(trace, cfg, math.pi / 4e-9)
+            analyze_trace(trace, cfg)
 
     def test_window_too_short_rejected(self):
         cfg = reference_config(t_end=1e-6)
         with pytest.raises(ParameterError):
-            ripple_report(cfg, thermal_state(13.0), OMEGA_M)
+            ripple_report(cfg, thermal_state(13.0))
 
     @pytest.mark.parametrize("kappa, coupling", [(1e7, 1e-300), (1e7, 1e-12), (1e8, 1e-20)])
     def test_shift_below_transient_rejected(self, kappa, coupling):
         # 2g·x²/kappa <= 2e-19 sits below the transient e^-40 left in the window,
         # which the calibration kappa/(2g) would report as ⟨x²⟩
         cfg = default_readout_config(kappa=kappa, coupling=coupling, omega_m=OMEGA_M)
-        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0), OMEGA_M)
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
         with pytest.raises(ParameterError, match="not above the residual transient"):
-            analyze_trace(trace, cfg, OMEGA_M)
+            analyze_trace(trace, cfg)
 
     def test_needs_positive_coupling(self):
         with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
