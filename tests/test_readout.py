@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -498,6 +498,24 @@ class TestRippleReport:
         assert ripple_report(cfg, state).dc_shift == pytest.approx(1.6, rel=1e-7)
         snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0))
         assert analyze_trace(snapshot, cfg).dc_shift == pytest.approx(0.314, rel=1e-7)
+
+    @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
+    def test_ripple_report_blames_omega_m(self, omega_m):
+        # not the coupling: the x² of a free evolution at a bad omega_m is nan,
+        # and the probe the report reads rejects it by name
+        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
+            ripple_report(
+                default_readout_config(kappa=1e7, coupling=1e-4, omega_m=omega_m),
+                thermal_state(13.0),
+            )
+
+    @pytest.mark.parametrize("omega_m", [0.0, math.nan, math.inf])
+    def test_omega_m_must_be_positive_and_finite(self, omega_m):
+        # a fit at another omega_m than the trace's needs a second probe, checked when built
+        cfg = reference_config()
+        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
+        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
+            analyze_trace(trace, replace(cfg, omega_m=omega_m))
 
     def test_one_sample_window_rejected(self):
         # a period of 0.8 steps leaves one grid point in the window: the normal

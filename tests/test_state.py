@@ -6,6 +6,7 @@ import pytest
 from quadkick import (
     GaussianState,
     ParameterError,
+    ReadoutConfig,
     SymplecticMap,
     free_matrix,
     free_x2_harmonics,
@@ -304,6 +305,12 @@ class TestFreeX2Expectation:
             assert free_x2(state, omega, t) == pytest.approx(
                 free_x2(state, omega, t + period), rel=1e-10
             )
+
+    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan, math.inf])
+    def test_omega_m_must_be_positive_and_finite(self, omega_m):
+        # the harmonics hold for every frequency; the probe that evolves them checks it
+        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
+            ReadoutConfig(kappa=1e7, coupling=1e-4, omega_m=omega_m, t_end=5e-6, dt=5e-9)
 
     def test_isotropic_state_rotation_invariant(self):
         state = thermal_state(7.0)
