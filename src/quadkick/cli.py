@@ -16,14 +16,14 @@ from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config, read_text
 from .errors import InvariantViolation, ParameterError
 from .kicks import (
     PhysicalParams,
-    apply_schedule,
+    _fold_rows,
     coupling_from_physical,
     effective_stiffness,
     optimal_kick_duration,
     parse_schedule,
     quarter_period,
 )
-from .planner import OBSERVABLES, SweepAxis, SweepSpec, sweep
+from .planner import OBSERVABLES, SweepAxis, SweepSpec, _sweep_columns
 from .readout import analyze_trace, default_readout_config, integrate_langevin
 from .state import VACUUM_VARIANCE, GaussianState, free_x2_harmonics, thermal_state
 
@@ -65,14 +65,12 @@ _JSON_SIMULATE_ROW = (
 
 def _cmd_simulate(args, params: PhysicalParams) -> list[str]:
     schedule = parse_schedule(args.schedule, params, args.dissipation == "on")
-    folded = apply_schedule(thermal_state(params.occupancy()), schedule, params)
+    rows = _fold_rows(thermal_state(params.occupancy()), schedule, params)
 
     segments = [("initial", 0.0), *((seg.kind, seg.duration) for seg in schedule.segments)]
     # every row's cells in one tuple, for one template over all rows
     cells = []
-    for i, ((kind, duration), (_, _, var_p, var_x, cross, det)) in enumerate(
-        zip(segments, folded.rows)
-    ):
+    for i, ((kind, duration), (_, _, var_p, var_x, cross, det)) in enumerate(zip(segments, rows)):
         squeezed = "true" if var_x < VACUUM_VARIANCE else "false"
         cells += (i, kind, duration, var_p, var_x, cross, det, squeezed)
     if args.format == "json":
@@ -192,7 +190,7 @@ _JSON_SWEEP_CELL = '  {\n    "coords": {\n%s\n    },\n    "value": %s,\n    "err
 def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     axes = tuple(_parse_axis(a) for a in args.axis)
     spec = SweepSpec(axes, params, args.observable, args.dissipation == "on")
-    cells = sweep(spec)
+    values, errors = _sweep_columns(spec)
 
     names = [FIELD_TO_KEY.get(a.name, a.name) for a in axes]
     # one _fmt text per coordinate and per value, which each format only lays
@@ -200,22 +198,22 @@ def _cmd_sweep(args, params: PhysicalParams) -> list[str]:
     # the grid's product order; an error cell's value is nan: its row is
     # written, then replaced. Every other text is finite, so it is a JSON number.
     texts = [[_fmt(v) for v in a.values] for a in axes]
-    if isinstance(cells.values, list):  # sweep() ran without numpy: so does this path
-        values = ["%.16e" % v for v in cells.values]  # the bytes of _fmt
+    if isinstance(values, list):  # the columns came without numpy: so does this path
+        values = ["%.16e" % v for v in values]  # the bytes of _fmt
     else:
         from ._rows import _float_rows  # lazy: the other commands start without it
-        values = "".join(_float_rows(("", "\n"), cells.values))[:-1].split("\n")
+        values = "".join(_float_rows(("", "\n"), values))[:-1].split("\n")
     if args.format == "json":
         lines = [[f'      "{k}": {t}' for t in a] for k, a in zip(names, texts)]
         coords = [",\n".join(c) for c in itertools.product(*lines)]
         rows = [_JSON_SWEEP_CELL % (c, v, "null") for c, v in zip(coords, values)]
-        for k, error in cells.errors.items():
+        for k, error in errors.items():
             rows[k] = _JSON_SWEEP_CELL % (coords[k], "null", json.dumps(error))
         return ["[\n", ",\n".join(rows), "\n]\n"]
     header = ",".join(names + [args.observable, "status"]) + "\n"
     coords = list(map("".join, itertools.product(*[[t + "," for t in a] for a in texts])))
     rows = [f"{c}{v},ok" for c, v in zip(coords, values)]
-    for k, error in cells.errors.items():
+    for k, error in errors.items():
         rows[k] = coords[k] + "ERROR," + error.replace(",", ";")
     return [header, "\n".join(rows), "\n"]
 

@@ -11,8 +11,6 @@ wait, are the canonical protocol that the CLI and the planner both build.
 from __future__ import annotations
 
 import math
-from abc import abstractmethod
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dissipation import _dissipated
@@ -269,64 +267,16 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
     return PulseSchedule(tuple(segments))
 
 
-class _LazySequence(Sequence):
-    """A read-only sequence whose item k is built by ``_item(k)`` when it is
-    read.  It compares equal to, and prints as, the list of its items, but it
-    is not a list: ``list(...)`` for ``+``, ``sort`` or ``json.dumps``."""
-
-    @abstractmethod
-    def _item(self, k: int):
-        """Item k, for 0 <= k < len(self)."""
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._item(i) for i in range(len(self))[k]]
-        return self._item(range(len(self))[k])
-
-    def __eq__(self, other):
-        # compares as the list of its items would: with a list or another of its kind
-        if isinstance(other, (list, type(self))):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class _Fold(_LazySequence):
-    """``apply_schedule``'s result: item 0 is (0, the input state) and item
-    i >= 1 is (i, the ``GaussianState`` of ``rows[i]``), built when read.
-
-    ``rows[i]`` is the tuple of floats (p, x, var_p, var_x, cross, det_cov)
-    of state i, with det_cov that state's ``det_cov``.  This layout is the
-    one ``cli``'s ``simulate`` reads its rows from.
-    """
-
-    def __init__(self, initial: GaussianState, rows: list[tuple[float, ...]]):
-        self.initial = initial
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _item(self, k: int) -> tuple[int, GaussianState]:
-        p, x, var_p, var_x, cross, _ = self.rows[k]
-        return k, self.initial if k == 0 else GaussianState((p, x), var_p, var_x, cross)
-
-
 def apply_schedule(
     state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
-) -> _Fold:
+) -> list[tuple[int, GaussianState]]:
     """Fold ``state`` through the schedule, returning the state after every segment.
 
     The result always starts with (0, input state), the input object itself;
     entry (i, s) for i >= 1 is the state after ``schedule.segments[i - 1]``.
     An empty schedule returns the input state alone.  Dissipate segments
-    couple to the bath at the params' temperature.  The result is a
-    ``Sequence`` that holds the moments and builds each later state when it
-    is read.
+    couple to the bath at the params' temperature.  Each later state is built
+    by the public ``GaussianState`` constructor from its row of ``_fold_rows``.
 
     The fold carries the moments as floats: each kick or free segment's map
     entries pass ``SymplecticMap``'s check and each result ``GaussianState``'s,
@@ -338,6 +288,17 @@ def apply_schedule(
         if a segment produces an invalid state; the message names the
         zero-based index and kind of the failing segment.
     """
+    rows = _fold_rows(state, schedule, params)
+    return [(0, state)] + [
+        (i, GaussianState((p, x), var_p, var_x, cross))
+        for i, (p, x, var_p, var_x, cross, _) in enumerate(rows[1:], 1)
+    ]
+
+
+def _fold_rows(
+    state: GaussianState, schedule: PulseSchedule, params: PhysicalParams
+) -> list[tuple[float, ...]]:
+    """``apply_schedule``'s states as the rows (p, x, var_p, var_x, cross, det_cov) ``simulate`` writes."""
     omega_m, gamma = params.omega_m, params.gamma
     n_env = params.occupancy()
     check_map, check_state = SymplecticMap._check, GaussianState._check
@@ -362,7 +323,7 @@ def apply_schedule(
             raise InvariantViolation(
                 f"segment {i} ({seg.kind}) produced an invalid state: {exc}"
             ) from exc
-    return _Fold(state, rows)
+    return rows
 
 
 def two_pulse_variance(

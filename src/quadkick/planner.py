@@ -4,8 +4,8 @@ offset added to every wait, not random timing jitter)."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -14,7 +14,6 @@ from .errors import ParameterError, QuadkickError
 from .kicks import (
     PhysicalParams,
     PulseSchedule,
-    _LazySequence,
     check_field,
     effective_stiffness,
     optimal_kick_duration,
@@ -165,26 +164,6 @@ def _occupancy_or_inf(T: float, omega_m: float) -> float:
         return math.inf
 
 
-class _SweepCells(_LazySequence):
-    """``sweep``'s grid as columns: cell k has the value ``values[k]``, or the
-    error text ``errors[k]`` if it has one. Its ``SweepCell`` is built when read."""
-
-    def __init__(self, axes: tuple[SweepAxis, ...], values, errors: dict[int, str]):
-        self.axes, self.values, self.errors = axes, values, errors
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def grid_index(self, k: int) -> tuple[int, ...]:
-        """The index of cell k into each axis's values (axis-1 major)."""
-        return divmod(k, len(self.axes[1].values)) if len(self.axes) == 2 else (k,)
-
-    def _item(self, k: int) -> SweepCell:
-        coords = tuple((a.name, a.values[i]) for a, i in zip(self.axes, self.grid_index(k)))
-        error = self.errors.get(k)
-        return SweepCell(coords, None if error is not None else float(self.values[k]), error)
-
-
 def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:
     """The closed-form observable of every cell, axis-1 major, with the axes
     laid over the field ``table``, and the cells it leaves open (nan) for
@@ -242,7 +221,7 @@ def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.nd
         return np.where(bad, math.nan, value).reshape(-1), np.flatnonzero(bad).tolist()
 
 
-def sweep(spec: SweepSpec) -> Sequence[SweepCell]:
+def sweep(spec: SweepSpec) -> list[SweepCell]:
     """Evaluate the observable over the grid, axis-1 major.
 
     A cell whose substituted parameters are invalid, or whose evaluation
@@ -254,29 +233,37 @@ def sweep(spec: SweepSpec) -> Sequence[SweepCell]:
     and ``var_p`` read ``delta_tau``.  Closed-form observables are computed
     for the whole grid at once, into a float64 array; the cells it leaves
     open and ``pulses_needed`` cells (a count, no schedule, into a list,
-    without numpy) are scalar.  The cells come as a read-only sequence over
-    those columns, equal to the list of its cells but not a list.
+    without numpy) are scalar.  ``_sweep_columns`` returns the values and
+    the error texts, and the cells are built from those two columns.
     """
-    errors = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
+    values, errors = _sweep_columns(spec)
+    grid = itertools.product(*[[(a.name, v) for v in a.values] for a in spec.axes])
+    return [SweepCell(coords, None, errors[k]) if k in errors else SweepCell(coords, value, None)
+            for k, (coords, value) in enumerate(zip(grid, map(float, values)))]
+
+
+def _sweep_columns(spec: SweepSpec) -> tuple[np.ndarray | list[float], dict[int, str]]:
+    """``sweep``'s grid as columns: every cell's value, axis-1 major, and its error text by index."""
+    checks = [[None if a.name == "delta_tau" else check_field(a.name, v) for v in a.values]
               for a in spec.axes]
     table = vars(spec.base) | {"delta_tau": 0.0}
     if spec.observable == "pulses_needed":
         size = math.prod(len(a.values) for a in spec.axes)
         values, open_cells = [math.nan] * size, range(size)
     else:
-        values, open_cells = _closed_form_grid(spec, table, errors)
-    cells = _SweepCells(spec.axes, values, {})
+        values, open_cells = _closed_form_grid(spec, table, checks)
+    errors = {}
     names = [axis.name for axis in spec.axes]
     field_order = slice(None, None, 1 if sorted(names, key=_AXIS_NAMES.index) == names else -1)
     for k in open_cells:
-        index = cells.grid_index(k)
-        error = next(filter(None, [texts[i] for texts, i in zip(errors, index)][field_order]), None)
+        index = divmod(k, len(spec.axes[1].values)) if len(spec.axes) == 2 else (k,)
+        error = next(filter(None, [texts[i] for texts, i in zip(checks, index)][field_order]), None)
         if error is not None:
-            cells.errors[k] = error
+            errors[k] = error
             continue
         p = table | {a.name: a.values[i] for a, i in zip(spec.axes, index)}
         try:
             values[k] = _evaluate_cell(spec, p)
         except QuadkickError as exc:
-            cells.errors[k] = str(exc)
-    return cells
+            errors[k] = str(exc)
+    return values, errors

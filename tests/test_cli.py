@@ -18,6 +18,7 @@ from quadkick.config import FIELD_TO_KEY, KEY_TO_FIELD, load_config
 from quadkick.errors import ParameterError
 from quadkick.kicks import PhysicalParams
 from quadkick.planner import SweepAxis, SweepCell, SweepSpec, sweep
+from quadkick.state import GaussianState
 
 NBAR_100UK = 12.598398495684691623
 
@@ -956,6 +957,33 @@ class TestDeterminism:
         assert run(argv + ["--out", str(first)]) == 0
         assert run(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_are_written_without_a_state_or_cell_each(fmt, monkeypatch, capsys):
+    # simulate writes the fold's rows and sweep the grid's columns: only the
+    # thermal initial state is built, so neither pays for a list of objects
+    built = []
+    post_init = GaussianState.__post_init__
+
+    def counted(state):
+        built.append(state)
+        post_init(state)
+
+    def no_cell(*args):
+        raise AssertionError("a SweepCell was built")
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    monkeypatch.setattr(planner, "SweepCell", no_cell)
+    schedule = ";".join(["kick;free;kick;diss"] * 10)
+    code, captured = run(["simulate", "--schedule", schedule, "--format", fmt], capsys)
+    assert code == 0 and len(built) == 1
+    assert captured.out.count("dissipate") == 10
+    # a 4 x 4 closed-form grid with one invalid n_p value: four ERROR cells
+    argv = ["sweep", "--axis", "n_p=1e10,1e11,-1,2e11", "--axis", "T=1e-5,1e-4,1e-3,1e-2"]
+    code, captured = run(argv + ["--format", fmt], capsys)
+    assert code == 0 and len(built) == 1
+    assert captured.out.count("field n_p: value -1.0 is out of range") == 4
 
 
 def fresh_python(*args, **kwargs):

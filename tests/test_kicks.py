@@ -319,14 +319,12 @@ class TestApplySchedule:
         assert expected == folded
         assert folded == apply_schedule(states[0], schedule, params)
         assert folded != expected[:-1]
-        assert folded != tuple(expected)
-        with pytest.raises(TypeError):
-            hash(folded)
 
     def test_fold_indexing(self):
         params = PhysicalParams()
         schedule = PulseSchedule((*canonical_two_pulse(params).segments, Dissipate(1e-3)))
         folded = apply_schedule(thermal_state(3.0), schedule, params)
+        assert type(folded) is list
         items = list(folded)
         assert len(folded) == len(items) == 5
         assert [i for i, _ in items] == [0, 1, 2, 3, 4]
@@ -338,22 +336,19 @@ class TestApplySchedule:
         for k in (5, -6):
             with pytest.raises(IndexError):
                 folded[k]
-        assert repr(folded) == f"_Fold({items!r})"
 
     def test_fold_items_are_checked_states(self):
         params = PhysicalParams(gamma=1e4)
         schedule = PulseSchedule((*canonical_two_pulse(params).segments, Dissipate(1e-5)))
         initial = GaussianState(mean=(1.0, -2.0), var_p=3.0, var_x=0.4, cross=0.2)
         folded = apply_schedule(initial, schedule, params)
+        rows = kicks._fold_rows(initial, schedule, params)
         assert folded[4][1] == dissipate(folded[3][1], params.gamma, 1e-5, params.occupancy())
         for i, s in folded:
             # the state the public constructor builds from the row's moments
             assert type(s) is GaussianState
             assert s == GaussianState(mean=s.mean, var_p=s.var_p, var_x=s.var_x, cross=s.cross)
-            assert folded.rows[i] == (*s.mean, s.var_p, s.var_x, s.cross, s.det_cov)
-        # a row after the first is checked again when its state is built
-        with pytest.raises(ParameterError, match="Heisenberg bound"):
-            kicks._Fold(initial, [folded.rows[0], (0.0, 0.0, 0.1, 0.1, 0.0, 0.01)])[1]
+            assert rows[i] == (*s.mean, s.var_p, s.var_x, s.cross, s.det_cov)
 
     def test_segment_indices(self):
         params = PhysicalParams()

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -411,6 +412,72 @@ FOLD_TOKEN = st.one_of(
     st.floats(0.0, 1e-5).map(lambda s: f"free:{s!r}"),
     decades(-9, -2).map(lambda s: f"diss:{s!r}"),
 )
+
+
+def exact_fold(state, schedule, params):
+    """The fold in exact arithmetic: each segment's float map entries and
+    dissipation factors taken as ``Fraction``s, so every state's row
+    (p, x, var_p, var_x, cross, det) is exact for those factors."""
+    n_env = params.occupancy()
+    p, x = map(Fraction, state.mean)
+    vp, vx, cx = map(Fraction, (state.var_p, state.var_x, state.cross))
+    rows = [(p, x, vp, vx, cx, vp * vx - cx * cx)]
+    for seg in schedule.segments:
+        if isinstance(seg, Dissipate):
+            gamma, tau = params.gamma, seg.duration
+            decay, shrink = Fraction(math.exp(-gamma * tau)), Fraction(math.exp(-0.5 * gamma * tau))
+            add = Fraction(decoherence_term(gamma, tau, n_env))
+            p, x, vp, vx, cx = shrink * p, shrink * x, decay * vp + add, decay * vx + add, decay * cx
+        else:
+            if isinstance(seg, Kick):
+                n_p = params.n_p if seg.n_p is None else seg.n_p
+                g_tilde = effective_stiffness(params.g, n_p, params.omega_m)
+                smap = kick_matrix(g_tilde, params.omega_m, seg.duration)
+            else:
+                smap = free_matrix(params.omega_m, seg.duration)
+            (a, b), (c, d) = ((Fraction(u), Fraction(v)) for u, v in smap.m)
+            p, x = a * p + b * x, c * p + d * x
+            vp, vx, cx = (
+                a * a * vp + 2 * a * b * cx + b * b * vx,
+                c * c * vp + 2 * c * d * cx + d * d * vx,
+                a * c * vp + (a * d + b * c) * cx + b * d * vx,
+            )
+        rows.append((p, x, vp, vx, cx, vp * vx - cx * cx))
+    return rows
+
+
+def test_exact_fold_keeps_det_over_19_kick_free_pairs():
+    # the float fold cancels det(cov) to 0 at segment 37 of this schedule and
+    # exits 4; the exact one keeps (n̄ + 1/2)² up to the maps' rounded entries
+    params = PhysicalParams()
+    schedule = parse_schedule(";".join(["kick;free"] * 19), params)
+    rows = exact_fold(thermal_state(params.occupancy()), schedule, params)
+    assert len(rows) == 39
+    assert f"{float(rows[-1][5]):.12g}" == "171.568043152"
+
+
+@DERANDOMIZED
+@given(
+    tokens=st.lists(FOLD_TOKEN, max_size=8),
+    dissipation=st.booleans(),
+    gamma=decades(-2, 5),
+    T=decades(-6, -2),
+)
+def test_fold_is_the_exact_fold(tokens, dissipation, gamma, T):
+    # a short fold loses no digits: its variances and its printed det_cov are
+    # the exact ones to 1e-12. The exact cross can be ~1e-16 of the covariance
+    # (the cos(π/2) of a kick), so its scale is sqrt(var_p·var_x), not itself
+    params = PhysicalParams(gamma=gamma, T=T)
+    schedule = parse_schedule(";".join(tokens), params, dissipation)
+    initial = thermal_state(params.occupancy())
+    tol = Fraction(1e-12)
+    for (_, s), (_, _, vp, vx, cx, det) in zip(
+        apply_schedule(initial, schedule, params), exact_fold(initial, schedule, params)
+    ):
+        assert abs(Fraction(s.var_p) - vp) <= tol * vp
+        assert abs(Fraction(s.var_x) - vx) <= tol * vx
+        assert abs(s.cross - float(cx)) <= 1e-12 * math.sqrt(s.var_p * s.var_x)
+        assert abs(Fraction(s.det_cov) - det) <= tol * Fraction(s.var_p) * Fraction(s.var_x)
 
 
 def _simulate(tmp_path_factory, gamma, T, spec, dissipation, fmt):
