@@ -6,12 +6,15 @@ a sweep whose values are an array, so the other commands start without numpy.
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 _SCI_WIDTH = 24   # widest text of a double: "-1.0000000000000000e-308"
 _FIXED_WIDTH = 22  # text of a value >= 0 with a two-digit exponent: "1.0000000000000000e-05"
-_FMT_BLOCK_ROWS = 8192
+# a 3-column block's float64 temporaries are 96 KiB, below glibc's default
+# 128 KiB mmap threshold, so malloc reuses them instead of mapping each anew
+_FMT_BLOCK_ROWS = 4096
 _MAX_POW = 27     # the writer scales by 10**k for k = 0 … 27, and 5**27 < 2**63
 
 
@@ -170,9 +173,12 @@ def _fixed_width(slots: np.ndarray) -> bool:
     return bool(before == 0 and first == len(slots))
 
 
-def _float_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
+def _float_rows(parts: tuple[str, ...], *columns: np.ndarray, sep: str = "") -> Iterator[str]:
     """Rows ``parts[0] + f(a) + parts[1] + f(b) + … + parts[-1]`` of float
-    columns, one string per block of rows, with f(v) = ``"%.16e" % v``.
+    columns, joined by ``sep``, with f(v) = ``"%.16e" % v``: the first row's
+    ``parts[0]``, then one string per block of rows, each made when it is
+    asked for, so that one block's text is held at a time. The last block
+    ends with the final row's ``parts[-1]``, without ``sep``.
 
     A block whose texts are all _FIXED_WIDTH bytes wide is built by copying
     each slot's fixed window, the text and the part after it, into one row
@@ -182,8 +188,9 @@ def _float_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
     instead.
     """
     # Each value's slot ends with the part after it, NUL-padded to whole
-    # words; a row's first part ends the slot of the last value before it.
-    after = [*parts[1:-1], parts[-1] + parts[0]]
+    # words; a row's separator and first part end the slot of the last value
+    # before it.
+    after = [*parts[1:-1], parts[-1] + sep + parts[0]]
     pad = -(-max(map(len, after)) // 4) * 4
     tails = b"".join(a.encode("ascii").ljust(pad, b"\0") for a in after)
     tails = np.frombuffer(tails, np.uint32).reshape(len(after), -1)
@@ -199,7 +206,8 @@ def _float_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
     sizes = [_FIXED_WIDTH + len(a) for a in after]
     starts = list(itertools.accumulate(sizes, initial=0))
     rows = None  # made on first use: an unused row buffer still costs page faults
-    blocks = []
+    if n_total:
+        yield parts[0]  # a chunk of its own: prefixing it would copy the first block
     for i in range(0, n_total, _FMT_BLOCK_ROWS):
         # a block's values only: a copy of the whole table faults on every call
         x = np.column_stack([c[i : i + _FMT_BLOCK_ROWS] for c in columns])
@@ -218,8 +226,8 @@ def _float_rows(parts: tuple[str, ...], *columns: np.ndarray) -> list[str]:
         else:
             block = slots.ravel()
             block = block[block != 0]
-        blocks.append(str(block.data, "ascii"))
-    if blocks:
-        blocks[0] = parts[0] + blocks[0]
-        blocks[-1] = blocks[-1][: len(blocks[-1]) - len(parts[0])]
-    return blocks
+        block = block.ravel()
+        if i + _FMT_BLOCK_ROWS >= n_total:
+            # the final row is followed by neither sep nor a next row's first part
+            block = block[: block.size - len(sep + parts[0])]
+        yield str(block.data, "ascii")

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Iterator
 
 from .config import FIELD_TO_KEY, KEY_TO_FIELD, load_config, read_text
 from .errors import InvariantViolation, ParameterError
@@ -131,12 +132,13 @@ def _state_from_simulation(ref: str) -> GaussianState:
 
 
 _CSV_TRACE_ROW = ("", ",", ",", "\n")
-# a trace row in the layout of json.dumps(…, indent=2), and the ",\n" that
-# joins it to the next
-_JSON_TRACE_ROW = ('    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    },\n")
+# a trace row in the layout of json.dumps(…, indent=2); ",\n" joins it to the next
+_JSON_TRACE_ROW = (
+    '    {\n      "t": ', ',\n      "intensity": ', ',\n      "inferred_x2": ', "\n    }"
+)
 
 
-def _cmd_readout(args, params: PhysicalParams) -> list[str]:
+def _cmd_readout(args, params: PhysicalParams) -> Iterator[str]:
     from ._rows import _float_rows  # lazy: the other commands start without it
 
     state = _state_from_args(args)
@@ -161,11 +163,13 @@ def _cmd_readout(args, params: PhysicalParams) -> list[str]:
         # the layout of json.dumps({"summary": …, "trace": […]}, indent=2);
         # integrate_langevin rejects non-finite values, so every text is a JSON number
         head = ",\n".join(f'    "{k}": {t}' for k, t in summary)
-        body = _float_rows(_JSON_TRACE_ROW, *columns)
-        body[-1] = body[-1][: -len(",\n")]
-        return ['{\n  "summary": {\n', head, '\n  },\n  "trace": [\n', *body, "\n  ]\n}\n"]
-    head = "".join(f"# {k} = {t}\n" for k, t in summary)
-    return [head, "t,intensity,inferred_x2\n", *_float_rows(_CSV_TRACE_ROW, *columns)]
+        first = ['{\n  "summary": {\n', head, '\n  },\n  "trace": [\n']
+        rows, last = _float_rows(_JSON_TRACE_ROW, *columns, sep=",\n"), ["\n  ]\n}\n"]
+    else:
+        first = ["".join(f"# {k} = {t}\n" for k, t in summary), "t,intensity,inferred_x2\n"]
+        rows, last = _float_rows(_CSV_TRACE_ROW, *columns), []
+    # every check has run: each block of rows is formatted as main writes it
+    return itertools.chain(first, rows, last)
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -314,9 +318,11 @@ def main(argv=None) -> int:
     """Run one command and write its output, to ``--out`` or stdout; return
     the exit code.
 
-    A command hands back its output as a list of chunks (a readout trace is
-    one chunk per block of rows), built in full before anything is opened,
-    so a rejected input writes nothing. The chunks are written in order.
+    A command runs every check before it hands back its output as chunks,
+    so a rejected input opens and writes nothing. A readout's chunks are
+    made lazily, one per block of trace rows, each formatted as it is
+    written, so memory holds one block of text; the other commands return
+    lists. A write error, also one midway through a trace, exits 3.
     """
     try:
         args = _build_parser().parse_args(argv)

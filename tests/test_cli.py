@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,50 @@ class TestReadout:
         assert code == 2
         assert captured.err.startswith("error: invalid state: ")
         assert not out.exists()
+
+    def test_rejected_after_integration_writes_no_file(self, tmp_path, capsys):
+        # analyze_trace rejects the trace that integrate_langevin made: the
+        # file is opened only after every check, so there is none
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("kappa = 4.25e14\nomega_m = 7.7775e15\ng = 0.004505\n")
+        out = tmp_path / "trace.csv"
+        argv = ["readout", "--config", str(cfg), "--var-p", "3", "--var-x", "0.2", "--out", str(out)]
+        code, captured = run(argv, capsys)
+        assert code == 2 and captured.err.startswith("error: coupling g = 0.004505 too small")
+        assert not out.exists()
+
+    @staticmethod
+    def long_trace_argv(tmp_path, fmt):
+        """A κ = 1e8 readout: 101,332 rows, 25 blocks."""
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("kappa = 1e8\n")
+        return ["readout", "--config", str(cfg), "--var-p", "3", "--var-x", "0.2", "--cross", "0.1",
+                "--free-evolution", "on", "--format", fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_memory_is_below_its_file(self, fmt, tmp_path):
+        # the rows are formatted one block at a time as they are written, so
+        # the text of the whole trace is never held
+        import quadkick._rows  # noqa: F401  its tables are built at import, once per process
+
+        out = tmp_path / f"trace.{fmt}"
+        tracemalloc.start()
+        try:
+            code = run(self.long_trace_argv(tmp_path, fmt) + ["--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_device_exit_3(self, fmt, tmp_path):
+        # a write that fails midway through the trace: one error line, no traceback
+        result = fresh_python("-m", "quadkick", *self.long_trace_argv(tmp_path, fmt), "--out", "/dev/full")
+        assert result.returncode == 3
+        assert result.stderr.startswith(b"error: cannot write output: ")
+        assert result.stderr.count(b"\n") == 1
 
     def test_non_finite_determinant_exit_2(self, capsys):
         code, captured = run(

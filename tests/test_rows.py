@@ -192,7 +192,7 @@ class TestFixedWidthRows:
         blocks = [rows[i : i + _rows._FMT_BLOCK_ROWS] for i in range(0, len(rows), _rows._FMT_BLOCK_ROWS)]
         assert answers == [all(len(t) == 22 for row in b for t in row) for b in blocks]
 
-    @pytest.mark.parametrize("kappa, n_blocks", [("1e7", 2), ("1e8", 13)])
+    @pytest.mark.parametrize("kappa, n_blocks", [("1e7", 3), ("1e8", 25)])
     @pytest.mark.parametrize("free", ["on", "off"])
     def test_trace_blocks_take_the_fixed_path(self, kappa, n_blocks, free, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
