@@ -34,7 +34,6 @@ from .readout import (
     adiabatic_intensity,
     analyze_trace,
     baseline_intensity,
-    default_readout_config,
     infer_x2,
     integrate_langevin,
     ripple_report,

@@ -25,7 +25,7 @@ from .kicks import (
     quarter_period,
 )
 from .planner import OBSERVABLES, SweepAxis, SweepSpec, _sweep_columns
-from .readout import analyze_trace, default_readout_config, integrate_langevin
+from .readout import ReadoutConfig, analyze_trace, integrate_langevin
 from .state import VACUUM_VARIANCE, GaussianState, free_x2_harmonics, thermal_state
 
 DEFAULT_SCHEDULE = "kick;free;kick"
@@ -142,16 +142,14 @@ def _cmd_readout(args, params: PhysicalParams) -> Iterator[str]:
     from ._rows import _float_rows  # lazy: the other commands start without it
 
     state = _state_from_args(args)
-    cfg = default_readout_config(
-        kappa=params.kappa, coupling=params.g, omega_m=params.omega_m
-    )
+    cfg = ReadoutConfig(kappa=params.kappa, coupling=params.g, omega_m=params.omega_m)
     if args.free_evolution == "on":
         signal = free_x2_harmonics(state)
     else:
         # snapshot probe: x² held at the state's position variance
         signal = (state.var_x, 0.0, 0.0)
     trace = integrate_langevin(cfg, signal)
-    report = analyze_trace(trace, cfg)
+    report = analyze_trace(trace)
     columns = (trace.times, trace.intensity, trace.inferred_x2)
     summary = [
         ("dc_shift", _fmt(report.dc_shift)),

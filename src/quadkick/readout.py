@@ -1,12 +1,14 @@
 """Weak-probe readout of the oscillator's position variance.
 
-The probe is resonant: the cavity amplitude obeys
-dc/dt = -(kappa + g·x²(t))·c + drive, switched on at t = 0.  In the
-large-kappa regime the output intensity tracks x²(t) instantaneously and the
-mean intensity falls by (2g/kappa)·⟨x²⟩ of the baseline; the module provides
-both that closed form and a brute-force fixed-step RK4 integration of the
-amplitude equation that validates it and quantifies the residual ripple at
-twice the mechanical frequency.
+The probe is resonant and fixed: the cavity amplitude obeys
+dc/dt = -(kappa + g·x²(t))·c + drive, switched on at t = 0, and
+``ReadoutConfig(kappa, coupling, omega_m)`` derives the window and the step of
+its grid from kappa and omega_m.  In the large-kappa regime the output
+intensity tracks x²(t) instantaneously and the mean intensity falls by
+(2g/kappa)·⟨x²⟩ of the baseline; the module provides both that closed form
+and a brute-force fixed-step RK4 integration of the amplitude equation that
+validates it and quantifies the residual ripple at twice the mechanical
+frequency.
 
 The probed signal is one harmonic, x²(t) = dc + a·cos 2ω_m·t + b·sin 2ω_m·t,
 passed as the triple (dc, a, b): a snapshot is (var_x, 0, 0), a freely
@@ -21,9 +23,10 @@ rather than left as the difference of two nearly equal intensities.  Each
 RK4 step of du/dt = -(kappa + g·x²)·u - g·x² is exactly u' = a·u + b; the a
 and b of all steps are built with numpy from x² on the half-step grid
 j·h/2, and the recurrence is solved as a blocked prefix scan (G. Blelloch,
-"Prefix sums and their applications", CMU-CS-90-190, 1990).  The fit of the
-steady trace solves the 3×3 normal equations of dc and the two quadratures,
-with the phase taken from the probe switch-on t = 0.
+"Prefix sums and their applications", CMU-CS-90-190, 1990).  A trace carries
+the probe it was integrated on, and the fit of its steady part reads its
+window from there: it solves the 3×3 normal equations of dc and the two
+quadratures, with the phase taken from the probe switch-on t = 0.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ FINE_ANGLES = 128
 # each about e^(-h·kappa) >= e^(-1/10), stays far from underflow over a run.
 RUN_STEPS = 64
 # The fixed probe: a resonant drive of DRIVE_AMPLITUDE switched on at t = 0, a
-# settle of SETTLE_FACTOR/kappa, then (``default_readout_config``) N_PERIODS
-# modulation periods π/omega_m.
+# settle of SETTLE_FACTOR/kappa, then N_PERIODS modulation periods π/omega_m.
 DRIVE_AMPLITUDE = 1e5   # s^-1
 SETTLE_FACTOR = 40.0
 N_PERIODS = 16
@@ -62,12 +64,13 @@ N_PERIODS = 16
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """The resonant probe of an oscillator at ``omega_m``, run from 0 to ``t_end``.
+    """The fixed resonant probe of an oscillator at ``omega_m``.
 
     Every readout function reads kappa, g and omega_m from here, where they
-    are checked once.  The step size must resolve the cavity relaxation with
-    at least 20 points per 1/kappa; ``default_readout_config`` also resolves
-    the x²(t) signal.
+    are checked once.  The grid follows from kappa and omega_m: the probe runs
+    from 0 to ``t_end``, a settle of SETTLE_FACTOR/kappa for the cavity
+    transient, then N_PERIODS modulation periods π/omega_m, in steps of at
+    most ``dt``, 20 points per the faster of 1/kappa and 1/(2·omega_m).
     The coupling must be positive with a finite calibration kappa/(2g): the
     intensity shift that carries ⟨x²⟩ exists only through it.  The baseline
     (drive/kappa)² must be a normal double, which rejects kappa below ~7.46e-150
@@ -77,8 +80,6 @@ class ReadoutConfig:
     kappa: float             # s^-1
     coupling: float          # quadratic coupling g, s^-1
     omega_m: float           # mechanical frequency, rad/s
-    t_end: float
-    dt: float
 
     def __post_init__(self):
         for field in fields(self):
@@ -89,15 +90,16 @@ class ReadoutConfig:
             raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
         if self.omega_m <= 0.0:
             raise ParameterError(f"omega_m must be positive, got {self.omega_m!r}")
-        if self.dt <= 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not self.t_end > 0.0:
-            raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
-        limit = 1.0 / (20.0 * self.kappa)
-        if self.dt > limit * (1.0 + 1e-12):
+        if self.t_end == math.inf:
             raise ParameterError(
-                f"dt = {self.dt!r} too coarse: must be <= {limit!r} "
-                "(20 points per fastest timescale)"
+                f"probe window {SETTLE_FACTOR:g}/kappa + {N_PERIODS}*pi/omega_m overflows "
+                f"at kappa = {self.kappa!r}, omega_m = {self.omega_m!r}"
+            )
+        # 1/(20·max(…)) is 0.0 exactly where 20·max(…) overflows to inf
+        if self.dt == 0.0:
+            raise ParameterError(
+                f"step 1/(20*max(kappa, 2*omega_m)) underflows to 0 "
+                f"at kappa = {self.kappa!r}, omega_m = {self.omega_m!r}"
             )
         steps = self.t_end / self.dt
         if not steps <= MAX_STEPS:
@@ -132,18 +134,30 @@ class ReadoutConfig:
             )
 
     @property
+    def t_end(self) -> float:
+        """End of the probe window: the settle, then N_PERIODS periods π/omega_m."""
+        return SETTLE_FACTOR / self.kappa + N_PERIODS * math.pi / self.omega_m
+
+    @property
+    def dt(self) -> float:
+        """Largest step: 20 points per 1/kappa and per 1/(2·omega_m)."""
+        return 1.0 / (20.0 * max(self.kappa, 2.0 * self.omega_m))
+
+    @property
     def n_steps(self) -> int:
         """Number of RK4 steps covering [0, t_end] at no more than ``dt`` each."""
         return max(1, math.ceil(self.t_end / self.dt - 1e-9))
 
 
 class ReadoutTrace(NamedTuple):
-    """Time series of cavity intensity with the inferred position variance."""
+    """Time series of cavity intensity with the inferred position variance,
+    on the grid of the probe ``config`` it was integrated on."""
 
     times: np.ndarray
     intensity: np.ndarray
     baseline: float
     inferred_x2: np.ndarray
+    config: ReadoutConfig
 
 
 class RippleReport(NamedTuple):
@@ -304,35 +318,31 @@ def integrate_langevin(config: ReadoutConfig, signal: tuple[float, float, float]
     shift *= -(config.kappa / (2.0 * g))  # now the inferred x²
     if not (np.isfinite(intensity).all() and np.isfinite(shift).all()):
         raise ParameterError("readout trace is not finite")
-    return ReadoutTrace(times=times, intensity=intensity, baseline=i0, inferred_x2=shift)
+    return ReadoutTrace(
+        times=times, intensity=intensity, baseline=i0, inferred_x2=shift, config=config
+    )
 
 
-def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig) -> RippleReport:
+def analyze_trace(trace: ReadoutTrace) -> RippleReport:
     """Fit dc + 2·omega_m quadratures to the steady part of a trace.
 
-    The analysis window is the largest whole number of π/omega_m periods
-    that fits after the cavity transient (SETTLE_FACTOR/kappa) has decayed.
+    The analysis window is the last N_PERIODS periods π/omega_m of the
+    trace's own probe, which start once the cavity transient
+    (SETTLE_FACTOR/kappa) has decayed.
     The fit runs on the ``inferred_x2`` column, so its d.c. term is the
     inferred ⟨x²⟩ and its ripple, scaled back by 2g/kappa, the relative
     intensity ripple.  It solves the 3×3 normal equations of dc and the
     cos/sin quadratures, whose phase is 2·omega_m·t from the probe
-    switch-on t = 0; over whole periods the normal matrix is close to
-    diag(N, N/2, N/2).  Raises ``ParameterError`` when the relative shift
-    2g·|dc|/kappa is not above 1e3 times the transient e^(-SETTLE_FACTOR)
-    left in the window, which the calibration would pass off as ⟨x²⟩, and
-    when the grid does not resolve the 2·omega_m quadratures.
+    switch-on t = 0; over whole periods of at least 40π steps each the
+    normal matrix is close to diag(N, N/2, N/2).  Raises ``ParameterError``
+    when the relative shift 2g·|dc|/kappa is not above 1e3 times the
+    transient e^(-SETTLE_FACTOR) left in the window, which the calibration
+    would pass off as ⟨x²⟩.
     """
     import numpy as np
 
-    period = math.pi / config.omega_m
-    settle = SETTLE_FACTOR / config.kappa
-    periods = math.floor((config.t_end - settle) / period + 1e-9)
-    if periods < 1:
-        raise ParameterError(
-            "trace too short: no full modulation period after the transient; "
-            f"need t_end >= {settle + period!r}"
-        )
-    window_start = config.t_end - periods * period
+    config = trace.config
+    window_start = config.t_end - N_PERIODS * (math.pi / config.omega_m)
     # the times ascend, so the window is a view from its first step on; a time
     # within round-off of the start, a tolerance relative to the step, is in it
     h = config.t_end / config.n_steps
@@ -344,12 +354,7 @@ def analyze_trace(trace: ReadoutTrace, config: ReadoutConfig) -> RippleReport:
     normal = [
         [len(y), sum_cos, sum_sin], [sum_cos, cos @ cos, cos_sin], [sum_sin, cos_sin, sin @ sin]
     ]
-    try:
-        dc, b, c = np.linalg.solve(normal, [y.sum(), y @ cos, y @ sin]).tolist()
-    except np.linalg.LinAlgError:
-        raise ParameterError(
-            f"fit is singular: the step h = {h!r} does not resolve the 2*omega_m quadratures"
-        )
+    dc, b, c = np.linalg.solve(normal, [y.sum(), y @ cos, y @ sin]).tolist()
     shift = 2.0 * config.coupling * abs(dc) / config.kappa
     # the transient left in the window stays below 1e-3 of the shift it rides on
     if not shift > 1e3 * math.exp(-SETTLE_FACTOR):
@@ -372,31 +377,5 @@ def ripple_report(config: ReadoutConfig, state: GaussianState) -> RippleReport:
     evolution from the probe switch-on, then extracts the mean shift (as
     inferred ⟨x²⟩) and the relative 2·omega_m ripple of the steady trace.
     """
-    return analyze_trace(integrate_langevin(config, free_x2_harmonics(state)), config)
+    return analyze_trace(integrate_langevin(config, free_x2_harmonics(state)))
 
-
-def default_readout_config(kappa: float, coupling: float, omega_m: float) -> ReadoutConfig:
-    """The fixed probe, on a grid resolving both the cavity and the signal.
-
-    A resonant drive of DRIVE_AMPLITUDE runs SETTLE_FACTOR/kappa for the
-    transient, then N_PERIODS modulation periods π/omega_m.
-    """
-    if not 0.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
-    if not 0.0 < omega_m < math.inf:
-        raise ParameterError(f"omega_m must be positive and finite, got {omega_m!r}")
-    t_end = SETTLE_FACTOR / kappa + N_PERIODS * math.pi / omega_m
-    if t_end == math.inf:
-        raise ParameterError(
-            f"probe window {SETTLE_FACTOR:g}/kappa + {N_PERIODS}*pi/omega_m overflows "
-            f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
-        )
-    rate = 20.0 * max(kappa, 2.0 * omega_m)
-    if rate == math.inf:
-        raise ParameterError(
-            f"step 1/(20*max(kappa, 2*omega_m)) underflows to 0 "
-            f"at kappa = {kappa!r}, omega_m = {omega_m!r}"
-        )
-    return ReadoutConfig(
-        kappa=kappa, coupling=coupling, omega_m=omega_m, t_end=t_end, dt=1.0 / rate
-    )

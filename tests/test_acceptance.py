@@ -18,7 +18,6 @@ from quadkick import (
     adiabatic_intensity,
     apply_schedule,
     coupling_from_physical,
-    default_readout_config,
     dissipate,
     effective_stiffness,
     free_matrix,
@@ -165,7 +164,6 @@ def test_criterion_08_thermal_channel_fixed_point():
 def test_criterion_09_readout_magnitude():
     cfg = ReadoutConfig(
         kappa=1e7, coupling=1e-4, omega_m=1e6,
-        t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.5, 13.5, 138.5):
         trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
@@ -176,7 +174,6 @@ def test_criterion_09_readout_magnitude():
     # the identity is not drowned by float cancellation
     strong = ReadoutConfig(
         kappa=1e7, coupling=1e6, omega_m=1e6,
-        t_end=5e-6, dt=5e-9,
     )
     for x2 in (0.1, 1.0, 10.0, 100.0, 1e3):
         back = infer_x2(adiabatic_intensity(x2, strong), strong)
@@ -188,7 +185,7 @@ def test_criterion_10_adiabatic_validity():
     state = GaussianState(var_p=275.1, var_x=0.624)
     ratios = []
     for kappa in (5e6, 1e7, 5e7, 1e8):
-        cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=1e6)
+        cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=1e6)
         rep = ripple_report(cfg, state)
         ratios.append(rep.ripple_amplitude / rep.dc_shift)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -383,11 +383,12 @@ class TestReadout:
         code, captured = run(
             ["readout", "--config", str(cfg), "--var-p", "1", "--var-x", "1"], capsys
         )
-        assert code == 2
-        assert captured.err.startswith("error: time grid needs ")
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        assert (code, captured.out) == (2, "")
+        # 40/kappa = 4e31 s in steps of 1/(20·2·omega_m) = 2.5e-8 s
+        assert captured.err == (
+            "error: time grid needs 1599999999999999963980957175296544473088 RK4 steps, "
+            "more than the limit of 10000000\n"
+        )
 
     @pytest.mark.parametrize(
         "g, message",
@@ -430,7 +431,10 @@ class TestReadout:
         # 20·kappa overflows, so the step 1/(20·kappa) would be 0.0
         ("kappa = 1e307\n",
          "step 1/(20*max(kappa, 2*omega_m)) underflows to 0 at kappa = 1e+307, omega_m = 1000000.0"),
-    ], ids=["baseline_zero", "baseline_subnormal", "step_zero"])
+        # 16·pi/omega_m overflows, so the probe window would be inf
+        ("omega_m = 1e-320\n",
+         "probe window 40/kappa + 16*pi/omega_m overflows at kappa = 10000000.0, omega_m = 1e-320"),
+    ], ids=["baseline_zero", "baseline_subnormal", "step_zero", "window_overflow"])
     def test_huge_kappa_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(config)

@@ -31,7 +31,7 @@ from quadkick.config import KEY_TO_FIELD
 from quadkick.errors import ParameterError
 from quadkick.kicks import PhysicalParams
 from quadkick.planner import OBSERVABLES
-from quadkick.readout import SETTLE_FACTOR, default_readout_config
+from quadkick.readout import SETTLE_FACTOR, ReadoutConfig
 
 EXTREMES = (
     0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e160, 1e300, 1e308, 1.7976931348623157e308,
@@ -163,7 +163,7 @@ def test_readout_contract(tmp_path_factory, rates, state, free_evolution):
     rates = {k: v for k, v in rates.items() if v is not None}
     p = vars(PhysicalParams()) | rates
     try:
-        steps = default_readout_config(p["kappa"], p["g"], p["omega_m"]).n_steps
+        steps = ReadoutConfig(p["kappa"], p["g"], p["omega_m"]).n_steps
     except ParameterError:
         steps = 0  # rejected before anything is integrated
     assume(steps <= READOUT_STEPS)
@@ -200,7 +200,7 @@ def test_readout_reads_its_closed_form(tmp_path_factory, log_kappa, log_omega, l
     # exp(-SETTLE_FACTOR) that analyze_trace admits, relative to the shift eps
     kappa = 10.0**log_kappa
     p = {"kappa": kappa, "omega_m": kappa * 10.0**log_omega, "g": kappa * 10.0**log_g}
-    assume(default_readout_config(p["kappa"], p["g"], p["omega_m"]).n_steps <= READOUT_STEPS)
+    assume(ReadoutConfig(p["kappa"], p["g"], p["omega_m"]).n_steps <= READOUT_STEPS)
     config = tmp_path_factory.getbasetemp() / "closed_form.cfg"
     config.write_text("".join(f"{k} = {v!r}\n" for k, v in p.items()))
     var_p, var_x = state

@@ -25,12 +25,12 @@ from quadkick import (
     Kick,
     PhysicalParams,
     PulseSchedule,
+    ReadoutConfig,
     SymplecticMap,
     adiabatic_intensity,
     apply_schedule,
     baseline_intensity,
     decoherence_term,
-    default_readout_config,
     dissipate,
     effective_stiffness,
     free_matrix,
@@ -44,10 +44,11 @@ from quadkick import (
     two_pulse_variance,
 )
 from quadkick.cli import main, parse_schedule
-from quadkick.errors import QuadkickError
+from quadkick.errors import ParameterError, QuadkickError
 from quadkick.planner import (
     MAX_PULSES, OBSERVABLES, SweepAxis, SweepSpec, _pulse_count, sweep,
 )
+from quadkick.readout import N_PERIODS, SETTLE_FACTOR
 
 OMEGA_M = 1e6
 SWEEP_NAMES = tuple(f.name for f in fields(PhysicalParams)) + ("delta_tau",)
@@ -79,7 +80,7 @@ kappas = st.floats(5e6, 1e8)
 @given(state=states(), kappa=kappas)
 def test_dc_shift_is_mean_x2(state, kappa):
     # a zero-mean state's ⟨x²(t)⟩ oscillates about (var_p + var_x)/2
-    cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+    cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
     mean_x2 = 0.5 * (state.var_p + state.var_x)
     assert ripple_report(cfg, state).dc_shift == pytest.approx(mean_x2, rel=1e-7)
 
@@ -88,11 +89,37 @@ def test_dc_shift_is_mean_x2(state, kappa):
 @given(state=states(), kappa=kappas)
 def test_dc_shift_has_the_sign_of_the_adiabatic_intensity(state, kappa):
     # the intensity falls by 2g·dc_shift/kappa: below the baseline, as the closed form
-    cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+    cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
     integrated = -2.0 * cfg.coupling * ripple_report(cfg, state).dc_shift / kappa
     mean_x2 = 0.5 * (state.var_p + state.var_x)
     closed_form = adiabatic_intensity(mean_x2, cfg) / baseline_intensity(cfg) - 1.0
     assert integrated < 0.0 and closed_form < 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(log_kappa=st.floats(-320.0, 308.0), log_ratio=st.floats(-4.5, 4.0))
+# the step count meets MAX_STEPS at omega_m/kappa = 6,248.7 and kappa/omega_m = 9,946.4
+@example(log_kappa=0.0, log_ratio=math.log10(6248.7))
+@example(log_kappa=0.0, log_ratio=-math.log10(9946.3))
+@example(log_kappa=-149.127, log_ratio=math.log10(6248.7))
+@example(log_kappa=158.82, log_ratio=-math.log10(9946.3))
+# rejected: a baseline that is not a normal double, a window that overflows
+@example(log_kappa=-300.0, log_ratio=-0.3)
+@example(log_kappa=300.0, log_ratio=-0.3)
+@example(log_kappa=-307.5, log_ratio=0.0)
+def test_probe_window_is_whole_periods(log_kappa, log_ratio):
+    # analyze_trace fits the last N_PERIODS periods π/omega_m of a probe's grid: on
+    # every accepted probe the settle leaves exactly that many whole periods by the
+    # rule floor((t_end - settle)/period + 1e-9), and each period holds at least
+    # 40π ≈ 125.7 steps, so the fit's normal equations are never singular
+    kappa = 10.0**log_kappa
+    try:
+        cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=kappa * 10.0**log_ratio)
+    except ParameterError:
+        return
+    period = math.pi / cfg.omega_m
+    assert math.floor((cfg.t_end - SETTLE_FACTOR / cfg.kappa) / period + 1e-9) == N_PERIODS
+    assert period / (cfg.t_end / cfg.n_steps) >= 125.0
 
 
 @DERANDOMIZED

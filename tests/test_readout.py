@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from quadkick import (
     adiabatic_intensity,
     analyze_trace,
     baseline_intensity,
-    default_readout_config,
     free_x2_harmonics,
     infer_x2,
     integrate_langevin,
@@ -35,49 +34,23 @@ OMEGA_M = 1e6
 
 
 def reference_config(**overrides):
-    settings = dict(
-        kappa=1e7,
-        coupling=1e-4,
-        omega_m=OMEGA_M,
-        t_end=5e-6,   # 50 cavity lifetimes
-        dt=5e-9,
-    )
-    settings.update(overrides)
-    return ReadoutConfig(**settings)
+    """The κ = 1e7 probe: 10,854 steps of 5e-9 s, two blocks of CHUNK_STEPS."""
+    return ReadoutConfig(**{"kappa": 1e7, "coupling": 1e-4, "omega_m": OMEGA_M, **overrides})
 
 
 class TestReadoutConfig:
-    def test_step_size_bound(self):
-        with pytest.raises(ParameterError):
-            reference_config(dt=1e-7)  # only 1 point per cavity lifetime
-
     def test_default_step_resolves_the_signal(self):
         # 2·omega_m = 2e6 is faster than kappa = 1e5: the signal sets the step
-        cfg = default_readout_config(kappa=1e5, coupling=1e-4, omega_m=1e6)
+        cfg = ReadoutConfig(kappa=1e5, coupling=1e-4, omega_m=1e6)
         assert cfg.dt == 1.0 / (20.0 * 2e6)
-
-    def test_time_window(self):
-        for t_end in (0.0, -5e-6):
-            with pytest.raises(ParameterError, match="t_end must be positive"):
-                reference_config(t_end=t_end)
 
     def test_positive_rates(self):
         with pytest.raises(ParameterError):
             reference_config(kappa=0.0)
         with pytest.raises(ParameterError):
             reference_config(coupling=-1e-4)
-        with pytest.raises(ParameterError, match="^dt must be positive, got 0.0$"):
-            ReadoutConfig(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M, t_end=1e-6, dt=0.0)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("kappa", math.nan),
-            ("coupling", math.inf),
-            ("dt", math.nan),
-            ("t_end", math.inf),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [("kappa", math.nan), ("coupling", math.inf)])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             reference_config(**{field: value})
@@ -89,59 +62,62 @@ class TestReadoutConfig:
             reference_config(omega_m=omega_m)
 
     def test_step_count_bound(self):
-        with pytest.raises(ParameterError, match=f"needs 20000000 RK4 steps.*{MAX_STEPS}"):
-            reference_config(t_end=0.1)  # 2e7 steps of 5e-9 s
+        # 16 periods π/omega_m at omega_m = 1e3 are 0.0503 s: 10,053,897 steps of 5e-9 s
+        with pytest.raises(ParameterError, match=f"^time grid needs 10053897 RK4 steps.*{MAX_STEPS}$"):
+            reference_config(omega_m=1e3)
         with pytest.raises(ParameterError, match="RK4 steps"):
-            default_readout_config(kappa=1e-30, coupling=1e-4, omega_m=OMEGA_M)
+            reference_config(kappa=1e-30)
 
     def test_default_needs_positive_coupling(self):
         with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
-            default_readout_config(kappa=1e7, coupling=0.0, omega_m=OMEGA_M)
+            reference_config(coupling=0.0)
 
     @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan])
     def test_default_needs_positive_omega_m(self, omega_m):
-        with pytest.raises(ParameterError, match="omega_m must be positive"):
-            default_readout_config(kappa=1e7, coupling=1e-4, omega_m=omega_m)
+        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
+            reference_config(omega_m=omega_m)
 
     @pytest.mark.parametrize(
         "kappa, omega_m, message",
         [
-            (math.nan, OMEGA_M, "kappa must be positive and finite, got nan"),
+            (math.nan, OMEGA_M, "kappa must be finite, got nan"),
             (1e7, 1e-320, "overflows at kappa = 10000000.0, omega_m = 1e-320"),
             (1e-320, OMEGA_M, "overflows at kappa = 1e-320, omega_m = 1000000.0"),
         ],
     )
     def test_default_names_the_bad_input(self, kappa, omega_m, message):
         # the probe window SETTLE_FACTOR/kappa + N_PERIODS*pi/omega_m is derived:
-        # an error about it names the inputs, not the field t_end
+        # an error about it names the inputs, not the property t_end
         with pytest.raises(ParameterError, match=message):
-            default_readout_config(kappa=kappa, coupling=1e-4, omega_m=omega_m)
+            reference_config(kappa=kappa, omega_m=omega_m)
 
     def test_tiny_coupling_calibration_rejected(self):
         with pytest.raises(ParameterError, match=r"calibration kappa/\(2g\) = inf"):
             reference_config(coupling=1e-320)
 
-    @pytest.mark.parametrize("kappa", [1e-160, 5e-324])
+    @pytest.mark.parametrize("kappa", [1e-160, 1e-305])
     def test_overflowing_baseline_rejected(self, kappa):
-        # (drive/kappa)² overflows below about 7.46e-150; at 5e-324 drive/kappa is inf already
+        # (drive/kappa)² overflows below about 7.46e-150; at 1e-305 drive/kappa is inf
+        # already, and the window 40/kappa is still finite. omega_m = kappa/2 keeps
+        # the grid near 2,800 steps
         message = rf"^kappa = {kappa!r} too small: baseline intensity \(drive/kappa\)\^2 = inf"
         with pytest.raises(ParameterError, match=message):
-            ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M, t_end=1.0, dt=1.0)
+            reference_config(kappa=kappa, omega_m=kappa / 2)
 
     def test_smallest_kappa_with_finite_baseline(self):
         edge = 7.458340731200208e-150
-        cfg = reference_config(kappa=edge, t_end=1.0, dt=1.0)
+        cfg = reference_config(kappa=edge, omega_m=edge / 2)
         assert baseline_intensity(cfg) == 1.7976931348623155e308
         with pytest.raises(ParameterError, match="baseline intensity"):
-            reference_config(kappa=math.nextafter(edge, 0.0), t_end=1.0, dt=1.0)
+            reference_config(kappa=math.nextafter(edge, 0.0), omega_m=edge / 2)
 
     def test_largest_default_grid_accepted(self):
-        cfg = default_readout_config(kappa=1e8, coupling=1e-4, omega_m=OMEGA_M)
+        cfg = reference_config(kappa=1e8)
         assert cfg.n_steps == 101331
 
     def test_default_is_the_fixed_probe(self):
-        cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
-        assert [f.name for f in fields(cfg)] == ["kappa", "coupling", "omega_m", "t_end", "dt"]
+        cfg = reference_config()
+        assert [f.name for f in fields(cfg)] == ["kappa", "coupling", "omega_m"]
         assert cfg.omega_m == OMEGA_M
         assert baseline_intensity(cfg) == (DRIVE_AMPLITUDE / 1e7) ** 2
         assert cfg.t_end == SETTLE_FACTOR / 1e7 + N_PERIODS * math.pi / OMEGA_M
@@ -170,7 +146,7 @@ class TestAdiabaticIntensity:
     def test_integrator_agrees_in_sign_and_first_order(self, coupling, x2):
         # the integrator settles at I/I0 - 1 = (1 + eps)^-2 - 1 = -2·eps + 3·eps² - …,
         # eps = g·x²/kappa; the closed form's I/I0 - 1 is itself rounded to about 1e-16
-        cfg = reference_config(coupling=coupling, t_end=1e-5)  # 100 lifetimes
+        cfg = reference_config(coupling=coupling)
         trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
         integrated = -trace.inferred_x2[-1] * 2.0 * coupling / cfg.kappa
         closed_form = adiabatic_intensity(x2, cfg) / baseline_intensity(cfg) - 1.0
@@ -214,6 +190,7 @@ class TestIntegrateLangevin:
         assert np.all(trace.intensity >= 0.0)
         assert trace.times[0] == 0.0
         assert trace.times[-1] == pytest.approx(cfg.t_end, rel=1e-12)
+        assert trace.config is cfg
 
     @pytest.mark.parametrize("x2", [0.5, 13.5, 138.5])
     def test_constant_x2_steady_state(self, x2):
@@ -239,11 +216,11 @@ class TestIntegrateLangevin:
             integrate_langevin(reference_config(), (math.nan, 0.0, 0.0))
 
     def test_diverging_trace_rejected(self):
-        # x² < 0 turns the damping kappa + g·x² negative: the resolved trace grows
-        # as e^(5e6·t) and overflows by t_end = 2e-4
-        cfg = reference_config(t_end=2e-4, dt=2.5e-9)
+        # x² < 0 turns the damping kappa + g·x² negative: the resolved trace, at
+        # h·g·|x²| = 0.0475, grows as e^(1.8e7·t) and overflows by t_end = 4.5e-5
+        cfg = ReadoutConfig(kappa=1e6, coupling=1e-4, omega_m=1e7)
         with np.errstate(all="ignore"), pytest.raises(ParameterError, match="^readout trace is not finite$"):
-            integrate_langevin(cfg, (-1.5e11, 0.0, 0.0))
+            integrate_langevin(cfg, (-1.9e11, 0.0, 0.0))
 
     def test_inferred_x2_settles_to_input(self):
         cfg = reference_config()
@@ -251,10 +228,13 @@ class TestIntegrateLangevin:
         assert trace.inferred_x2[-1] == pytest.approx(13.5, rel=1e-2)
 
     def test_halving_dt_converged(self):
+        # the per-step loop at half the probe's step
+        cfg = reference_config()
         for signal in ((138.5, 0.0, 0.0), (137.9, 137.2, 0.0)):
-            coarse = integrate_langevin(reference_config(), signal)
-            fine = integrate_langevin(reference_config(dt=2.5e-9), signal)
-            assert fine.intensity[-1] == pytest.approx(coarse.intensity[-1], rel=1e-8)
+            coarse = integrate_langevin(cfg, signal)
+            _, u = deviation_loop(cfg, signal, 2 * cfg.n_steps)
+            fine = coarse.baseline * (1.0 + u[-1]) ** 2
+            assert fine == pytest.approx(coarse.intensity[-1], rel=1e-8)
 
     def test_ripple_transfer_function(self):
         # modulated x2 produces a 2*omega_m intensity ripple suppressed by
@@ -262,9 +242,9 @@ class TestIntegrateLangevin:
         a, b = 137.862, 137.238
         ripples = {}
         for kappa in (1e7, 1e8):
-            cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+            cfg = reference_config(kappa=kappa)
             trace = integrate_langevin(cfg, (a, b, 0.0))
-            report = analyze_trace(trace, cfg)
+            report = analyze_trace(trace)
             expected = 2 * cfg.coupling * b / math.sqrt(kappa**2 + 4 * OMEGA_M**2)
             assert report.ripple_amplitude == pytest.approx(expected, rel=1e-3)
             assert expected == pytest.approx(
@@ -275,10 +255,10 @@ class TestIntegrateLangevin:
 
 
 def per_step_rk4(config, x2_half, rate, y0):
-    """The per-step RK4 loop of dy/dt = rate(y, g·x²) from y0, reading x² at
-    every stage of every step from ``x2_half``, x² at the half steps j·h/2;
-    returns the times and y after each step."""
-    n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-9))
+    """The per-step RK4 loop of dy/dt = rate(y, g·x²) from y0 over [0, t_end],
+    reading x² at every stage of every step from ``x2_half``, x² at the half
+    steps j·h/2 of its n steps; returns the times and y after each step."""
+    n_steps = (len(x2_half) - 1) // 2
     h = config.t_end / n_steps
 
     def deriv(j, y):
@@ -295,45 +275,42 @@ def per_step_rk4(config, x2_half, rate, y0):
     return np.array([k * h for k in range(n_steps + 1)]), np.array(ys)
 
 
-def half_step_x2(config, signal):
-    """x² = dc + a·cos + b·sin at the half steps j·h/2, j = 0 … 2·n_steps, as
-    the integrator takes it; one call over the whole grid gives the values
-    of its per-block calls, since a phasor depends on its index alone."""
+def half_step_x2(config, signal, n_steps):
+    """x² = dc + a·cos + b·sin at the half steps j·h/2, j = 0 … 2·n_steps, of
+    n_steps over [0, t_end]; at the probe's own n_steps, as the integrator
+    takes it: one call over the whole grid gives the values of its per-block
+    calls, since a phasor depends on its index alone."""
     dc, a, b = signal
-    n_steps = config.n_steps
     if a == b == 0.0:
         return np.full(2 * n_steps + 1, dc)
     h = config.t_end / n_steps
     return ((a - 1j * b) * _phasors(0, 2 * n_steps + 1, config.omega_m * h)).real + dc
 
 
-def deviation_loop(config, signal):
-    """Sequential RK4 of du/dt = -(kappa + g·x²)·u - g·x² from u = -1."""
+def deviation_loop(config, signal, n_steps=None):
+    """Sequential RK4 of du/dt = -(kappa + g·x²)·u - g·x² from u = -1, in
+    ``n_steps`` steps, by default the probe's."""
     rate = lambda u, gx2: -(config.kappa + gx2) * u - gx2
-    return per_step_rk4(config, half_step_x2(config, signal), rate, -1.0)
+    x2_half = half_step_x2(config, signal, n_steps or config.n_steps)
+    return per_step_rk4(config, x2_half, rate, -1.0)
 
 
 def amplitude_loop(config, signal):
     """Sequential RK4 of the amplitude itself, dc/dt = -(kappa + g·x²)·c + drive, from c = 0."""
     rate = lambda c, gx2: -(config.kappa + gx2) * c + DRIVE_AMPLITUDE
-    return per_step_rk4(config, half_step_x2(config, signal), rate, 0.0)
+    return per_step_rk4(config, half_step_x2(config, signal, config.n_steps), rate, 0.0)
 
 
 SQUEEZED = GaussianState(mean=(0.3, -1.2), var_p=275.1, var_x=0.624, cross=3.1)
 
 
-ORACLE_CASES = pytest.mark.parametrize(
-    "overrides, free",
-    [
-        ({}, False),
-        ({"t_end": 5.1e-5}, True),  # 10,200 steps: more than one chunk
-    ],
-    ids=["constant", "multi_chunk"],
-)
+# a snapshot's constant x² and a free evolution's, each on the κ = 1e7 probe's
+# 10,854 steps: more than one chunk
+ORACLE_CASES = pytest.mark.parametrize("free", [False, True], ids=["constant", "multi_chunk"])
 
 
-def oracle_config(overrides):
-    return reference_config(**{"coupling": 1e4, **overrides})
+def oracle_config():
+    return reference_config(coupling=1e4)
 
 
 def oracle_signal(free):
@@ -342,10 +319,10 @@ def oracle_signal(free):
 
 class TestIntegratorOracle:
     @ORACLE_CASES
-    def test_matches_per_step_loop(self, overrides, free):
+    def test_matches_per_step_loop(self, free):
         # the scan reorders the arithmetic of the sequential deviation loop:
         # equal to a few units of 1e-16, relative to each value
-        cfg = oracle_config(overrides)
+        cfg = oracle_config()
         times, u = deviation_loop(cfg, oracle_signal(free))
         trace = integrate_langevin(cfg, oracle_signal(free))
         assert np.array_equal(trace.times, times)
@@ -355,18 +332,18 @@ class TestIntegratorOracle:
         assert np.allclose(trace.inferred_x2, inferred, rtol=1e-14, atol=0.0)
 
     @ORACLE_CASES
-    def test_amplitude_loop_agrees_within_its_cancellation(self, overrides, free):
+    def test_amplitude_loop_agrees_within_its_cancellation(self, free):
         # the amplitude loop, the integrator before the change to u, carries
         # I/I0 - 1 only to a few units of eps absolute (its inferred x² to
         # eps·kappa/(2g)): the two intensities agree to that, not better
-        cfg = oracle_config(overrides)
+        cfg = oracle_config()
         _, c = amplitude_loop(cfg, oracle_signal(free))
         trace = integrate_langevin(cfg, oracle_signal(free))
         tolerance = 64 * np.finfo(float).eps * trace.baseline
         assert np.max(np.abs(c**2 - trace.intensity)) <= tolerance
 
     def test_multi_chunk_case_spans_chunks(self):
-        assert CHUNK_STEPS < reference_config(t_end=5.1e-5).n_steps < 2 * CHUNK_STEPS
+        assert CHUNK_STEPS < oracle_config().n_steps < 2 * CHUNK_STEPS
 
     def test_constant_signal_calls_no_trig(self, monkeypatch):
         # a snapshot's x² is one number: no cos, sin or phasor is taken, and
@@ -377,21 +354,21 @@ class TestIntegratorOracle:
         for name in ("cos", "sin", "exp"):
             monkeypatch.setattr(np, name, no_trig)
         monkeypatch.setattr(readout, "_phasors", no_trig)
-        cfg = oracle_config({"t_end": 5.1e-5})
+        cfg = oracle_config()
         trace = integrate_langevin(cfg, (13.5, 0.0, 0.0))
         monkeypatch.undo()
         _, u = deviation_loop(cfg, (13.5, 0.0, 0.0))
         assert np.allclose(trace.intensity, trace.baseline * (1.0 + u) ** 2, rtol=1e-14, atol=0.0)
 
 
-def window_lstsq(trace, config):
-    """(dc, a, b) of analyze_trace's window by numpy's least squares on the
-    n×3 design [1, cos 2·omega_m·t, sin 2·omega_m·t], with np.cos/np.sin."""
+def window_lstsq(trace):
+    """(dc, a, b) of analyze_trace's window, the last N_PERIODS periods of the
+    trace's probe, by numpy's least squares on the n×3 design
+    [1, cos 2·omega_m·t, sin 2·omega_m·t], with np.cos/np.sin."""
+    config = trace.config
     omega_m = config.omega_m
-    period = math.pi / omega_m
-    periods = math.floor((config.t_end - SETTLE_FACTOR / config.kappa) / period + 1e-9)
     h = config.t_end / config.n_steps
-    start = np.searchsorted(trace.times, config.t_end - periods * period - 1e-9 * h)
+    start = np.searchsorted(trace.times, config.t_end - N_PERIODS * (math.pi / omega_m) - 1e-9 * h)
     phase = 2.0 * omega_m * trace.times[start:]
     design = np.column_stack([np.ones_like(phase), np.cos(phase), np.sin(phase)])
     return np.linalg.lstsq(design, trace.inferred_x2[start:], rcond=None)[0]
@@ -456,11 +433,11 @@ class TestReadoutKernels:
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(state=squeezed_states(), kappa=st.floats(3e6, 1e8), free=st.booleans())
     def test_fit_matches_lstsq(self, state, kappa, free):
-        cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+        cfg = reference_config(kappa=kappa)
         signal = free_x2_harmonics(state) if free else (state.var_x, 0.0, 0.0)
         trace = integrate_langevin(cfg, signal)
-        report = analyze_trace(trace, cfg)
-        dc, a, b = window_lstsq(trace, cfg)
+        report = analyze_trace(trace)
+        dc, a, b = window_lstsq(trace)
         ripple = math.hypot(a, b)
         scale = max(abs(dc), ripple)
         assert abs(report.dc_shift - dc) <= FIT_RTOL * scale
@@ -470,7 +447,7 @@ class TestReadoutKernels:
 
 class TestRippleReport:
     def test_isotropic_state_has_no_ripple(self):
-        cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
+        cfg = reference_config()
         report = ripple_report(cfg, thermal_state(13.0))
         assert report.dc_shift == pytest.approx(13.5, rel=1e-2)
         assert report.ripple_amplitude <= 1e-12 * report.dc_shift
@@ -478,7 +455,7 @@ class TestRippleReport:
 
     def test_anisotropic_state_dc_is_time_average(self):
         state = GaussianState(var_p=275.1, var_x=0.624)
-        cfg = default_readout_config(kappa=1e7, coupling=1e-4, omega_m=OMEGA_M)
+        cfg = reference_config()
         report = ripple_report(cfg, state)
         assert report.ripple_amplitude > 0.0
         assert report.dc_shift == pytest.approx((275.1 + 0.624) / 2, rel=5e-2)
@@ -487,57 +464,33 @@ class TestRippleReport:
         state = GaussianState(var_p=275.1, var_x=0.624)
         amplitudes = []
         for kappa in (1e7, 1e8):
-            cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+            cfg = reference_config(kappa=kappa)
             amplitudes.append(ripple_report(cfg, state).ripple_amplitude)
         assert amplitudes[1] < amplitudes[0]
 
     @pytest.mark.parametrize("kappa", [5e6, 1e7, 1e8])
     def test_dc_shift_is_mean_x2(self, kappa):
-        cfg = default_readout_config(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
+        cfg = reference_config(kappa=kappa)
         state = GaussianState(var_p=3.0, var_x=0.2, cross=0.1)
         assert ripple_report(cfg, state).dc_shift == pytest.approx(1.6, rel=1e-7)
         snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0))
-        assert analyze_trace(snapshot, cfg).dc_shift == pytest.approx(0.314, rel=1e-7)
+        assert analyze_trace(snapshot).dc_shift == pytest.approx(0.314, rel=1e-7)
 
     @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
     def test_ripple_report_blames_omega_m(self, omega_m):
         # not the coupling: the x² of a free evolution at a bad omega_m is nan,
         # and the probe the report reads rejects it by name
-        with pytest.raises(ParameterError, match="omega_m must be positive and finite"):
-            ripple_report(
-                default_readout_config(kappa=1e7, coupling=1e-4, omega_m=omega_m),
-                thermal_state(13.0),
-            )
-
-    @pytest.mark.parametrize("omega_m", [0.0, math.nan, math.inf])
-    def test_omega_m_must_be_positive_and_finite(self, omega_m):
-        # a fit at another omega_m than the trace's needs a second probe, checked when built
-        cfg = reference_config()
-        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
-        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
-            analyze_trace(trace, replace(cfg, omega_m=omega_m))
-
-    def test_one_sample_window_rejected(self):
-        # a period of 0.8 steps leaves one grid point in the window: the normal
-        # equations of dc and two quadratures are singular there
-        cfg = reference_config(t_end=4.006e-6, omega_m=math.pi / 4e-9)
-        trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
-        with pytest.raises(ParameterError, match="^fit is singular: the step h = .* does not resolve"):
-            analyze_trace(trace, cfg)
-
-    def test_window_too_short_rejected(self):
-        cfg = reference_config(t_end=1e-6)
-        with pytest.raises(ParameterError):
-            ripple_report(cfg, thermal_state(13.0))
+        with pytest.raises(ParameterError, match=f"^omega_m must be finite, got {omega_m!r}$"):
+            ripple_report(reference_config(omega_m=omega_m), thermal_state(13.0))
 
     @pytest.mark.parametrize("kappa, coupling", [(1e7, 1e-300), (1e7, 1e-12), (1e8, 1e-20)])
     def test_shift_below_transient_rejected(self, kappa, coupling):
         # 2g·x²/kappa <= 2e-19 sits below the transient e^-40 left in the window,
         # which the calibration kappa/(2g) would report as ⟨x²⟩
-        cfg = default_readout_config(kappa=kappa, coupling=coupling, omega_m=OMEGA_M)
+        cfg = reference_config(kappa=kappa, coupling=coupling)
         trace = integrate_langevin(cfg, (1.0, 0.0, 0.0))
         with pytest.raises(ParameterError, match="not above the residual transient"):
-            analyze_trace(trace, cfg)
+            analyze_trace(trace)
 
     def test_needs_positive_coupling(self):
         with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
