@@ -25,7 +25,7 @@ from .kicks import (
     quarter_period,
 )
 from .planner import OBSERVABLES, SweepAxis, SweepSpec, _sweep_columns
-from .readout import ReadoutConfig, analyze_trace, integrate_langevin
+from .readout import ReadoutConfig, analyze_trace, baseline_intensity, integrate_langevin
 from .state import VACUUM_VARIANCE, GaussianState, free_x2_harmonics, thermal_state
 
 DEFAULT_SCHEDULE = "kick;free;kick"
@@ -155,7 +155,7 @@ def _cmd_readout(args, params: PhysicalParams) -> Iterator[str]:
         ("dc_shift", _fmt(report.dc_shift)),
         ("ripple_amplitude", _fmt(report.ripple_amplitude)),
         ("kappa_over_2omega", _fmt(report.kappa_over_2omega)),
-        ("baseline", _fmt(trace.baseline)),
+        ("baseline", _fmt(baseline_intensity(cfg))),
     ]
     if args.format == "json":
         # the layout of json.dumps({"summary": …, "trace": […]}, indent=2);

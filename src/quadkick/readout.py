@@ -148,14 +148,18 @@ class ReadoutConfig:
         """Number of RK4 steps covering [0, t_end] at no more than ``dt`` each."""
         return max(1, math.ceil(self.t_end / self.dt - 1e-9))
 
+    @property
+    def step(self) -> float:
+        """The grid's actual step: ``t_end`` in ``n_steps`` equal steps."""
+        return self.t_end / self.n_steps
+
 
 class ReadoutTrace(NamedTuple):
-    """Time series of cavity intensity with the inferred position variance,
-    on the grid of the probe ``config`` it was integrated on."""
+    """Time series of cavity intensity with the inferred position variance, on
+    the grid of the probe ``config``, at baseline ``baseline_intensity(config)``."""
 
     times: np.ndarray
     intensity: np.ndarray
-    baseline: float
     inferred_x2: np.ndarray
     config: ReadoutConfig
 
@@ -199,10 +203,9 @@ def _step_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """a and b of each RK4 step u' = a·u + b of du/dt = (s - kappa)·u + s.
 
-    ``s1``, ``s2`` and ``s4`` hold s = -g·x² at the start, the middle and
-    the end of each step, as arrays, or as floats for a constant x².  The
-    RK4 stages are linear in u: the stages of u = 1 without the source give
-    a, those of u = 0 give b.
+    ``s1``, ``s2`` and ``s4`` are arrays of s = -g·x² at the start, the
+    middle and the end of each step.  The RK4 stages are linear in u: the
+    stages of u = 1 without the source give a, those of u = 0 give b.
     """
     half = 0.5 * h
     r1, r2, r4 = s1 - kappa, s2 - kappa, s4 - kappa
@@ -216,29 +219,28 @@ def _step_coefficients(
     return 1.0 + sixth * (r1 + 2.0 * a2 + 2.0 * a3 + a4), sixth * (s1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
-def _scan(a: np.ndarray, b: np.ndarray, u0: float) -> np.ndarray:
+def _scan(a: np.ndarray, b: np.ndarray, u0: float, runs: int) -> np.ndarray:
     """u_1 … u_n of the recurrence u_{k+1} = a_k·u_k + b_k from u_0 = ``u0``.
 
-    Inside each run of RUN_STEPS steps, u_{k+1} = P_k·(u_start + Σ_{j<=k} b_j/P_j)
-    with P_k the running product of a over the run; one sequential pass
-    carries u from the end of each run to the start of the next.
+    ``a`` and ``b`` hold ``runs`` whole runs of RUN_STEPS steps, or one run
+    that stands for every run, as each run of a constant x² does.  Inside each
+    run, u_{k+1} = P_k·(u_start + Σ_{j<=k} b_j/P_j) with P_k the running
+    product of a over the run; one sequential pass carries u from the end of
+    each run to the start of the next.  Both are prefix operations, so steps
+    padded past the trace's end leave its values as they are.
     """
     import numpy as np
 
-    n = len(a)
-    pad = -n % RUN_STEPS
-    if pad:
-        a = np.concatenate((a, np.ones(pad)))
-        b = np.concatenate((b, np.zeros(pad)))
     prod = np.cumprod(a.reshape(-1, RUN_STEPS), axis=1)
     # b·(1/P), not b/P: the two round differently, and the trace goldens hold b·(1/P)
     acc = np.cumsum(b.reshape(-1, RUN_STEPS) * (1.0 / prod), axis=1)
+    repeat = runs // len(prod)
     starts = []
     u = u0
-    for p, s in zip(prod[:, -1].tolist(), acc[:, -1].tolist()):
+    for p, s in zip(prod[:, -1].tolist() * repeat, acc[:, -1].tolist() * repeat):
         starts.append(u)
         u = p * (u + s)
-    return (prod * (np.array(starts)[:, None] + acc)).ravel()[:n]
+    return (prod * (np.array(starts)[:, None] + acc)).ravel()
 
 
 def _phasors(start: int, count: int, step: float) -> np.ndarray:
@@ -267,9 +269,10 @@ def integrate_langevin(config: ReadoutConfig, signal: tuple[float, float, float]
     steady field c0 = drive/kappa (u = -1 at t = 0).  ``signal`` is the
     triple (dc, a, b) of x²(t) = dc + a·cos 2·omega_m·t + b·sin 2·omega_m·t
     at the config's omega_m.
-    x² is taken once per block of CHUNK_STEPS steps on the half-step grid
-    j·h/2, whose even, odd and next even points are the three RK4 stage
-    times of each step; a constant signal (a = b = 0) takes no cos or sin.
+    x² is taken once per block of CHUNK_STEPS steps, padded to whole runs of
+    RUN_STEPS, on the half-step grid j·h/2, whose even, odd and next even
+    points are the three RK4 stage times of each step; a constant signal
+    (a = b = 0) takes no cos or sin, and one run's steps stand for all.
     The trace's ``inferred_x2`` column is the literal steady-state expansion
     (1 - I/I0)·kappa/(2g), taken from I/I0 - 1 = 2·u + u² without
     cancellation.  Deterministic given the config.
@@ -281,9 +284,7 @@ def integrate_langevin(config: ReadoutConfig, signal: tuple[float, float, float]
     import numpy as np
 
     dc, amp_cos, amp_sin = (float(v) for v in signal)
-    n_steps = config.n_steps
-    h = config.t_end / n_steps
-    g = config.coupling
+    n_steps, h, g = config.n_steps, config.step, config.coupling
     times = np.arange(n_steps + 1) * h
     rate = h * g * (abs(dc) + math.hypot(amp_cos, amp_sin))
     if not rate <= 0.05:
@@ -294,33 +295,28 @@ def integrate_langevin(config: ReadoutConfig, signal: tuple[float, float, float]
     shift = np.empty(n_steps + 1)
     intensity[0], shift[0] = 0.0, -1.0
     u = -1.0
-    constant = amp_cos == 0.0 and amp_sin == 0.0
-    if constant:
-        s = -g * dc
-        steady = _step_coefficients(s, s, s, config.kappa, h)
     for start in range(0, n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, n_steps)
-        if constant:
-            a, b = (np.full(stop - start, c) for c in steady)
+        runs = -(-(stop - start) // RUN_STEPS)
+        if amp_cos == 0.0 and amp_sin == 0.0:
+            # every run of a constant x² has the same steps: one run's half steps
+            s = -g * np.full(2 * RUN_STEPS + 1, dc)
         else:
-            # x² on the half steps 2·start … 2·stop, 2·omega_m·(h/2) apart: the
-            # real part of (a - i·b)·e^(i·phase) is a·cos + b·sin
-            phasors = _phasors(2 * start, 2 * (stop - start) + 1, config.omega_m * h)
+            # x² on the half steps from 2·start over whole runs, 2·omega_m·(h/2)
+            # apart: the real part of (a - i·b)·e^(i·phase) is a·cos + b·sin
+            phasors = _phasors(2 * start, 2 * RUN_STEPS * runs + 1, config.omega_m * h)
             s = -g * (((amp_cos - 1j * amp_sin) * phasors).real + dc)
-            a, b = _step_coefficients(s[:-1:2], s[1::2], s[2::2], config.kappa, h)
-        block = _scan(a, b, u)
+        a, b = _step_coefficients(s[:-1:2], s[1::2], s[2::2], config.kappa, h)
+        block = _scan(a, b, u, runs)[: stop - start]
         u = float(block[-1])
         intensity[start + 1 : stop + 1] = (1.0 + block) ** 2
         shift[start + 1 : stop + 1] = 2.0 * block + block * block
 
-    i0 = baseline_intensity(config)
-    intensity *= i0
+    intensity *= baseline_intensity(config)
     shift *= -(config.kappa / (2.0 * g))  # now the inferred x²
     if not (np.isfinite(intensity).all() and np.isfinite(shift).all()):
         raise ParameterError("readout trace is not finite")
-    return ReadoutTrace(
-        times=times, intensity=intensity, baseline=i0, inferred_x2=shift, config=config
-    )
+    return ReadoutTrace(times=times, intensity=intensity, inferred_x2=shift, config=config)
 
 
 def analyze_trace(trace: ReadoutTrace) -> RippleReport:
@@ -345,7 +341,7 @@ def analyze_trace(trace: ReadoutTrace) -> RippleReport:
     window_start = config.t_end - N_PERIODS * (math.pi / config.omega_m)
     # the times ascend, so the window is a view from its first step on; a time
     # within round-off of the start, a tolerance relative to the step, is in it
-    h = config.t_end / config.n_steps
+    h = config.step
     start = int(np.searchsorted(trace.times, window_start - 1e-9 * h))
     y = trace.inferred_x2[start:]
     phasors = _phasors(start, len(y), 2.0 * config.omega_m * h)

@@ -17,6 +17,7 @@ from quadkick import (
     ReadoutConfig,
     adiabatic_intensity,
     apply_schedule,
+    baseline_intensity,
     coupling_from_physical,
     dissipate,
     effective_stiffness,
@@ -167,7 +168,7 @@ def test_criterion_09_readout_magnitude():
     )
     for x2 in (0.5, 13.5, 138.5):
         trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
-        shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
+        shift = abs(trace.intensity[-1] / baseline_intensity(cfg) - 1.0)
         assert shift == pytest.approx(2.0 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
 
     # algebraic inversion: exercised at an order-one fractional shift, where

@@ -26,8 +26,10 @@ from quadkick.readout import (
     FINE_ANGLES,
     MAX_STEPS,
     N_PERIODS,
+    RUN_STEPS,
     SETTLE_FACTOR,
     _phasors,
+    _step_coefficients,
 )
 
 OMEGA_M = 1e6
@@ -198,7 +200,7 @@ class TestIntegrateLangevin:
         trace = integrate_langevin(cfg, (x2, 0.0, 0.0))
         closed_form = (DRIVE_AMPLITUDE / (cfg.kappa + cfg.coupling * x2)) ** 2
         assert trace.intensity[-1] == pytest.approx(closed_form, rel=1e-10)
-        shift = abs(trace.intensity[-1] / trace.baseline - 1.0)
+        shift = abs(trace.intensity[-1] / baseline_intensity(cfg) - 1.0)
         assert shift == pytest.approx(2 * cfg.coupling * x2 / cfg.kappa, rel=1e-2)
 
     @pytest.mark.parametrize("coupling", [1.1e7, 1e300])
@@ -233,7 +235,7 @@ class TestIntegrateLangevin:
         for signal in ((138.5, 0.0, 0.0), (137.9, 137.2, 0.0)):
             coarse = integrate_langevin(cfg, signal)
             _, u = deviation_loop(cfg, signal, 2 * cfg.n_steps)
-            fine = coarse.baseline * (1.0 + u[-1]) ** 2
+            fine = baseline_intensity(cfg) * (1.0 + u[-1]) ** 2
             assert fine == pytest.approx(coarse.intensity[-1], rel=1e-8)
 
     def test_ripple_transfer_function(self):
@@ -326,7 +328,7 @@ class TestIntegratorOracle:
         times, u = deviation_loop(cfg, oracle_signal(free))
         trace = integrate_langevin(cfg, oracle_signal(free))
         assert np.array_equal(trace.times, times)
-        intensity = trace.baseline * (1.0 + u) ** 2
+        intensity = baseline_intensity(cfg) * (1.0 + u) ** 2
         assert np.allclose(trace.intensity, intensity, rtol=1e-14, atol=0.0)
         inferred = -(2.0 * u + u * u) * cfg.kappa / (2.0 * cfg.coupling)
         assert np.allclose(trace.inferred_x2, inferred, rtol=1e-14, atol=0.0)
@@ -339,7 +341,7 @@ class TestIntegratorOracle:
         cfg = oracle_config()
         _, c = amplitude_loop(cfg, oracle_signal(free))
         trace = integrate_langevin(cfg, oracle_signal(free))
-        tolerance = 64 * np.finfo(float).eps * trace.baseline
+        tolerance = 64 * np.finfo(float).eps * baseline_intensity(cfg)
         assert np.max(np.abs(c**2 - trace.intensity)) <= tolerance
 
     def test_multi_chunk_case_spans_chunks(self):
@@ -358,7 +360,80 @@ class TestIntegratorOracle:
         trace = integrate_langevin(cfg, (13.5, 0.0, 0.0))
         monkeypatch.undo()
         _, u = deviation_loop(cfg, (13.5, 0.0, 0.0))
-        assert np.allclose(trace.intensity, trace.baseline * (1.0 + u) ** 2, rtol=1e-14, atol=0.0)
+        assert np.allclose(trace.intensity, baseline_intensity(cfg) * (1.0 + u) ** 2, rtol=1e-14, atol=0.0)
+
+
+def full_length_scan(a, b, u0):
+    """The scan over every step of a block, its last run padded with a = 1 and
+    b = 0: the reference implementation the whole-run scan is checked against."""
+    n = len(a)
+    pad = -n % RUN_STEPS
+    if pad:
+        a = np.concatenate((a, np.ones(pad)))
+        b = np.concatenate((b, np.zeros(pad)))
+    prod = np.cumprod(a.reshape(-1, RUN_STEPS), axis=1)
+    acc = np.cumsum(b.reshape(-1, RUN_STEPS) * (1.0 / prod), axis=1)
+    starts = []
+    u = u0
+    for p, s in zip(prod[:, -1].tolist(), acc[:, -1].tolist()):
+        starts.append(u)
+        u = p * (u + s)
+    return (prod * (np.array(starts)[:, None] + acc)).ravel()[:n]
+
+
+def full_length_trace(config, signal):
+    """(times, intensity, inferred_x2) from step coefficients built for every
+    step of each block of CHUNK_STEPS, a constant signal's too, scanned by
+    full_length_scan."""
+    dc, amp_cos, amp_sin = signal
+    n_steps, h, g = config.n_steps, config.step, config.coupling
+    u = np.empty(n_steps + 1)
+    u[0] = -1.0
+    for start in range(0, n_steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, n_steps)
+        if amp_cos == amp_sin == 0.0:
+            x2 = np.full(2 * (stop - start) + 1, dc)
+        else:
+            phasors = _phasors(2 * start, 2 * (stop - start) + 1, config.omega_m * h)
+            x2 = ((amp_cos - 1j * amp_sin) * phasors).real + dc
+        s = -g * x2
+        a, b = _step_coefficients(s[:-1:2], s[1::2], s[2::2], config.kappa, h)
+        u[start + 1 : stop + 1] = full_length_scan(a, b, float(u[start]))
+    intensity = (1.0 + u) ** 2 * baseline_intensity(config)
+    inferred = (2.0 * u + u * u) * -(config.kappa / (2.0 * g))
+    return np.arange(n_steps + 1) * h, intensity, inferred
+
+
+# (kappa, n_steps) at omega_m = 1e6: a whole number of runs; one chunk; two
+# chunks with a 38-step last run; 13 chunks with a 3,027-step last chunk
+SCAN_GRIDS = [(1.0026e7, 10880), (3e6, 3816), (1e7, 10854), (1e8, 101331)]
+
+
+class TestWholeRunScan:
+    """Each block is scanned as whole runs, a snapshot's as one run repeated."""
+
+    def test_snapshot_steps_are_one_run(self, monkeypatch):
+        shapes = []
+
+        def recording(s1, s2, s4, kappa, h):
+            shapes.append([np.shape(s) for s in (s1, s2, s4)])
+            return _step_coefficients(s1, s2, s4, kappa, h)
+
+        monkeypatch.setattr(readout, "_step_coefficients", recording)
+        cfg = reference_config(kappa=1e8)
+        integrate_langevin(cfg, (13.5, 0.0, 0.0))
+        assert shapes == [[(RUN_STEPS,)] * 3] * math.ceil(cfg.n_steps / CHUNK_STEPS)
+
+    @pytest.mark.parametrize("kappa,n_steps", SCAN_GRIDS)
+    @ORACLE_CASES
+    def test_matches_full_length_scan(self, kappa, n_steps, free):
+        cfg = reference_config(kappa=kappa, coupling=1e4)
+        assert cfg.n_steps == n_steps
+        trace = integrate_langevin(cfg, oracle_signal(free))
+        times, intensity, inferred = full_length_trace(cfg, oracle_signal(free))
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.intensity, intensity)
+        assert np.array_equal(trace.inferred_x2, inferred)
 
 
 def window_lstsq(trace):
@@ -367,7 +442,7 @@ def window_lstsq(trace):
     [1, cos 2·omega_m·t, sin 2·omega_m·t], with np.cos/np.sin."""
     config = trace.config
     omega_m = config.omega_m
-    h = config.t_end / config.n_steps
+    h = config.step
     start = np.searchsorted(trace.times, config.t_end - N_PERIODS * (math.pi / omega_m) - 1e-9 * h)
     phase = 2.0 * omega_m * trace.times[start:]
     design = np.column_stack([np.ones_like(phase), np.cos(phase), np.sin(phase)])
