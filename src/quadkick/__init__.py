@@ -2,7 +2,6 @@
 quadratic optomechanical kicks: Gaussian-state dynamics, pulse-protocol
 planning, and the intensity readout that measures ⟨x²⟩ directly."""
 
-from .dissipation import decoherence_term, dissipate
 from .errors import InvariantViolation, ParameterError, QuadkickError
 from .kicks import (
     Dissipate,
@@ -36,11 +35,12 @@ from .readout import (
     baseline_intensity,
     infer_x2,
     integrate_langevin,
-    ripple_report,
 )
 from .state import (
     GaussianState,
     SymplecticMap,
+    decoherence_term,
+    dissipate,
     free_x2_harmonics,
     propagate,
     thermal_occupancy,

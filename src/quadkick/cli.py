@@ -154,7 +154,7 @@ def _cmd_readout(args, params: PhysicalParams) -> Iterator[str]:
     summary = [
         ("dc_shift", _fmt(report.dc_shift)),
         ("ripple_amplitude", _fmt(report.ripple_amplitude)),
-        ("kappa_over_2omega", _fmt(report.kappa_over_2omega)),
+        ("kappa_over_2omega", _fmt(cfg.kappa / (2.0 * cfg.omega_m))),
         ("baseline", _fmt(baseline_intensity(cfg))),
     ]
     if args.format == "json":

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dissipation import _dissipated
 from .errors import InvariantViolation, ParameterError, QuadkickError
 from .state import (
     HBAR,
     SPEED_OF_LIGHT,
     GaussianState,
     SymplecticMap,
+    _dissipated,
     _propagated,
     thermal_occupancy,
 )
@@ -200,8 +200,8 @@ class Kick(_Timed):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_p is not None and (self.n_p < 0.0 or not math.isfinite(self.n_p)):
-            raise ParameterError(f"kick photon number must be non-negative, got {self.n_p!r}")
+        if self.n_p is not None and (error := check_field("n_p", self.n_p)):
+            raise ParameterError(error)
 
     kind = "kick"
 
@@ -249,6 +249,8 @@ def parse_schedule(spec: str, params: PhysicalParams, with_dissipation: bool = F
         try:
             if kind == "kick":
                 n_p = float(arg) if arg else None
+                if n_p is not None and (error := check_field("n_p", n_p)):
+                    raise ParameterError(error)
                 g_tilde = effective_stiffness(
                     params.g, params.n_p if n_p is None else n_p, params.omega_m
                 )

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dissipation import decoherence_term
 from .errors import ParameterError, QuadkickError
 from .kicks import (
     PhysicalParams,
@@ -21,7 +20,7 @@ from .kicks import (
     quarter_period,
     two_pulse_variance,
 )
-from .state import VACUUM_VARIANCE, thermal_occupancy, thermal_state
+from .state import VACUUM_VARIANCE, decoherence_term, thermal_occupancy, thermal_state
 
 if TYPE_CHECKING:
     import numpy as np

@@ -37,7 +37,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
-from .state import GaussianState, free_x2_harmonics
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,12 +170,10 @@ class RippleReport(NamedTuple):
         calibration, i.e. the inferred mean ⟨x²⟩ over the analysis window.
     ripple_amplitude: amplitude of the intensity oscillation at twice the
         mechanical frequency, as a fraction of the baseline intensity.
-    kappa_over_2omega: validity figure of the instantaneous-response regime.
     """
 
     dc_shift: float
     ripple_amplitude: float
-    kappa_over_2omega: float
 
 
 def baseline_intensity(config: ReadoutConfig) -> float:
@@ -362,16 +359,4 @@ def analyze_trace(trace: ReadoutTrace) -> RippleReport:
     return RippleReport(
         dc_shift=dc,
         ripple_amplitude=math.hypot(b, c) * (2.0 * config.coupling / config.kappa),
-        kappa_over_2omega=config.kappa / (2.0 * config.omega_m),
     )
-
-
-def ripple_report(config: ReadoutConfig, state: GaussianState) -> RippleReport:
-    """Probe a freely evolving state and summarize its intensity trace.
-
-    Runs the amplitude integration with x²(t) following the state's free
-    evolution from the probe switch-on, then extracts the mean shift (as
-    inferred ⟨x²⟩) and the relative 2·omega_m ripple of the steady trace.
-    """
-    return analyze_trace(integrate_langevin(config, free_x2_harmonics(state)))
-

@@ -299,6 +299,19 @@ class TestReadout:
         rows = parse_table_csv(out.read_text())
         assert float(rows[-1]["inferred_x2"]) == pytest.approx(13.5, rel=1e-2)
 
+    @pytest.mark.parametrize("kappa", [3e6, 3.3e7, 1e8])
+    @pytest.mark.parametrize("omega_m", [7.3e5, 2.2e6])
+    def test_kappa_over_2omega_is_the_probes(self, tmp_path, capsys, kappa, omega_m):
+        # the summary's figure is kappa/(2·omega_m) of the probe, as text, in both formats
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text(f"kappa = {kappa!r}\nomega_m = {omega_m!r}\n")
+        want = "%.16e" % (kappa / (2.0 * omega_m))
+        argv = ["readout", "--config", str(cfg), "--var-p", "13.5", "--var-x", "13.5"]
+        code, captured = run(argv, capsys)
+        assert code == 0 and f"# kappa_over_2omega = {want}\n" in captured.out
+        code, captured = run(argv + ["--format", "json"], capsys)
+        assert code == 0 and f'\n    "kappa_over_2omega": {want},\n' in captured.out
+
     def test_vacuum_summary(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run(["readout", "--var-p", "0.5", "--var-x", "0.5", "--out", str(out)])

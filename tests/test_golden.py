@@ -137,10 +137,19 @@ ERRORS = {
         {}, ["simulate", "--schedule", "diss:-1"], 2,
         "error: schedule segment 0: segment duration must be non-negative and finite, got -1.0\n",
     ),
-    # a nan photon number fails the stiffness's domain, not its overflow check
+    # a token's photon number is checked by the n_p field's rule before any stiffness
     "kick_nan": (
         {}, ["simulate", "--schedule", "kick:nan"], 2,
-        "error: schedule segment 0: effective stiffness needs g >= 0, n_p >= 0, omega_m > 0\n",
+        "error: schedule segment 0: field n_p: value nan is out of range\n",
+    ),
+    "kick_negative": (
+        {}, ["simulate", "--schedule", "kick:-5"], 2,
+        "error: schedule segment 0: field n_p: value -5.0 is out of range\n",
+    ),
+    # an infinite photon number is out of range, not an overflowing stiffness
+    "kick_inf": (
+        {}, ["simulate", "--schedule", "kick;free;kick:inf"], 2,
+        "error: schedule segment 2: field n_p: value inf is out of range\n",
     ),
     "axis_without_equals": (
         {}, ["sweep", "--axis", "n_p"], 2,

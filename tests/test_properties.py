@@ -28,18 +28,20 @@ from quadkick import (
     ReadoutConfig,
     SymplecticMap,
     adiabatic_intensity,
+    analyze_trace,
     apply_schedule,
     baseline_intensity,
     decoherence_term,
     dissipate,
     effective_stiffness,
     free_matrix,
+    free_x2_harmonics,
+    integrate_langevin,
     kick_matrix,
     min_pulses,
     optimal_kick_duration,
     propagate,
     quarter_period,
-    ripple_report,
     thermal_state,
     two_pulse_variance,
 )
@@ -82,7 +84,8 @@ def test_dc_shift_is_mean_x2(state, kappa):
     # a zero-mean state's ⟨x²(t)⟩ oscillates about (var_p + var_x)/2
     cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
     mean_x2 = 0.5 * (state.var_p + state.var_x)
-    assert ripple_report(cfg, state).dc_shift == pytest.approx(mean_x2, rel=1e-7)
+    report = analyze_trace(integrate_langevin(cfg, free_x2_harmonics(state)))
+    assert report.dc_shift == pytest.approx(mean_x2, rel=1e-7)
 
 
 @READOUT
@@ -90,7 +93,8 @@ def test_dc_shift_is_mean_x2(state, kappa):
 def test_dc_shift_has_the_sign_of_the_adiabatic_intensity(state, kappa):
     # the intensity falls by 2g·dc_shift/kappa: below the baseline, as the closed form
     cfg = ReadoutConfig(kappa=kappa, coupling=1e-4, omega_m=OMEGA_M)
-    integrated = -2.0 * cfg.coupling * ripple_report(cfg, state).dc_shift / kappa
+    report = analyze_trace(integrate_langevin(cfg, free_x2_harmonics(state)))
+    integrated = -2.0 * cfg.coupling * report.dc_shift / kappa
     mean_x2 = 0.5 * (state.var_p + state.var_x)
     closed_form = adiabatic_intensity(mean_x2, cfg) / baseline_intensity(cfg) - 1.0
     assert integrated < 0.0 and closed_form < 0.0
@@ -119,7 +123,7 @@ def test_probe_window_is_whole_periods(log_kappa, log_ratio):
         return
     period = math.pi / cfg.omega_m
     assert math.floor((cfg.t_end - SETTLE_FACTOR / cfg.kappa) / period + 1e-9) == N_PERIODS
-    assert period / (cfg.t_end / cfg.n_steps) >= 125.0
+    assert period / cfg.step >= 125.0
 
 
 @DERANDOMIZED
