@@ -333,8 +333,8 @@ def two_pulse_variance(
 ) -> tuple[float, float]:
     """Closed-form quadrature variances after kick / free(tau) / kick.
 
-    Both kicks are at their antidiagonal point; the oscillator starts in a
-    thermal state with occupancy ``n_bar``.  Returns (var_p, var_x):
+    Both kicks are at their antidiagonal point, from a thermal state of
+    occupancy ``n_bar``.  Returns ``_two_pulse_moments``' (var_p, var_x), checked:
 
         var_p = (cos²ωτ + (g̃/ω)²·sin²ωτ)·(n̄ + 1/2)
         var_x = (cos²ωτ + (ω/g̃)²·sin²ωτ)·(n̄ + 1/2)
@@ -345,16 +345,20 @@ def two_pulse_variance(
         raise ParameterError(f"occupancy must be non-negative, got {n_bar!r}")
     if tau < 0.0:
         raise ParameterError(f"duration must be non-negative, got {tau!r}")
-    v0 = n_bar + 0.5
     theta = _finite_angle("free", omega_m * tau)
-    c, s = math.cos(theta), math.sin(theta)
     ratio = g_tilde / omega_m
     if ratio * ratio == 0.0:
         raise ParameterError(f"two-pulse variance: (g_tilde/omega_m)^2 = {ratio!r}^2 underflows")
-    var_p = (c * c + ratio * ratio * (s * s)) * v0
-    var_x = (c * c + s * s / (ratio * ratio)) * v0
+    var_p, var_x = _two_pulse_moments(math, theta, ratio, n_bar)
     if not (math.isfinite(var_p) and math.isfinite(var_x)):
         raise ParameterError(
             f"two-pulse variances are not finite: var_p = {var_p!r} and var_x = {var_x!r}"
         )
     return var_p, var_x
+
+
+def _two_pulse_moments(xp, theta: float, ratio: float, n_bar: float) -> tuple[float, float]:
+    """``two_pulse_variance`` unchecked, at theta = omega_m·tau; ``xp`` supplies cos and sin."""
+    c, s = xp.cos(theta), xp.sin(theta)
+    v0 = n_bar + 0.5
+    return (c * c + ratio * ratio * (s * s)) * v0, (c * c + s * s / (ratio * ratio)) * v0

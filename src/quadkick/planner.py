@@ -13,6 +13,7 @@ from .errors import ParameterError, QuadkickError
 from .kicks import (
     PhysicalParams,
     PulseSchedule,
+    _two_pulse_moments,
     check_field,
     effective_stiffness,
     optimal_kick_duration,
@@ -20,7 +21,7 @@ from .kicks import (
     quarter_period,
     two_pulse_variance,
 )
-from .state import VACUUM_VARIANCE, decoherence_term, thermal_occupancy, thermal_state
+from .state import VACUUM_VARIANCE, _added_variance, decoherence_term, thermal_occupancy, thermal_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,30 +156,30 @@ def _evaluate_cell(spec: SweepSpec, p: dict[str, float]) -> float:
     return var_x if spec.observable == "var_x" else var_p
 
 
-def _occupancy_or_inf(T: float, omega_m: float) -> float:
-    # np.frompyfunc calls it on every (T, omega_m): an overflow marks, not aborts
-    try:
-        return thermal_occupancy(T, omega_m)
-    except ParameterError:
-        return math.inf
-
-
 def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.ndarray, list]:
     """The closed-form observable of every cell, axis-1 major, with the axes
     laid over the field ``table``, and the cells it leaves open (nan) for
     the scalar ``_evaluate_cell``, the one source of error texts: an invalid
-    axis value (a text in ``errors``), a negative wait, an infinite angle or
-    wait, or a non-finite result.  An overflowing stiffness, occupancy or
-    quarter period gives one of these, and g̃ >= omega_m keeps (g̃/omega_m)²
-    from underflowing, so no other cell raises there.
+    axis value (a text in ``errors``), a negative wait, an infinite
+    decoherence wait, or a non-finite result, which a raise gives as nan.
 
-    The arithmetic repeats the scalar code's IEEE operations in its order on
-    arrays broadcast over the axes, so every other cell is the double
-    ``_evaluate_cell`` returns.  Each transcendental is taken with ``math``,
-    whose last bit numpy's may not match, once per distinct input, by
-    ``np.frompyfunc`` on arrays shaped over the axes that input depends on.
+    The occupancy and the quarter period are the checked functions' own; the
+    values are ``_two_pulse_moments``' and ``_added_variance``', the scalar
+    arithmetic run on arrays broadcast over the axes, so every other cell is
+    the double ``_evaluate_cell`` returns.  ``each`` applies those functions
+    and ``math``'s transcendentals with ``np.frompyfunc``, once per distinct
+    input, on arrays shaped over the axes that input depends on.
     """
     import numpy as np
+    from types import SimpleNamespace
+
+    def each(fn):
+        def or_nan(*args):
+            try:
+                return fn(*args)
+            except (ValueError, OverflowError):  # a ParameterError is a ValueError
+                return math.nan
+        return lambda *args: np.asarray(np.frompyfunc(or_nan, len(args), 1)(*args), dtype=float)
 
     ndim = len(spec.axes)
     bad = np.zeros((1,) * ndim, dtype=bool)
@@ -186,36 +187,23 @@ def _closed_form_grid(spec: SweepSpec, table: dict, errors: list) -> tuple[np.nd
     for i, (axis, texts) in enumerate(zip(spec.axes, errors)):
         shape = [1] * ndim
         shape[i] = len(axis.values)
-        ok = np.array([text is None for text in texts]).reshape(shape)
-        # an invalid value fails its cells anyway: the base's keeps the rest in range
-        p[axis.name] = np.where(ok, np.array(axis.values).reshape(shape), table[axis.name])
-        bad = bad | ~ok
-
-    def of_math(fn, *args):
-        return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
-
+        p[axis.name] = np.array(axis.values).reshape(shape)
+        bad = bad | np.array([text is not None for text in texts]).reshape(shape)
+    grid = SimpleNamespace(cos=each(math.cos), sin=each(math.sin), expm1=each(math.expm1))
     with np.errstate(all="ignore"):
         omega_m = p["omega_m"]
-        n_bar = of_math(_occupancy_or_inf, p["T"], omega_m)
+        n_bar = each(thermal_occupancy)(p["T"], omega_m)
         if spec.observable == "decoherence_term":
             tau_wait = math.pi / omega_m
-            value = -of_math(math.expm1, -p["gamma"] * tau_wait) * (n_bar + 0.5)
+            value = _added_variance(grid, p["gamma"], tau_wait, n_bar)
             bad = bad | (tau_wait == math.inf) | ~np.isfinite(value)
         else:
+            # inline, not effective_stiffness, which would take one Python call per cell
             g_tilde = 2.0 * p["g"] * p["n_p"] + omega_m
-            quarter = 0.5 * math.pi / omega_m
-            tau = quarter + p["delta_tau"]
-            v0 = n_bar + 0.5
-            theta = omega_m * tau
-            finite_angle = np.isfinite(theta)
-            # math.cos raises on inf; such a cell fails on its angle anyway
-            theta = np.where(finite_angle, theta, 0.0)
-            c, s = of_math(math.cos, theta), of_math(math.sin, theta)
-            ratio = g_tilde / omega_m
-            var_p = (c * c + ratio * ratio * (s * s)) * v0
-            var_x = (c * c + s * s / (ratio * ratio)) * v0
+            tau = each(quarter_period)(omega_m) + p["delta_tau"]
+            var_p, var_x = _two_pulse_moments(grid, omega_m * tau, g_tilde / omega_m, n_bar)
             value = var_p if spec.observable == "var_p" else var_x
-            bad = bad | (tau < 0.0) | ~finite_angle | ~np.isfinite(var_p) | ~np.isfinite(var_x)
+            bad = bad | (tau < 0.0) | ~np.isfinite(var_p) | ~np.isfinite(var_x)
         # bad spans every axis, so this is the whole grid
         return np.where(bad, math.nan, value).reshape(-1), np.flatnonzero(bad).tolist()
 

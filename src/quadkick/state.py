@@ -193,14 +193,19 @@ def _dissipated(
 
 
 def decoherence_term(gamma: float, tau: float, n_env: float) -> float:
-    """The additive variance (1 - e^{-γτ})·(n_env + 1/2) injected by the bath."""
+    """The bath's added variance (1 - e^{-γτ})·(n_env + 1/2): ``_added_variance``, checked."""
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ParameterError(f"gamma must be non-negative, got {gamma!r}")
     if tau < 0.0 or not math.isfinite(tau):
         raise ParameterError(f"tau must be non-negative, got {tau!r}")
     if n_env < 0.0 or not math.isfinite(n_env):
         raise ParameterError(f"environment occupancy must be non-negative, got {n_env!r}")
-    return -math.expm1(-gamma * tau) * (n_env + 0.5)
+    return _added_variance(math, gamma, tau, n_env)
+
+
+def _added_variance(xp, gamma: float, tau: float, n_env: float) -> float:
+    """``decoherence_term`` unchecked; ``xp`` supplies expm1, elementwise on the sweep grid."""
+    return -xp.expm1(-gamma * tau) * (n_env + 0.5)
 
 
 def free_x2_harmonics(state: GaussianState) -> tuple[float, float, float]:

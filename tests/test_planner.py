@@ -347,3 +347,44 @@ class TestSweep:
         cells = sweep(spec)
         assert len(calls) == sum(len(axis.values) for axis in axes)
         assert sum(cell.error is not None for cell in cells) == failed
+
+    @pytest.mark.parametrize(
+        "names, expected",
+        [
+            (("g", "n_p"), {"thermal_occupancy": 1, "quarter_period": 1, "cos": 1, "sin": 1}),
+            (
+                ("omega_m", "delta_tau"),
+                {"thermal_occupancy": 40, "quarter_period": 40, "cos": 1600, "sin": 1600},
+            ),
+        ],
+        ids=["g_n_p", "omega_m_delta_tau"],
+    )
+    def test_each_input_evaluated_once_per_distinct_value(self, monkeypatch, names, expected):
+        # the grid's speed rests on this: the occupancy, the quarter period and
+        # each transcendental run once per value of the axes their input
+        # depends on, not once per cell, and no valid cell is evaluated twice
+        spans = {
+            "g": (1e-5, 1e-3), "n_p": (1e8, 1e12), "omega_m": (2e5, 5e6), "delta_tau": (1e-9, 2e-8),
+        }
+        axes = []
+        for name in names:
+            lo, hi = spans[name]
+            axes.append(SweepAxis(name, [lo * (hi / lo) ** (i / 39) for i in range(40)]))
+        calls = dict.fromkeys(expected, 0)
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("thermal_occupancy", "quarter_period"):
+            counted(planner, name)
+        for name in ("cos", "sin"):
+            counted(math, name)
+        cells = sweep(SweepSpec(axes, PARAMS, "var_x"))
+        assert all(cell.error is None for cell in cells) and len(cells) == 1600
+        assert calls == expected

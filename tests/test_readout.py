@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -56,10 +57,16 @@ class TestReadoutConfig:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             reference_config(**{field: value})
 
-    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan, math.inf])
-    def test_omega_m_must_be_positive_and_finite(self, omega_m):
-        # checked here once: the integration, the fit and its report all read it
-        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
+    @pytest.mark.parametrize("omega_m, message", [
+        pytest.param(0.0, "omega_m must be positive, got 0.0", id="0.0"),
+        pytest.param(-1e6, "omega_m must be positive, got -1000000.0", id="-1000000.0"),
+        pytest.param(math.nan, "omega_m must be finite, got nan", id="nan"),
+        pytest.param(math.inf, "omega_m must be finite, got inf", id="inf"),
+    ])
+    def test_omega_m_must_be_positive_and_finite(self, omega_m, message):
+        # checked here once, so the integration, the fit and the readout's
+        # summary never see a bad omega_m: the whole text is pinned
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             reference_config(omega_m=omega_m)
 
     def test_step_count_bound(self):
@@ -72,11 +79,6 @@ class TestReadoutConfig:
     def test_default_needs_positive_coupling(self):
         with pytest.raises(ParameterError, match="trace analysis needs a positive coupling"):
             reference_config(coupling=0.0)
-
-    @pytest.mark.parametrize("omega_m", [0.0, -1e6, math.nan])
-    def test_default_needs_positive_omega_m(self, omega_m):
-        with pytest.raises(ParameterError, match="^omega_m must be (positive|finite), got"):
-            reference_config(omega_m=omega_m)
 
     @pytest.mark.parametrize(
         "kappa, omega_m, message",
@@ -550,14 +552,6 @@ class TestRippleReport:
         assert free.dc_shift == pytest.approx(1.6, rel=1e-7)
         snapshot = integrate_langevin(cfg, (0.314, 0.0, 0.0))
         assert analyze_trace(snapshot).dc_shift == pytest.approx(0.314, rel=1e-7)
-
-    @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
-    def test_ripple_report_blames_omega_m(self, omega_m):
-        # not the coupling: the x² of a free evolution at a bad omega_m is nan,
-        # and the probe the report reads rejects it by name
-        with pytest.raises(ParameterError, match=f"^omega_m must be finite, got {omega_m!r}$"):
-            cfg = reference_config(omega_m=omega_m)
-            analyze_trace(integrate_langevin(cfg, free_x2_harmonics(thermal_state(13.0))))
 
     @pytest.mark.parametrize("kappa, coupling", [(1e7, 1e-300), (1e7, 1e-12), (1e8, 1e-20)])
     def test_shift_below_transient_rejected(self, kappa, coupling):
